@@ -8,7 +8,8 @@ exit codes are 0 (success), 1 (invariant violation), 2 (config error).
 Config files are flat INI-style key=value text with section headers (see
 README for the full key reference); identical configs and builds produce
 byte-identical CSVs.  The environment variable CALORIC_THREADS caps worker
-threads used by the sweeps.
+threads used by the sweeps (0 or unset: automatic; anything but a
+non-negative integer is a config error).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .representation import (
     recover_initial_data,
 )
 from .semigroup import HeatOperatorConfig
-from .util import fmt_float, worker_count
+from .util import fmt_float, thread_cap, worker_count
 from .zoo import datum_from_id, evolve_datum_exact, sample_solution, solution_from_id
 
 PIPELINES = ("evolve", "tent-norm", "growth-fit", "homotopy", "recover",
@@ -344,6 +345,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     """
     cfg.grid()
     cfg.operator()
+    thread_cap()
     if cfg.pipeline in ("growth-fit", "homotopy", "counterexample"):
         solution_from_id(cfg.solution_id)
     if cfg.pipeline in ("evolve", "tent-norm", "recover"):

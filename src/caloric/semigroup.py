@@ -9,16 +9,26 @@ discretization artifact cannot masquerade as a verified identity:
   so the discrete operator carries a clean O(dx^2) consistency error),
   truncated at a configurable multiple of sqrt(t) (default 8, dropped mass
   ~e^{-16}) and renormalized to unit discrete mass, which restores exact
-  preservation of constants.
+  preservation of constants.  It is applied axis by axis as a direct
+  convolution (``ndimage.convolve1d``) restricted to the window the
+  support can reach; the result is bit-identical to convolving the whole
+  grid, so rounding-level invariants (mass, maximum principle, exact
+  zeros far from the support) are those of the direct sum.  No FFT: its
+  round-off spreads over the whole grid and is amplified wherever the
+  evolved function is paired with fast-growing data.
 * ``spectral_multiplier`` - multiplication of discrete Fourier modes by
   exp(-|xi|^2 t); requires a periodic grid.
 
 :func:`annulus_decay_check` measures the off-support decay
 ||e^{tL} h||_{L2(C_j)} ~ exp(-c d_j^2 / t) on a geometric annulus family and
 fits the exponent c, which should land just under the Gaussian threshold 1/4.
-That routine evaluates the evolution by dense quadrature of the kernel
-representation over supp(h) (no truncation), because the fitted tail lives
-many orders of magnitude below the truncated kernel's floor.
+That routine, like the homotopy extent audit, evaluates the evolution with
+:func:`dense_evolve_at`: untruncated point quadrature of the kernel
+representation over supp(h), because the fitted tail lives many orders of
+magnitude below the truncated kernel's floor.  On the uniform grid the
+kernel depends only on the index offset, so it is sampled once per offset
+and applied as a (separable) Toeplitz product over the support's bounding
+box.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from dataclasses import dataclass
 from math import ceil, pi, sqrt
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 from scipy import ndimage
 
@@ -140,11 +151,45 @@ def _spectral_multipliers(t: float, grid: SpatialGrid) -> Array:
 _CONV_MODE = {"periodic": "wrap", "zero_padded": "constant"}
 
 
+def _support_window(values: Array, axis: int, m: int, periodic: bool) -> NDArray[np.intp] | None:
+    """Indices along *axis* within m of the support span [lo, hi), or None.
+
+    [lo, hi) runs from the first to the last nonzero; -0.0 counts as
+    nonzero, so every value outside it is +0.0.  The window is taken modulo
+    n on a periodic axis and clipped to the grid on a zero-padded one.
+    None means the window, hi - lo + 2m points, is wider than the axis and
+    would overlap itself (this includes a support straddling the periodic
+    seam, whose span is nearly the whole axis).
+    """
+    n = values.shape[axis]
+    other = tuple(ax for ax in range(values.ndim) if ax != axis)
+    occupied = ((values != 0.0) | np.signbit(values)).any(axis=other)
+    if np.count_nonzero(occupied) + 2 * m > n:  # a span is at least its count wide
+        return None
+    idx = np.flatnonzero(occupied)
+    if idx.size == 0:
+        return idx
+    lo, hi = int(idx[0]), int(idx[-1]) + 1
+    if hi - lo + 2 * m > n:
+        return None
+    window = np.arange(lo - m, hi + m)
+    return window % n if periodic else window[(window >= 0) & (window < n)]
+
+
 def _convolve(values: Array, kernel: Array, axis: int, grid: SpatialGrid) -> Array:
     # ndimage.convolve1d flips the kernel (true convolution); our kernels are
     # indexed by the offset x - y, so orientation matters for the gradient.
-    return ndimage.convolve1d(values, kernel, axis=axis,
-                              mode=_CONV_MODE[grid.boundary_mode], cval=0.0)
+    # Each output is a fixed-order sum over its own 2m+1 neighbours, so
+    # convolving only the support window and leaving +0.0 elsewhere is
+    # bit-identical to convolving the whole axis.
+    window = _support_window(values, axis, kernel.size // 2, grid.boundary_mode == "periodic")
+    if window is None:
+        return ndimage.convolve1d(values, kernel, axis=axis,
+                                  mode=_CONV_MODE[grid.boundary_mode], cval=0.0)
+    out = np.zeros_like(values)
+    put = (slice(None),) * axis + (window,)
+    out[put] = ndimage.convolve1d(values[put], kernel, axis=axis, mode="constant", cval=0.0)
+    return out
 
 
 @track("heat_evolve")
@@ -190,39 +235,57 @@ def heat_evolve_gradient(grid: SpatialGrid, values: Array, t: float,
     return out
 
 
+# Element budget of one gathered Toeplitz block in dense_evolve_at (16 MB).
+_DENSE_BLOCK = 1 << 21
+
+
 def dense_evolve_at(grid: SpatialGrid, values: Array, t: float,
                     target_mask: Array | None = None) -> Array:
     """Untruncated kernel quadrature over the support of *values*.
 
-    Evaluates (e^{tL} values)(x) by direct Gaussian quadrature over the
-    nonzero cells, at every grid point (or only where *target_mask* is
-    true, returned flattened in C order).  Resolves tails down to the
-    underflow floor; cost is O(|targets| * |supp|), fine at desk scale.
-    Used by the annulus decay fit and the homotopy extent audit.
+    Evaluates (e^{tL} values)(x) = sum_y G_t(x - y) values(y) dx^dim, with
+    the free-space Gaussian and no truncation, at every grid point (or only
+    where *target_mask* is true, returned flattened in C order).  Resolves
+    tails down to the underflow floor.  Used by the annulus decay fit and
+    the homotopy extent audit.
+
+    On the uniform grid x_i - y_r = (i - r) dx, so the 1D kernel is sampled
+    once per offset (2n - 1 exps) and gathered into a Toeplitz block
+    A[i, r] = g[i - r + n - 1] over the bounding box of the nonzeros; the 2D
+    kernel is separable, A0 @ box @ A1.T.  Rows of A (A0) are gathered in
+    blocks to bound peak memory; 1D gathers only the target rows.
     """
     values = np.asarray(values, dtype=float)
-    h = grid.spacing
+    n = grid.points_per_axis
+    offsets = np.arange(-(n - 1), n) * grid.spacing
+    g = np.exp(-(offsets**2) / (4.0 * t)) / sqrt(4.0 * pi * t)
+    nz = np.nonzero(values)
+    mask = None if target_mask is None else np.asarray(target_mask, dtype=bool)
+    if nz[0].size == 0:
+        out = np.zeros(grid.shape)
+        return out if mask is None else out[mask]
+    span = [(int(ix.min()), int(ix.max()) + 1) for ix in nz]
+    # Flipping the box turns each Toeplitz row g[i - r + n - 1], r in
+    # [lo, hi), into the contiguous slice g[i + n - hi : i + n - lo].
+    box = np.flip(values[tuple(slice(lo, hi) for lo, hi in span)]) * grid.cell_volume
+
+    def toeplitz(rows: NDArray[np.intp], axis: int) -> Array:
+        lo, hi = span[axis]
+        return sliding_window_view(g, hi - lo)[rows + (n - hi)]
+
+    chunk = max(1, _DENSE_BLOCK // box.shape[0])
     if grid.dim == 1:
-        pts = grid.axis[:, None]
+        rows = np.arange(n) if mask is None else np.flatnonzero(mask)
+        right = box
     else:
-        xg, yg = grid.meshgrid()
-        pts = np.stack([xg.ravel(), yg.ravel()], axis=1)
-    flat_vals = values.ravel()
-    src_mask = flat_vals != 0.0
-    src = pts[src_mask]
-    vy = flat_vals[src_mask] * grid.cell_volume
-    if target_mask is not None:
-        pts = pts[np.asarray(target_mask).ravel()]
-    out = np.empty(pts.shape[0])
-    norm = (4.0 * pi * t) ** (-grid.dim / 2.0)
-    chunk = 4096
-    for i in range(0, pts.shape[0], chunk):
-        block = pts[i:i + chunk]
-        d2 = ((block[:, None, :] - src[None, :, :]) ** 2).sum(axis=2)
-        out[i:i + chunk] = (np.exp(-d2 / (4.0 * t)) * norm) @ vy
-    if target_mask is not None:
+        rows = np.arange(n)
+        right = box @ toeplitz(rows, 1).T
+    out = np.empty((rows.size, *right.shape[1:]))
+    for i in range(0, rows.size, chunk):
+        out[i:i + chunk] = toeplitz(rows[i:i + chunk], 0) @ right
+    if grid.dim == 1 or mask is None:
         return out
-    return out.reshape(grid.shape)
+    return out[mask]
 
 
 @dataclass(frozen=True)

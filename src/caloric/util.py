@@ -22,14 +22,26 @@ def det_sum(values) -> float:
     return math.fsum(arr.ravel(order="C").tolist())
 
 
+def thread_cap() -> int:
+    """Worker cap from CALORIC_THREADS; 0 or unset picks min(4, cpu count).
+
+    Raises ValueError naming the variable for anything but a non-negative
+    integer, so a bad value is a config error rather than a run failure.
+    """
+    cap_txt = os.environ.get(THREADS_ENV_VAR, "").strip()
+    try:
+        cap = int(cap_txt) if cap_txt else 0
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ValueError(
+            f"{THREADS_ENV_VAR} must be a non-negative integer (0 = automatic), got {cap_txt!r}")
+    return cap or min(4, os.cpu_count() or 1)
+
+
 def worker_count(n_tasks: int) -> int:
     """Number of workers for an experiment sweep, capped by CALORIC_THREADS."""
-    cap_txt = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if cap_txt:
-        cap = max(1, int(cap_txt))
-    else:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, n_tasks))
+    return max(1, min(thread_cap(), n_tasks))
 
 
 def fmt_float(x: float) -> str:

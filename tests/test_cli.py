@@ -185,6 +185,8 @@ class TestEmitPlots:
 
 
 def test_worker_count_respects_env(monkeypatch):
+    import os
+
     from caloric.util import worker_count
 
     monkeypatch.setenv("CALORIC_THREADS", "2")
@@ -193,3 +195,19 @@ def test_worker_count_respects_env(monkeypatch):
     assert worker_count(3) == 3
     monkeypatch.delenv("CALORIC_THREADS")
     assert worker_count(1) == 1
+    automatic = min(4, os.cpu_count() or 1)
+    assert worker_count(64) == automatic
+    monkeypatch.setenv("CALORIC_THREADS", "0")  # 0 means automatic, like unset
+    assert worker_count(64) == automatic
+    for bad in ("abc", "-1", "2.5"):
+        monkeypatch.setenv("CALORIC_THREADS", bad)
+        with pytest.raises(ValueError, match="CALORIC_THREADS"):
+            worker_count(4)
+
+
+@pytest.mark.parametrize("bad", ["abc", "-2"])
+def test_bad_thread_cap_exits_2(tmp_path, monkeypatch, capsys, bad):
+    monkeypatch.setenv("CALORIC_THREADS", bad)
+    assert main(["homotopy", "--out", str(tmp_path)]) == 2
+    assert "CALORIC_THREADS" in capsys.readouterr().out
+    assert "CALORIC_THREADS" in (tmp_path / "summary.txt").read_text()

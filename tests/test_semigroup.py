@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from caloric import (
     AnnulusScheme,
@@ -14,6 +15,7 @@ from caloric import (
     heat_evolve,
     heat_evolve_gradient,
 )
+from caloric.semigroup import _kernel_1d, _kernel_gradient_1d, dense_evolve_at
 from caloric.grid import gradient as fd_gradient
 from caloric.util import det_sum
 from caloric.zoo import GaussianKernelSolution
@@ -135,6 +137,141 @@ class TestHeatEvolveGradient:
         out = heat_evolve_gradient(grid_2d, f, 0.25, SPECTRAL)
         np.testing.assert_allclose(out[0], math.exp(-0.5) * np.cos(xg) * np.sin(yg), atol=1e-12)
         np.testing.assert_allclose(out[1], math.exp(-0.5) * np.sin(xg) * np.cos(yg), atol=1e-12)
+
+
+def _full_axis_convolution(grid, values, t, gradient):
+    """Oracle: ndimage.convolve1d over every full axis with the boundary mode."""
+    mode = {"periodic": "wrap", "zero_padded": "constant"}[grid.boundary_mode]
+    w = _kernel_1d(t, grid, KERNEL)
+    wg = _kernel_gradient_1d(t, grid, KERNEL)
+    comps = []
+    for ax in range(grid.dim) if gradient else [None]:
+        comp = values
+        for other in range(grid.dim):
+            comp = ndimage.convolve1d(comp, wg if other == ax else w, axis=other,
+                                      mode=mode, cval=0.0)
+        comps.append(comp)
+    return np.stack(comps) if gradient else comps[0]
+
+
+def _bump_field(grid, center, radius):
+    return TestFunction(center, radius).value(*grid.meshgrid())
+
+
+def _spikes(grid, indices):
+    values = np.zeros(grid.shape)
+    values[list(indices)] = 1.0
+    return values
+
+
+# (dim, boundary mode, field, t); L = 15 with 256 points per axis in 1D and
+# 64 in 2D.  In 1D the kernel half-width m is 38 taps at t = 0.3 and 62 at
+# t = 0.8.  Spikes spanning 180 (181) points give a window of exactly n
+# (n + 1) points: the widest windowed case and the narrowest fallback.  The
+# edge bumps are cut at x = L, so their windows wrap round the axis; spikes
+# on both sides of the seam span nearly the whole axis and take the fallback.
+_WINDOW_CASES = {
+    "1d-periodic-interior": (1, "periodic", lambda g: _bump_field(g, (0.5,), 1.0), 0.3),
+    "1d-periodic-wraps-edge": (1, "periodic", lambda g: _bump_field(g, (14.5,), 1.0), 0.3),
+    "1d-periodic-window-wraps": (1, "periodic", lambda g: _bump_field(g, (12.0,), 1.0), 0.5),
+    "1d-zero-padded-clipped": (1, "zero_padded", lambda g: _bump_field(g, (-14.0,), 0.8), 0.5),
+    "1d-two-bumps-mixed-signs": (1, "zero_padded",
+                                 lambda g: _bump_field(g, (-6.0,), 1.0)
+                                 - 2.0 * _bump_field(g, (5.0,), 0.5), 0.2),
+    "1d-signed-zeros-off-support": (1, "periodic",
+                                    lambda g: np.where((g.axis > -3.0) & (g.axis < 8.0), -0.0,
+                                                       _bump_field(g, (-12.0,), 0.5)), 0.2),
+    "1d-periodic-straddles-seam": (1, "periodic", lambda g: _spikes(g, (3, 250)), 0.3),
+    "1d-window-fills-axis": (1, "periodic", lambda g: _spikes(g, (0, 90, 179)), 0.3),
+    "1d-window-one-past-axis": (1, "periodic", lambda g: _spikes(g, (0, 90, 180)), 0.3),
+    "1d-window-too-wide": (1, "periodic", lambda g: _bump_field(g, (0.0,), 10.0), 0.8),
+    "1d-zero-padded-too-wide": (1, "zero_padded", lambda g: _bump_field(g, (0.0,), 10.0), 0.8),
+    "1d-all-zero": (1, "periodic", lambda g: np.zeros(g.shape), 0.3),
+    "1d-all-negative-zero": (1, "zero_padded", lambda g: -np.zeros(g.shape), 0.3),
+    "2d-periodic-interior": (2, "periodic", lambda g: _bump_field(g, (1.0, -2.0), 1.5), 0.3),
+    "2d-periodic-wraps-edge": (2, "periodic", lambda g: _bump_field(g, (14.5, 0.5), 1.5), 0.3),
+    "2d-zero-padded-corner": (2, "zero_padded", lambda g: _bump_field(g, (-13.5, 13.0), 2.0), 0.5),
+    "2d-window-too-wide": (2, "zero_padded", lambda g: _bump_field(g, (0.0, 3.0), 10.0), 0.8),
+    "2d-all-zero": (2, "periodic", lambda g: np.zeros(g.shape), 0.3),
+}
+
+
+class TestSupportWindowConvolution:
+    """The kernel path convolves only the support window; it must equal the
+    full-axis convolution bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("case", list(_WINDOW_CASES))
+    @pytest.mark.parametrize("gradient", [False, True], ids=["evolve", "gradient"])
+    def test_bitwise_equal_to_full_axis(self, case, gradient):
+        dim, mode, field, t = _WINDOW_CASES[case]
+        grid = SpatialGrid.make(dim, 15.0, 256 if dim == 1 else 64, mode)
+        values = field(grid)
+        op = heat_evolve_gradient if gradient else heat_evolve
+        got = op(grid, values, t, KERNEL)
+        want = _full_axis_convolution(grid, values, t, gradient)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _pairwise_quadrature(grid, values, t, target_mask=None):
+    """Oracle: one Gaussian per target x source pair, no reuse of offsets."""
+    pts = np.stack([m.ravel() for m in grid.meshgrid()], axis=1)
+    flat = np.asarray(values, dtype=float).ravel()
+    src = flat != 0.0
+    targets = pts if target_mask is None else pts[np.asarray(target_mask).ravel()]
+    d2 = ((targets[:, None, :] - pts[src][None, :, :]) ** 2).sum(axis=2)
+    kernel = np.exp(-d2 / (4.0 * t)) * (4.0 * math.pi * t) ** (-grid.dim / 2.0)
+    out = kernel @ (flat[src] * grid.cell_volume)
+    return out if target_mask is not None else out.reshape(grid.shape)
+
+
+def _scattered(grid, count, seed):
+    rng = np.random.default_rng(seed)
+    values = np.zeros(grid.n_points)
+    values[rng.choice(grid.n_points, count, replace=False)] = rng.standard_normal(count)
+    return values.reshape(grid.shape)
+
+
+def _ring(grid):
+    mesh = grid.meshgrid()
+    return np.max(np.abs(np.stack(mesh)), axis=0) >= 0.9 * grid.half_extent
+
+
+class TestDenseEvolveAt:
+    """dense_evolve_at against the pairwise formula at rtol 1e-12.
+
+    With mixed-sign sources the bound is 1e-12 times the quadrature of
+    |values|, the size of the terms that cancel."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("field", ["bump", "mixed-signs", "scattered", "all-zero"])
+    @pytest.mark.parametrize("ring", [False, True], ids=["full-grid", "ring"])
+    def test_matches_pairwise_formula(self, dim, field, ring):
+        grid = SpatialGrid.make(dim, 6.0, 128 if dim == 1 else 40, "zero_padded")
+        bump = _bump_field(grid, (0.5,) * dim, 1.0)
+        values = {"bump": bump,
+                  "mixed-signs": bump - 1.5 * _bump_field(grid, (-2.0,) * dim, 0.7),
+                  "scattered": _scattered(grid, 9, seed=dim),
+                  "all-zero": np.zeros(grid.shape)}[field]
+        mask = _ring(grid) if ring else None
+        got = dense_evolve_at(grid, values, 0.4, target_mask=mask)
+        want = _pairwise_quadrature(grid, values, 0.4, mask)
+        scale = _pairwise_quadrature(grid, np.abs(values), 0.4, mask)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        if field == "all-zero":
+            assert not got.any()
+
+    def test_resolves_deep_tail(self):
+        # The extent audit reads the ring values far below the truncated
+        # kernel's floor; they must stay relatively accurate near 1e-100.
+        grid = SpatialGrid.make(1, 16.0, 1024)
+        values = _bump_field(grid, (0.0,), 0.5)
+        ring = _ring(grid)
+        got = dense_evolve_at(grid, values, 0.19, target_mask=ring)
+        want = _pairwise_quadrature(grid, values, 0.19, ring)
+        assert 0.0 < want.min() < 1e-100
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 @pytest.fixture(scope="module")
