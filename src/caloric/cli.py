@@ -354,7 +354,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         cfg.strip()
         if len(cfg.radii) < 5:
             raise ValueError("growth fit needs at least 5 radii")
-    if cfg.pipeline in ("recover", "counterexample"):
+    if cfg.pipeline == "recover":
+        cfg.ladder().validate_floor(cfg.grid())
+    if cfg.pipeline == "counterexample":
         cfg.ladder()
     if cfg.pipeline == "homotopy" and not 0 < cfg.homotopy_s < cfg.homotopy_t:
         raise ValueError("homotopy needs 0 < s < t")

@@ -12,8 +12,10 @@ Quadrature conventions
 * Ball integrals use uniform weights with boundary cells clipped by the exact
   cell/ball overlap fraction in 1D and by cell-center membership in 2D (first
   order at the rim, acceptable under the >=1% tolerances of the experiments).
-* All reductions go through :func:`caloric.util.det_sum`, a correctly rounded
-  compensated sum, so results are independent of evaluation schedule.
+* All reductions go through :func:`caloric.util.det_sum`, an exact sum with
+  one final rounding (bit-identical to ``math.fsum``), so results do not
+  depend on the evaluation order or on how slices are batched: a masked
+  time profile is one row-wise ``det_sum(..., axis=-1)`` over the stack.
 """
 
 from __future__ import annotations
@@ -277,11 +279,7 @@ def integrate_strip_L2(u: SpaceTimeField, strip: StripSpec, radius: float,
         center = np.zeros(u.grid.dim)
     w = ball_weights(u.grid, center, radius)
     mask = w > 0
-    wm = w[mask]
-    g = np.empty(u.n_times)
-    for i in range(u.n_times):
-        sl = u.values[i]
-        g[i] = det_sum(sl[mask] ** 2 * wm)
+    g = det_sum(u.values[:, mask] ** 2 * w[mask], axis=-1)
     total = time_trapezoid(times, g, strip.a, strip.b)
     return float(np.sqrt(max(total, 0.0)))
 

@@ -176,9 +176,7 @@ def carleson_box_value(u: SpaceTimeField, center, radius: float) -> float:
     w = ball_weights(grid, center, radius)
     mask = w > 0
     wm = w[mask]
-    g = np.empty(u.n_times)
-    for i in range(u.n_times):
-        g[i] = det_sum(u.values[i][mask] ** 2 * wm)
+    g = det_sum(u.values[:, mask] ** 2 * wm, axis=-1)
     t0 = float(u.times[0])
     total = t0 * g[0] if r_sq >= t0 else r_sq * g[0]
     if r_sq > t0:
@@ -352,7 +350,7 @@ def _spacetime_integral(u: SpaceTimeField, slices: Array, region: SpaceTimeRegio
     """Trapezoid-in-time of the masked spatial integral of *slices*."""
     mask = _region_mask(u.grid, region)
     cell = u.grid.cell_volume
-    g = np.array([det_sum(slices[i][mask] * cell) for i in range(u.n_times)])
+    g = det_sum(slices[:, mask] * cell, axis=-1)
     return time_trapezoid(u.times, g, region.t0, region.t1)
 
 

@@ -98,9 +98,31 @@ class HomotopyReport:
         return abs(self.lhs - self.rhs)
 
 
-def grid_pairing(grid: SpatialGrid, values: Array, probe_values: Array) -> float:
-    """Deterministic quadrature of <u, phi> over the full grid."""
-    return det_sum(np.asarray(values) * np.asarray(probe_values) * grid.cell_volume)
+def grid_pairing(grid: SpatialGrid, values: Array, probe_values: Array) -> float | Array:
+    """Deterministic quadrature of <u, phi> over the full grid.
+
+    *values* is one slice (returns a float) or a stack of slices along a
+    leading time axis (returns one pairing per slice).
+    """
+    terms = np.asarray(values) * np.asarray(probe_values) * grid.cell_volume
+    if terms.ndim == grid.dim:
+        return det_sum(terms)
+    return det_sum(terms.reshape(terms.shape[:-grid.dim] + (grid.n_points,)), axis=-1)
+
+
+def _ladder_slices(u: SpaceTimeField, times: Array) -> Array:
+    """Stack of the samples of u at the ladder times, in ladder order.
+
+    Every ladder time must be a sample time (within 1e-9, the tolerance of
+    ``SpaceTimeField.slice_at``): interpolating in time would break the
+    polynomial-in-t bias model the extrapolation relies on.
+    """
+    idx = np.abs(u.times[None, :] - times[:, None]).argmin(axis=1)
+    off = np.abs(u.times[idx] - times) > 1e-9
+    if off.any():
+        raise ValueError(f"ladder time {float(times[off][0])!r} is not a sample time "
+                         "of the field; ladder pairings are never interpolated")
+    return u.values[idx]
 
 
 def _solution_slice(u: AnalyticSolution | SpaceTimeField, grid: SpatialGrid,
@@ -289,16 +311,15 @@ def flux_functional(u: AnalyticSolution | SpaceTimeField, s: float, t: float,
     dt = (t - s) / (n_tau - 1)
     w = np.full(n_tau, dt)
     w[0] = w[-1] = dt / 2.0
-    rows = []
-    for R in fluxcfg.r_values:
+    # time profiles of the Phi_1 and Phi_2 integrands on each annulus
+    profiles = np.empty((len(fluxcfg.r_values), 2, n_tau))
+    for j, R in enumerate(fluxcfg.r_values):
         mask = (radial > fluxcfg.lam * R) & (radial < R)
-        f1 = np.array([det_sum(np.abs(phi_slices[i][mask]) * abs_gu[i][mask] * cell)
-                       for i in range(n_tau)])
-        f2 = np.array([det_sum(np.abs(u_slices[i][mask]) * abs_gphi[i][mask] * cell)
-                       for i in range(n_tau)])
-        phi1 = det_sum(f1 * w)
-        phi2 = det_sum(f2 * w)
-        rows.append(FluxRow(R, phi1, phi2))
+        terms = np.stack([np.abs(phi_slices[:, mask]) * abs_gu[:, mask],
+                          np.abs(u_slices[:, mask]) * abs_gphi[:, mask]])
+        profiles[j] = det_sum(terms * cell, axis=-1)
+    phis = det_sum(profiles * w, axis=-1)
+    rows = [FluxRow(R, phi1, phi2) for R, (phi1, phi2) in zip(fluxcfg.r_values, phis.tolist())]
     totals = [r.total for r in rows]
     tail = totals[len(totals) // 2:]
     monotone = all(b <= a * (1 + 1e-9) + 1e-300 for a, b in zip(tail, tail[1:]))
@@ -339,13 +360,20 @@ def richardson_limit(times: Sequence[float], values: Sequence[float],
 
     The recovery bias is <u0, e^{tL}phi - phi> = t <u0, Lap phi> + O(t^2)
     with smooth higher corrections, so successive Richardson levels remove
-    t, t^2, t^3; uses the last levels+1 points.
+    t, t^2, t^3; uses the last levels+1 points.  Raises ValueError unless
+    every ratio t[k+1]/t[k] equals q = t[1]/t[0] within rtol 1e-9.
     """
     t = np.asarray(times, dtype=float)
     p = np.asarray(values, dtype=float)
     if t.size < levels + 1:
         raise ValueError("not enough ladder points for the requested extrapolation")
     q = t[1] / t[0]
+    ratios = t[1:] / t[:-1]
+    off = np.abs(ratios - q) > 1e-9 * abs(q)
+    if off.any():
+        k = int(np.argmax(off))
+        raise ValueError(f"Richardson extrapolation needs a geometric ladder: "
+                         f"t[{k + 1}]/t[{k}] = {ratios[k]!r} differs from q = {q!r}")
     tt = t[-(levels + 1):]
     pp = p[-(levels + 1):]
     for level in range(1, levels + 1):
@@ -377,17 +405,18 @@ def recover_initial_data(u: SpaceTimeField, ladder: SnapshotLadder,
     When the underlying datum is known its exact pairing (computed by an
     independent high-accuracy quadrature) is reported alongside the error.
     A probe whose increments grow over 3 consecutive steps is flagged
-    NOT-RECOVERABLE instead of extrapolated.
+    NOT-RECOVERABLE instead of extrapolated.  Every ladder time must be a
+    sample time of u (ValueError otherwise).
     """
     g = u.grid
     times = ladder.times
     if times[0] > u.times[-1] * (1 + 1e-9) or times[-1] < u.times[0] * (1 - 1e-9):
         raise ValueError("ladder not covered by the sampled field")
     ladder.validate_floor(g)
+    stack = _ladder_slices(u, times)
     per = []
     for probe in panel:
-        probe_vals = probe.value(g.axis)
-        ps = np.array([grid_pairing(g, u.slice_at(t), probe_vals) for t in times])
+        ps = grid_pairing(g, stack, probe.value(g.axis))
         incs = np.abs(np.diff(ps))
         divergent = _is_divergent(incs)
         if divergent:
@@ -413,14 +442,17 @@ class BoundednessReport:
 @track("snapshot_boundedness_probe")
 def snapshot_boundedness_probe(u: SpaceTimeField, ladder: SnapshotLadder,
                                panel: Sequence[SchwartzProbe]) -> BoundednessReport:
-    """sup_k |<u(t_k), phi>| per probe; bounded iff no probe's tail diverges."""
+    """sup_k |<u(t_k), phi>| per probe; bounded iff no probe's tail diverges.
+
+    Every ladder time must be a sample time of u (ValueError otherwise).
+    """
     g = u.grid
     times = ladder.times
+    stack = _ladder_slices(u, times)
     sups = []
     ok = True
     for probe in panel:
-        probe_vals = probe.value(g.axis)
-        ps = np.array([grid_pairing(g, u.slice_at(t), probe_vals) for t in times])
+        ps = grid_pairing(g, stack, probe.value(g.axis))
         sups.append((probe.label, float(np.abs(ps).max())))
         if _is_divergent(np.abs(np.diff(ps))) or not np.all(np.isfinite(ps)):
             ok = False
@@ -615,11 +647,8 @@ def pairing_bound_check(u: SpaceTimeField, phi: TestFunction,
             family = BallFamily.lattice(g, max_time=float(u.times[-1]))
         tent = tent_norm(u, family)
     phi_vals = phi.value(*g.meshgrid())
-    sup_pair = 0.0
-    for i, t in enumerate(u.times):
-        if t >= t_cap:
-            break
-        sup_pair = max(sup_pair, abs(grid_pairing(g, u.values[i], phi_vals)))
+    early = u.values[:int(np.searchsorted(u.times, t_cap))]  # the times < t_cap
+    sup_pair = float(np.abs(grid_pairing(g, early, phi_vals)).max(initial=0.0))
     seminorm = schwartz_seminorm(phi, order)
     if tent.value <= 0.0:
         if sup_pair > 1e-12:

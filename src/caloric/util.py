@@ -1,4 +1,4 @@
-"""Small shared helpers: deterministic summation, thread caps, float formatting."""
+"""Small shared helpers: exact summation, thread caps, float formatting."""
 
 from __future__ import annotations
 
@@ -11,15 +11,90 @@ import numpy as np
 THREADS_ENV_VAR = "CALORIC_THREADS"
 
 
-def det_sum(values) -> float:
+def det_sum(values, axis=None) -> float | np.ndarray:
     """Correctly rounded sum of an array, independent of evaluation order.
 
-    Uses Shewchuk's error-free accumulation (``math.fsum``), so repeated
-    calls on identical inputs are bit-identical and parallel producers can
-    hand results to this single fixed reduction.
+    ``axis=None`` sums every element and returns a float; ``axis=-1``
+    returns one sum per row of the last axis.  The sum is exact before its
+    single final rounding (to nearest, ties to even), so it equals
+    ``math.fsum`` bit for bit, signs included (an exact-zero total is
+    +0.0), whatever order, grouping or batching produced the terms.
+    Non-finite input follows ``math.fsum``: nan gives nan, inf gives inf,
+    +inf with -inf raises ValueError.  A finite total beyond the float
+    range raises OverflowError; unlike ``math.fsum``, an intermediate
+    overflow does not.
     """
     arr = np.asarray(values, dtype=float)
-    return math.fsum(arr.ravel(order="C").tolist())
+    if axis is None:
+        return float(_row_sums(arr.reshape(1, arr.size))[0])
+    if axis != -1:
+        raise ValueError(f"det_sum reduces everything (axis=None) or rows (axis=-1), got axis={axis!r}")
+    lead = arr.shape[:-1]
+    return _row_sums(arr.reshape(math.prod(lead), arr.shape[-1])).reshape(lead)
+
+
+# Exact summation.  A finite double x = frac * 2^e (np.frexp) has its lowest
+# mantissa bit at position p = e + 1073, with 0 <= p <= 2097 (p = 0 for
+# 2^-1074, the smallest subnormal).  So x = y * 2^(32k - _BIAS) with the limb
+# index k = p // 32 and y = frac * 2^(53 + p % 32), an integer below 2^84
+# with at most 53 significant bits.  Truncating divisions by 2^64 and 2^32
+# cut y exactly into three base-2^32 digits of its sign, and np.bincount adds
+# the digits of equal weight as doubles.  A block of at most _BLOCK terms
+# puts at most 3 * _BLOCK digits, each below 2^32 in magnitude, into a bin,
+# so every bin total stays below 2^47 and is exact.  Block totals are added
+# as int64, which cannot wrap for rows of up to _MAX_TERMS terms.  The limbs
+# of a row then form one Python int, and CPython's int / int true division
+# rounds it correctly.
+_BIAS = 1126
+_LIMB_BITS = 32
+_N_LIMBS = 2097 // _LIMB_BITS + 3  # digits at limbs k..k+2
+_BLOCK = 1 << 13
+_MAX_TERMS = _BLOCK << 15
+_SCALE = 1 << _BIAS
+_DIGIT_OFFSETS = np.arange(3).reshape(3, 1, 1)
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of each row of a 2-D float array."""
+    n_rows, n_terms = rows.shape
+    if not np.isfinite(rows).all():
+        return np.array([math.fsum(row) for row in rows.tolist()], dtype=float)
+    if n_terms > _MAX_TERMS:
+        raise ValueError(f"det_sum rows are limited to {_MAX_TERMS} terms, got {n_terms}")
+    limbs = np.zeros((n_rows, _N_LIMBS), dtype=np.int64)
+    row_step = max(1, _BLOCK // max(1, n_terms))
+    term_step = max(1, min(n_terms, _BLOCK))
+    for r0 in range(0, n_rows, row_step):
+        for c0 in range(0, n_terms, term_step):
+            limbs[r0:r0 + row_step] += _limb_totals(rows[r0:r0 + row_step, c0:c0 + term_step])
+    totals = [0] * n_rows
+    row_idx, limb_idx = np.nonzero(limbs)
+    for r, k, v in zip(row_idx.tolist(), limb_idx.tolist(), limbs[row_idx, limb_idx].tolist()):
+        totals[r] += v << (_LIMB_BITS * k)
+    return np.array([t / _SCALE for t in totals], dtype=float)
+
+
+def _limb_totals(block: np.ndarray) -> np.ndarray:
+    """Exact limb totals, shape (n_rows, _N_LIMBS), of a block of finite rows."""
+    n_rows, n_terms = block.shape
+    frac, pos = np.frexp(block)
+    pos += _BIAS - 53  # p
+    shift = pos & (_LIMB_BITS - 1)
+    shift += 53
+    pos >>= 5  # k = p // _LIMB_BITS
+    pos += (np.arange(n_rows, dtype=pos.dtype) * _N_LIMBS)[:, None]
+    digits = np.empty((3, n_rows, n_terms))
+    low, mid, top = digits
+    np.ldexp(frac, shift, out=low)  # y
+    np.multiply(low, 2.0**-64, out=top)
+    np.trunc(top, out=top)
+    low -= top * 2.0**64
+    np.multiply(low, 2.0**-32, out=mid)
+    np.trunc(mid, out=mid)
+    low -= mid * 2.0**32
+    totals = np.bincount((pos + _DIGIT_OFFSETS).ravel(), weights=digits.ravel(),
+                         minlength=n_rows * _N_LIMBS)
+    return totals.reshape(n_rows, _N_LIMBS).astype(np.int64)
 
 
 def thread_cap() -> int:

@@ -95,6 +95,14 @@ class TestRunExperiment:
         assert header == ("solution,probe_id,t_k,pairing,increment,extrapolated,"
                           "exact_if_known,error")
 
+    def test_default_recover_rejects_ladder_below_resolution_floor(self, tmp_path, capsys):
+        # default grid: dx^2 = (32/1024)^2 ~ 9.8e-4 lies above the ladder floor 6e-4
+        assert main(["recover", "--out", str(tmp_path)]) == 2
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "resolution floor 0.000976562 = 1*dx^2" in summary
+        assert "ladder bottom 0.000625" in capsys.readouterr().out
+        assert not (tmp_path / "recovery.csv").exists()
+
     def test_tent_norm_pipeline(self, tmp_path):
         cfg = ExperimentConfig(pipeline="tent-norm", datum_id="sign",
                                grid_points=512, out_dir=str(tmp_path))

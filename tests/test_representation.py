@@ -75,6 +75,14 @@ class TestRichardson:
         p = -1.0 + times + times**2
         assert richardson_limit(times, p) == pytest.approx(-1.0, abs=1e-12)
 
+    def test_ladder_must_be_geometric(self):
+        times = np.array([0.1, 0.05, 0.025, 0.01, 0.005])
+        with pytest.raises(ValueError, match=r"geometric ladder: t\[3\]/t\[2\]"):
+            richardson_limit(times, 1.0 + times)
+        # ratios equal to q within rtol 1e-9 are accepted
+        times = 0.1 * 0.5 ** np.arange(6) * (1.0 + 1e-11 * np.arange(6))
+        assert richardson_limit(times, 2.0 + times) == pytest.approx(2.0, abs=1e-12)
+
 
 class TestHomotopyResidual:
     def test_gaussian_kernel_ladder_both_methods(self):
@@ -225,6 +233,15 @@ class TestRecoverInitialData:
         fld = evolve_datum_exact(SignDatum(), recover_grid, [0.1, 0.2, 0.3])
         with pytest.raises(ValueError, match="covered"):
             recover_initial_data(fld, lad, [hermite_probe(0, 1.0)])
+
+    def test_ladder_times_must_be_samples(self, recover_grid):
+        # 0.05 lies between the samples 0.025 and 0.1: no interpolation
+        lad = SnapshotLadder(0.1, 0.5, 4)
+        fld = evolve_datum_exact(SignDatum(), recover_grid, [0.0125, 0.025, 0.1, 0.2])
+        with pytest.raises(ValueError, match="ladder time 0.05 is not a sample time"):
+            recover_initial_data(fld, lad, [hermite_probe(0, 1.0)])
+        with pytest.raises(ValueError, match="ladder time 0.05 is not a sample time"):
+            snapshot_boundedness_probe(fld, lad, [hermite_probe(0, 1.0)])
 
 
 class TestVerdictProbes:

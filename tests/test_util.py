@@ -1,0 +1,246 @@
+"""Exact summation: ``det_sum`` against ``math.fsum`` as the oracle.
+
+``math.fsum`` is correctly rounded, and so is ``det_sum``; a correctly
+rounded sum is unique, so every comparison below is exact equality,
+signs of zero included.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from caloric import (
+    SnapshotLadder,
+    SpaceTimeField,
+    SpatialGrid,
+    StripSpec,
+    TestFunction,
+    default_schwartz_panel,
+    integrate_strip_L2,
+    pairing_bound_check,
+    recover_initial_data,
+    snapshot_boundedness_probe,
+)
+from caloric.grid import ball_weights, time_trapezoid
+from caloric.norms import carleson_box_value
+from caloric.util import det_sum
+
+
+def fsum_oracle(values) -> float:
+    return math.fsum(np.asarray(values, dtype=float).ravel().tolist())
+
+
+def rowwise_oracle(stack) -> np.ndarray:
+    stack = np.asarray(stack, dtype=float)
+    rows = stack.reshape(-1, stack.shape[-1])
+    return np.array([math.fsum(r) for r in rows.tolist()]).reshape(stack.shape[:-1])
+
+
+def assert_same(got, want):
+    """Equal values and equal signs (so +0.0 and -0.0 differ), elementwise."""
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def wide(rng, shape, lo=-300, hi=300):
+    """Signed values whose binary exponents spread over [lo, hi] decades."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(lo, hi, shape)
+
+
+_finite = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    st.floats(min_value=-3e-308, max_value=3e-308),  # subnormals and +-0
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+)
+
+
+@st.composite
+def cancelling_terms(draw):
+    """Finite terms plus negated copies of some of them, in a drawn order."""
+    terms = draw(st.lists(_finite, max_size=60))
+    if terms:
+        terms += [-t for t in draw(st.lists(st.sampled_from(terms), max_size=len(terms)))]
+    return draw(st.permutations(terms))
+
+
+class TestDetSumScalar:
+    @settings(max_examples=400, deadline=None)
+    @given(cancelling_terms())
+    def test_equals_fsum_value_and_sign(self, terms):
+        assert_same(det_sum(terms), fsum_oracle(terms))
+        assert_same(det_sum(np.asarray(terms)), fsum_oracle(terms))
+
+    def test_exact_cancellation_of_a_wide_array(self):
+        rng = np.random.default_rng(1)
+        x = wide(rng, 5000)
+        terms = np.concatenate([x, -x, [2.0**-1074]])
+        rng.shuffle(terms)
+        assert_same(det_sum(terms), 2.0**-1074)
+
+    def test_subnormal_total(self):
+        terms = [2.0**-1022, -(2.0**-1022) + 2.0**-1074, 3 * 2.0**-1074]
+        assert_same(det_sum(terms), fsum_oracle(terms))
+        assert det_sum(terms) == 4 * 2.0**-1074
+
+    def test_returns_python_float(self):
+        assert type(det_sum(np.ones(3))) is float
+
+    def test_empty(self):
+        assert_same(det_sum([]), 0.0)
+
+    def test_all_negative_zero_gives_positive_zero(self):
+        assert_same(det_sum([-0.0, -0.0, -0.0]), math.fsum([-0.0, -0.0, -0.0]))
+        assert_same(det_sum([-0.0]), 0.0)
+
+    def test_nan(self):
+        assert math.isnan(det_sum([1.0, float("nan"), 2.0]))
+
+    def test_inf(self):
+        assert det_sum([1.0, float("inf")]) == math.inf
+        assert det_sum([-math.inf, 1e300]) == -math.inf
+
+    def test_opposite_infinities_raise(self):
+        with pytest.raises(ValueError):
+            math.fsum([math.inf, -math.inf])
+        with pytest.raises(ValueError):
+            det_sum([math.inf, 1.0, -math.inf])
+
+    def test_finite_overflow_raises(self):
+        with pytest.raises(OverflowError):
+            det_sum([1.7e308, 1.7e308])
+        # rounds to the largest double, exactly as fsum does ...
+        edge = [1.7976931348623157e308, 9.979201547673598e291]
+        assert_same(det_sum(edge), fsum_oracle(edge))
+        # ... and half an ulp more rounds to infinity
+        with pytest.raises(OverflowError):
+            det_sum([1.7976931348623157e308, 9.9792015476736e291])
+
+    def test_exact_where_fsum_overflows_in_an_intermediate(self):
+        assert det_sum([1.7e308, 1.7e308, -1.7e308]) == 1.7e308
+
+    def test_row_longer_than_two_to_the_21(self):
+        # v = (2^53 - 1) * 2^-6 has the odd limb digit 2^32 - 1, and a float
+        # accumulator of more than 2^21 such digits would round; the two
+        # scaled copies of -v cancel the copies of v exactly
+        v = (2.0**53 - 1) * 2.0**-6
+        x = np.concatenate([np.full(2**21 + 2**13, v), [-v * 2.0**21, -v * 2.0**13, 0.75]])
+        assert_same(det_sum(x), fsum_oracle(x))
+        assert det_sum(x) == 0.75
+
+    def test_rejects_other_axes(self):
+        with pytest.raises(ValueError, match="axis"):
+            det_sum(np.ones((2, 2)), axis=0)
+
+
+class TestDetSumRows:
+    @pytest.mark.parametrize("shape", [(5, 37), (1, 1), (3, 4, 300), (2, 3, 1)])
+    def test_matches_rowwise_fsum(self, shape):
+        rng = np.random.default_rng(3)
+        stack = wide(rng, shape)
+        got = det_sum(stack, axis=-1)
+        assert got.shape == shape[:-1]
+        assert_same(got, rowwise_oracle(stack))
+
+    def test_special_rows(self):
+        rng = np.random.default_rng(4)
+        x = wide(rng, 50)
+        stack = np.stack([x, -x, np.concatenate([x[:25], -x[:25]]),
+                          np.full(50, -0.0), np.full(50, 5e-324)])
+        assert_same(det_sum(stack, axis=-1), rowwise_oracle(stack))
+
+    def test_rows_of_many_blocks(self):
+        rng = np.random.default_rng(5)
+        stack = wide(rng, (3, 20000), -20, 20)
+        assert_same(det_sum(stack, axis=-1), rowwise_oracle(stack))
+
+    def test_empty_rows_and_empty_stacks(self):
+        assert_same(det_sum(np.zeros((3, 0)), axis=-1), np.zeros(3))
+        assert det_sum(np.zeros((0, 5)), axis=-1).shape == (0,)
+
+    def test_non_finite_rows(self):
+        stack = np.array([[1.0, np.nan], [1.0, 2.0], [np.inf, 1.0]])
+        got = det_sum(stack, axis=-1)
+        assert math.isnan(got[0])
+        assert got[1] == 3.0 and got[2] == math.inf
+        with pytest.raises(ValueError):
+            det_sum(np.array([[1.0, 2.0], [np.inf, -np.inf]]), axis=-1)
+
+
+# -- the batched reductions against per-slice fsum loops ---------------------
+
+
+def gaussian_tailed_field(grid: SpatialGrid, times, seed: int) -> SpaceTimeField:
+    """Random signs under heat-kernel envelopes: tails spread the exponents."""
+    rng = np.random.default_rng(seed)
+    times = np.asarray(times, dtype=float)
+    r2 = sum(m**2 for m in grid.meshgrid())
+    env = np.exp(-r2[None] / (4.0 * times.reshape(-1, *([1] * grid.dim))))
+    return SpaceTimeField(grid, times, rng.standard_normal((times.size, *grid.shape)) * env)
+
+
+GRIDS = {"1d": SpatialGrid.make(1, 8.0, 256), "2d": SpatialGrid.make(2, 2 * math.pi, 64)}
+
+
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_integrate_strip_L2_matches_slice_loop(dim):
+    g = GRIDS[dim]
+    u = gaussian_tailed_field(g, np.linspace(0.2, 2.0, 10), seed=6)
+    strip, radius, center = StripSpec(0.5, 1.5), 2.0, np.full(g.dim, 0.3)
+    w = ball_weights(g, center, radius)
+    mask = w > 0
+    profile = np.array([fsum_oracle(u.values[i][mask] ** 2 * w[mask])
+                        for i in range(u.n_times)])
+    want = math.sqrt(max(time_trapezoid(u.times, profile, strip.a, strip.b), 0.0))
+    assert_same(integrate_strip_L2(u, strip, radius, center), want)
+
+
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_carleson_box_value_matches_slice_loop(dim):
+    g = GRIDS[dim]
+    u = gaussian_tailed_field(g, 0.05 * 1.3 ** np.arange(12), seed=7)
+    center, radius = np.full(g.dim, -0.4), 0.9
+    w = ball_weights(g, center, radius)
+    mask = w > 0
+    profile = np.array([fsum_oracle(u.values[i][mask] ** 2 * w[mask])
+                        for i in range(u.n_times)])
+    t0 = float(u.times[0])
+    total = t0 * profile[0] + time_trapezoid(u.times, profile, t0, radius**2)
+    want = math.sqrt(max(total, 0.0) / fsum_oracle(w[mask]))
+    assert_same(carleson_box_value(u, center, radius), want)
+
+
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_ladder_pairings_match_slice_loop(dim):
+    g = GRIDS[dim]
+    lad = SnapshotLadder(0.4, 0.7, 5)
+    times = np.unique(np.concatenate([lad.times, [0.5, 1.0]]))
+    u = gaussian_tailed_field(g, times, seed=8)
+    panel = default_schwartz_panel()
+
+    def oracle(probe):
+        probe_vals = probe.value(g.axis)
+        return [fsum_oracle(u.values[int(np.flatnonzero(u.times == t)[0])]
+                            * probe_vals * g.cell_volume) for t in lad.times]
+
+    rec = recover_initial_data(u, lad, panel)
+    bound = snapshot_boundedness_probe(u, lad, panel)
+    for probe, got, (_, sup) in zip(panel, rec.per_probe, bound.per_probe_sup):
+        want = oracle(probe)
+        assert_same(got.pairings, want)
+        assert_same(sup, max(abs(p) for p in want))
+
+
+def test_pairing_bound_sup_matches_slice_loop():
+    g = GRIDS["1d"]
+    u = gaussian_tailed_field(g, np.linspace(0.1, 1.0, 10), seed=9)
+    phi = TestFunction((0.5,), 1.5)
+    phi_vals = phi.value(*g.meshgrid())
+    want = max(abs(fsum_oracle(u.values[i] * phi_vals * g.cell_volume))
+               for i in range(u.n_times) if u.times[i] < 0.5)
+    assert_same(pairing_bound_check(u, phi, family=None).sup_pairing, want)
