@@ -356,6 +356,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ValueError("growth fit needs at least 5 radii")
     if cfg.pipeline == "recover":
         cfg.ladder().validate_floor(cfg.grid())
+        if cfg.grid_dim != 1:
+            raise ValueError("recover pairs with the 1-D Schwartz panel, so grid_dim must be 1, "
+                             f"got {cfg.grid_dim}")
     if cfg.pipeline == "counterexample":
         cfg.ladder()
     if cfg.pipeline == "homotopy" and not 0 < cfg.homotopy_s < cfg.homotopy_t:

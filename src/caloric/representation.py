@@ -110,6 +110,14 @@ def grid_pairing(grid: SpatialGrid, values: Array, probe_values: Array) -> float
     return det_sum(terms.reshape(terms.shape[:-grid.dim] + (grid.n_points,)), axis=-1)
 
 
+def _check_probe_dims(panel, grid: SpatialGrid) -> None:
+    """A pairing needs probes of the field's dimension (ValueError otherwise)."""
+    for probe in panel:
+        if probe.dim != grid.dim:
+            raise ValueError(f"probe {probe.label} is {probe.dim}-D but the field is "
+                             f"{grid.dim}-D; a pairing needs probes of the field's dimension")
+
+
 def _ladder_slices(u: SpaceTimeField, times: Array) -> Array:
     """Stack of the samples of u at the ladder times, in ladder order.
 
@@ -402,13 +410,17 @@ def recover_initial_data(u: SpaceTimeField, ladder: SnapshotLadder,
                          label: str | None = None) -> RecoveryResult:
     """Pairings <u(t_k), phi> along the ladder, with extrapolated limits.
 
-    When the underlying datum is known its exact pairing (computed by an
-    independent high-accuracy quadrature) is reported alongside the error.
-    A probe whose increments grow over 3 consecutive steps is flagged
-    NOT-RECOVERABLE instead of extrapolated.  Every ladder time must be a
-    sample time of u (ValueError otherwise).
+    When the underlying datum is known its exact pairing is reported
+    alongside the error: ``exact_pairing`` integrates u0 * phi by composite
+    16-node Gauss-Legendre on each half-line (break at 0, window from the
+    probe's ``decay_window``, panels doubled from 8 until two values agree)
+    reduced by det_sum, never from the closed-form evolution.  A probe whose
+    increments grow over 3 consecutive steps is flagged NOT-RECOVERABLE
+    instead of extrapolated.  Every ladder time must be a sample time of u,
+    and every probe must have u's dimension (ValueError otherwise).
     """
     g = u.grid
+    _check_probe_dims(panel, g)
     times = ladder.times
     if times[0] > u.times[-1] * (1 + 1e-9) or times[-1] < u.times[0] * (1 - 1e-9):
         raise ValueError("ladder not covered by the sampled field")
@@ -444,9 +456,11 @@ def snapshot_boundedness_probe(u: SpaceTimeField, ladder: SnapshotLadder,
                                panel: Sequence[SchwartzProbe]) -> BoundednessReport:
     """sup_k |<u(t_k), phi>| per probe; bounded iff no probe's tail diverges.
 
-    Every ladder time must be a sample time of u (ValueError otherwise).
+    Every ladder time must be a sample time of u, and every probe must have
+    u's dimension (ValueError otherwise).
     """
     g = u.grid
+    _check_probe_dims(panel, g)
     times = ladder.times
     stack = _ladder_slices(u, times)
     sups = []
@@ -637,11 +651,15 @@ def pairing_bound_check(u: SpaceTimeField, phi: TestFunction,
     The theory bounds this by a constant; the suite asserts the corpus-wide
     maximum is bounded and refinement-stable.  A zero tent norm with a
     nonzero pairing is impossible for genuine tent-space fields and raises
-    InvariantViolationError (it signals a quadrature bug).
+    InvariantViolationError (it signals a quadrature bug).  phi must have
+    u's dimension and derivatives to order n + 3 (ValueError at entry).
     """
     g = u.grid
-    n = g.dim
-    order = n + 3
+    _check_probe_dims((phi,), g)
+    order = g.dim + 3
+    if phi.max_derivative_order < order:
+        raise ValueError(f"pairing bound needs the seminorm of order n+3 = {order}, but "
+                         f"{phi.label} has derivatives only to order {phi.max_derivative_order}")
     if tent is None:
         if family is None:
             family = BallFamily.lattice(g, max_time=float(u.times[-1]))

@@ -103,6 +103,13 @@ class TestRunExperiment:
         assert "ladder bottom 0.000625" in capsys.readouterr().out
         assert not (tmp_path / "recovery.csv").exists()
 
+    def test_recover_rejects_2d_grid(self, tmp_path):
+        cfg = ExperimentConfig(pipeline="recover", datum_id="sign", grid_dim=2,
+                               grid_points=2048, out_dir=str(tmp_path))
+        assert run_experiment(cfg).exit_code == 2
+        assert "grid_dim must be 1, got 2" in (tmp_path / "summary.txt").read_text()
+        assert not (tmp_path / "recovery.csv").exists()
+
     def test_tent_norm_pipeline(self, tmp_path):
         cfg = ExperimentConfig(pipeline="tent-norm", datum_id="sign",
                                grid_points=512, out_dir=str(tmp_path))

@@ -34,6 +34,7 @@ from caloric import (
     snapshot_boundedness_probe,
     uniqueness_probe,
 )
+from caloric import representation
 from caloric.probes import central_compact_panel, hermite_probe
 from caloric.representation import grid_pairing
 from caloric.zoo import SchwartzGaussPolyDatum
@@ -327,6 +328,21 @@ class TestPairingBound:
             ratios.append(res.ratio)
         assert ratios[0] > 0
         assert abs(ratios[0] - ratios[1]) / ratios[0] <= 0.05
+
+    def test_rejects_2d_bump_before_the_tent_norm(self, grid_2d, monkeypatch):
+        # a 2-D bump has derivatives to order 2; the bound needs order n+3 = 5
+        def no_tent_norm(*args, **kwargs):
+            raise AssertionError("tent norm computed before the order check")
+
+        monkeypatch.setattr(representation, "tent_norm", no_tent_norm)
+        u = constant_field(grid_2d, [0.25, 1.0])
+        with pytest.raises(ValueError, match=r"order n\+3 = 5.*only to order 2"):
+            pairing_bound_check(u, TestFunction((0.0, 0.0), 1.0))
+
+    def test_rejects_probe_of_other_dimension(self, grid_2d):
+        u = constant_field(grid_2d, [0.25, 1.0])
+        with pytest.raises(ValueError, match="is 1-D but the field is 2-D"):
+            pairing_bound_check(u, TestFunction((0.0,), 1.0))
 
 
 def test_grid_pairing_matches_quadrature(grid_1d):

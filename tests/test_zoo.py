@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -17,6 +18,7 @@ from caloric import (
     SchwartzGaussPolyDatum,
     SignDatum,
     SpatialGrid,
+    TestFunction,
     TychonoffSolution,
     datum_from_id,
     eval_solution,
@@ -25,7 +27,8 @@ from caloric import (
     solution_from_id,
     tychonoff_eval,
 )
-from caloric.probes import hermite_probe
+from caloric.acceptance import _RECOVERY_DATA
+from caloric.probes import default_schwartz_panel, hermite_probe
 from caloric.zoo import exact_pairing
 
 
@@ -177,6 +180,61 @@ class TestInitialData:
 
     def test_even_probe_pairs_to_zero_with_sign(self):
         assert exact_pairing(SignDatum(), hermite_probe(0, 1.0)) == pytest.approx(0.0, abs=1e-12)
+
+
+def _mp_gauss_poly(coeffs, sigma):
+    return lambda x: mpmath.polyval(list(coeffs)[::-1], x) * mpmath.exp(-x * x / (2 * sigma**2))
+
+
+def _mp_initial_function(datum):
+    if datum.kind == "sign":
+        return mpmath.sign
+    if datum.kind == "oscillator":
+        return lambda x: datum.amplitude * mpmath.sin(datum.omega * x)
+    return _mp_gauss_poly(datum.coeffs, datum.sigma)
+
+
+class TestExactPairingOracle:
+    """exact_pairing against an mpmath quadrature of u0 * phi on the whole line."""
+
+    DATA = tuple(d for d in _RECOVERY_DATA if d.kind != "dirac") + (
+        datum_from_id("oscillator:omega=1.5"),)
+
+    @staticmethod
+    def _reference(datum, probe) -> float:
+        u0, phi = _mp_initial_function(datum), _mp_gauss_poly(probe.coeffs, probe.sigma)
+        with mpmath.workdps(20):
+            return float(mpmath.quad(lambda x: u0(x) * phi(x), [-mpmath.inf, 0, mpmath.inf]))
+
+    @pytest.mark.parametrize("datum", DATA, ids=lambda d: d.label)
+    def test_criterion_4_data_against_mpmath(self, datum):
+        for probe in default_schwartz_panel():
+            got = exact_pairing(datum, probe)
+            odd = datum.kind in ("sign", "oscillator") and len(probe.coeffs) % 2 == 1
+            if odd:  # odd datum times even Hermite probe
+                assert got == 0.0, probe.label
+            else:
+                assert abs(got - self._reference(datum, probe)) <= 1e-14, probe.label
+
+    @pytest.mark.parametrize("datum,probe,want", [
+        # <sin(w x), (x/s) e^{-x^2/2s^2}> = sqrt(2 pi) s^2 w e^{-w^2 s^2/2}
+        (OscillatorDatum(20.0, 1.0), hermite_probe(1, 2.0),
+         math.sqrt(2 * math.pi) * 4.0 * 20.0 * math.exp(-800.0)),
+        # <e^{-x^2/2d^2}, e^{-x^2/2s^2}> = sqrt(2 pi) / sqrt(1/d^2 + 1/s^2)
+        (SchwartzGaussPolyDatum((1.0,), 0.02), hermite_probe(0, 2.0),
+         math.sqrt(2 * math.pi) / math.sqrt(1 / 0.02**2 + 1 / 4.0)),
+    ], ids=["fast-oscillator", "narrow-gaussian"])
+    def test_panels_refine_until_resolved(self, datum, probe, want):
+        # 16 panels of the 32-wide window leave these integrands unresolved
+        assert exact_pairing(datum, probe) == pytest.approx(want, abs=1e-15)
+
+    def test_unresolvable_datum_raises(self):
+        with pytest.raises(ValueError, match="did not converge"):
+            exact_pairing(OscillatorDatum(1e6, 1.0), hermite_probe(1, 1.0))
+
+    def test_probe_without_decay_window_raises(self):
+        with pytest.raises(TypeError, match=r"bump\(c=0,r=1\)"):
+            exact_pairing(SignDatum(), TestFunction((0.0,), 1.0))
 
 
 class TestRegistry:
