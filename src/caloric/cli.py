@@ -350,15 +350,15 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         solution_from_id(cfg.solution_id)
     if cfg.pipeline in ("evolve", "tent-norm", "recover"):
         datum_from_id(cfg.datum_id)
+        if cfg.grid_dim != 1:
+            raise ValueError(f"{cfg.pipeline} evolves a 1-D initial datum, so grid_dim must be 1, "
+                             f"got {cfg.grid_dim}")
     if cfg.pipeline == "growth-fit":
         cfg.strip()
         if len(cfg.radii) < 5:
             raise ValueError("growth fit needs at least 5 radii")
     if cfg.pipeline == "recover":
         cfg.ladder().validate_floor(cfg.grid())
-        if cfg.grid_dim != 1:
-            raise ValueError("recover pairs with the 1-D Schwartz panel, so grid_dim must be 1, "
-                             f"got {cfg.grid_dim}")
     if cfg.pipeline == "counterexample":
         cfg.ladder()
     if cfg.pipeline == "homotopy" and not 0 < cfg.homotopy_s < cfg.homotopy_t:

@@ -374,30 +374,42 @@ def field_to_csv(u: SpaceTimeField) -> str:
 
 
 def field_from_csv(text: str, label: str = "") -> SpaceTimeField:
-    """Parse the output of :func:`field_to_csv`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# grid"):
+    """Parse the output of :func:`field_to_csv`.
+
+    Every data row must name a point of the header's grid, once per time.
+    A row of the wrong width, a coordinate that rounds to no grid index
+    and a repeated (t, x[, y]) raise DataError naming the row.
+    """
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("# grid"):
         raise DataError("missing '# grid' header line")
-    header = dict(item.split("=", 1) for item in lines[0][len("# grid"):].split())
+    header = dict(item.split("=", 1) for item in lines[0][1][len("# grid"):].split())
     grid = SpatialGrid(int(header["n"]), float(header["L"]), float(header["dx"]),
                        header["mode"])  # type: ignore[arg-type]
     body = lines[1:]
-    if body and not body[0][0].isdigit() and not body[0].startswith("-"):
+    if body and not body[0][1][0].isdigit() and not body[0][1].startswith("-"):
         body = body[1:]  # skip column header row
-    rows = [tuple(float(v) for v in ln.split(",")) for ln in body]
-    times = sorted({r[0] for r in rows})
+    width = grid.dim + 2
+    rows = []
+    for no, ln in body:
+        fields = ln.split(",")
+        if len(fields) != width:
+            raise DataError(f"row {no} {ln!r}: {len(fields)} fields, expected {width}")
+        rows.append((no, ln, tuple(float(v) for v in fields)))
+    times = sorted({r[0] for _, _, r in rows})
     t_index = {t: i for i, t in enumerate(times)}
     n = grid.points_per_axis
-    values = np.full((len(times), *grid.shape), np.nan)
+    values = np.zeros((len(times), *grid.shape))
+    seen = np.zeros(values.shape, dtype=bool)
     x0, h = -grid.half_extent, grid.spacing
-    for r in rows:
-        i = t_index[r[0]]
-        j = round((r[1] - x0) / h)
-        if grid.dim == 1:
-            values[i, j] = r[2]
-        else:
-            k = round((r[2] - x0) / h)
-            values[i, j, k] = r[3]
-    if np.isnan(values).any():
+    for no, ln, r in rows:
+        at = (t_index[r[0]], *(round((x - x0) / h) for x in r[1:-1]))
+        if not all(0 <= j < n for j in at[1:]):
+            raise DataError(f"row {no} {ln!r}: coordinate off the grid [-L, L - dx]")
+        if seen[at]:
+            raise DataError(f"row {no} {ln!r}: repeats an earlier (t, x) point")
+        seen[at] = True
+        values[at] = r[-1]
+    if not seen.all():
         raise DataError("CSV does not cover the full grid")
     return SpaceTimeField(grid, np.asarray(times), values, label)

@@ -13,9 +13,17 @@ discretization artifact cannot masquerade as a verified identity:
   convolution (``ndimage.convolve1d``) restricted to the window the
   support can reach; the result is bit-identical to convolving the whole
   grid, so rounding-level invariants (mass, maximum principle, exact
-  zeros far from the support) are those of the direct sum.  No FFT: its
-  round-off spreads over the whole grid and is amplified wherever the
-  evolved function is paired with fast-growing data.
+  zeros far from the support) are those of the direct sum.  A 1-D slice
+  is split at its support span [lo, hi): the outputs on the span come
+  from the kernel cut to the span's width, and those on either side from
+  one ``ndimage.correlate1d`` with data and kernel swapped, so a narrow
+  support under a wide kernel costs about (S + 2m) * S taps instead of
+  (S + 2m) * m (S support points, m kernel half-width).  The split
+  reproduces ndimage's own summation order, which the oracle tests in
+  ``tests/test_semigroup.py`` guard, and needs both kernels to be exactly
+  symmetric (heat) or antisymmetric (gradient).  No FFT: its round-off
+  spreads over the whole grid and is amplified wherever the evolved
+  function is paired with fast-growing data.
 * ``spectral_multiplier`` - multiplication of discrete Fourier modes by
   exp(-|xi|^2 t); requires a periodic grid.
 
@@ -151,15 +159,15 @@ def _spectral_multipliers(t: float, grid: SpatialGrid) -> Array:
 _CONV_MODE = {"periodic": "wrap", "zero_padded": "constant"}
 
 
-def _support_window(values: Array, axis: int, m: int, periodic: bool) -> NDArray[np.intp] | None:
-    """Indices along *axis* within m of the support span [lo, hi), or None.
+def _support_span(values: Array, axis: int, m: int) -> tuple[int, int] | None:
+    """Support span [lo, hi) along *axis*, or None when its window is too wide.
 
     [lo, hi) runs from the first to the last nonzero; -0.0 counts as
-    nonzero, so every value outside it is +0.0.  The window is taken modulo
-    n on a periodic axis and clipped to the grid on a zero-padded one.
-    None means the window, hi - lo + 2m points, is wider than the axis and
-    would overlap itself (this includes a support straddling the periodic
-    seam, whose span is nearly the whole axis).
+    nonzero, so every value outside it is +0.0.  An all-zero slice gives an
+    empty span.  None means the window [lo - m, hi + m), hi - lo + 2m
+    points, is wider than the axis and would overlap itself (this includes
+    a support straddling the periodic seam, whose span is nearly the whole
+    axis).
     """
     n = values.shape[axis]
     other = tuple(ax for ax in range(values.ndim) if ax != axis)
@@ -168,25 +176,92 @@ def _support_window(values: Array, axis: int, m: int, periodic: bool) -> NDArray
         return None
     idx = np.flatnonzero(occupied)
     if idx.size == 0:
-        return idx
+        return 0, 0
     lo, hi = int(idx[0]), int(idx[-1]) + 1
-    if hi - lo + 2 * m > n:
-        return None
-    window = np.arange(lo - m, hi + m)
-    return window % n if periodic else window[(window >= 0) & (window < n)]
+    return None if hi - lo + 2 * m > n else (lo, hi)
+
+
+def _exterior_1d(span: Array, kernel: Array) -> Array:
+    """Outputs hi .. hi + m - 1 (just right of the span) of the convolution.
+
+    For such an output p, ndimage's symmetric (antisymmetric) loop starts
+    from 0.0 * c[0] = +0.0 (the centre tap of both heat kernels is positive
+    or +0.0) and adds x[q] * c[q - p] for the support points q in ascending
+    order, c = kernel[::-1].  Swapping data and kernel yields the same
+    products in the same order: the reversed kernel's left half is the
+    input, the last M support values are the weights.  The weights are
+    zero-padded to an even length so that ndimage skips its symmetry test
+    (whose absolute DBL_EPSILON tolerance tiny bump-edge values could pass)
+    and runs the general loop, which adds the last tap - a padding zero -
+    first and then the others in ascending order.  The outputs come out
+    mirrored.  A sum that starts at +0.0 never becomes -0.0 (zeros of
+    opposite sign and exact cancellations both give +0.0); ``+ 0.0``
+    restores that for the swapped sum, which may start at -0.0.
+    """
+    m = kernel.size // 2
+    M = min(span.size, m)
+    taps = np.zeros(M + 2 - M % 2)
+    taps[:M] = span[span.size - M:]
+    out = ndimage.correlate1d(kernel[:m:-1], taps, mode="constant", cval=0.0,
+                              origin=M - 1 - taps.size // 2)
+    return out[::-1] + 0.0
+
+
+def _split_convolve_1d(span: Array, kernel: Array) -> Array:
+    """Convolution of a 1-D support span with zeros around it: hi - lo + 2m points.
+
+    Bit-identical to ``ndimage.convolve1d`` on the zero-padded window at a
+    cost of about (S + 2m) * M taps instead of (S + 2m) * m, S = hi - lo,
+    M = min(S, m).  The interior (outputs on the span) uses the kernel cut
+    to 2M + 1 taps.  ndimage adds the tap pairs of a symmetric or
+    antisymmetric kernel from the farthest inward, and for these outputs
+    every pair past M is a zero with the sign of its tap; if one of them is
+    +0.0 it turns a -0.0 start into +0.0 and no later term can make the sum
+    -0.0 again, so ``+ 0.0`` stands in for them.  Each exterior is one
+    :func:`_exterior_1d` fold, the left one on the mirrored span and kernel.
+    Relies on the kernel being exactly symmetric or antisymmetric, as both
+    heat kernels are.
+    """
+    m = kernel.size // 2
+    M = min(span.size, m)
+    inner = ndimage.convolve1d(span, kernel[m - M:m + M + 1], mode="constant", cval=0.0)
+    if not np.signbit(kernel[m + M + 1:]).all():
+        inner += 0.0
+    left = _exterior_1d(span[::-1], kernel[::-1])[::-1]
+    return np.concatenate([left, inner, _exterior_1d(span, kernel)])
 
 
 def _convolve(values: Array, kernel: Array, axis: int, grid: SpatialGrid) -> Array:
     # ndimage.convolve1d flips the kernel (true convolution); our kernels are
     # indexed by the offset x - y, so orientation matters for the gradient.
     # Each output is a fixed-order sum over its own 2m+1 neighbours, so
-    # convolving only the support window and leaving +0.0 elsewhere is
-    # bit-identical to convolving the whole axis.
-    window = _support_window(values, axis, kernel.size // 2, grid.boundary_mode == "periodic")
-    if window is None:
+    # convolving only the support window [lo - m, hi + m) and leaving +0.0
+    # elsewhere is bit-identical to convolving the whole axis.  A 1-D slice
+    # is split at the span (interior plus two exteriors, see
+    # _split_convolve_1d), which depends on ndimage's loop order; the tests
+    # compare both paths with the full-axis convolution bit for bit.  The
+    # linear window is taken modulo n on a periodic axis and clipped on a
+    # zero-padded one.
+    m = kernel.size // 2
+    span = _support_span(values, axis, m)
+    if span is None:
         return ndimage.convolve1d(values, kernel, axis=axis,
                                   mode=_CONV_MODE[grid.boundary_mode], cval=0.0)
     out = np.zeros_like(values)
+    lo, hi = span
+    if lo == hi:
+        return out
+    n = values.shape[axis]
+    window = np.arange(lo - m, hi + m)
+    if grid.boundary_mode == "periodic":
+        keep = slice(None)
+        window %= n
+    else:
+        keep = (window >= 0) & (window < n)
+        window = window[keep]
+    if values.ndim == 1:
+        out[window] = _split_convolve_1d(values[lo:hi], kernel)[keep]
+        return out
     put = (slice(None),) * axis + (window,)
     out[put] = ndimage.convolve1d(values[put], kernel, axis=axis, mode="constant", cval=0.0)
     return out

@@ -530,7 +530,9 @@ InitialDatum = Union[SchwartzGaussPolyDatum, SignDatum, DiracDatum, OscillatorDa
 
 def evolve_datum_exact(datum: InitialDatum, grid: SpatialGrid,
                        times: Sequence[float], label: str | None = None) -> SpaceTimeField:
-    """Closed-form evolution samples of an initial datum."""
+    """Closed-form evolution samples of an initial datum on a 1-D grid."""
+    if grid.dim != 1:
+        raise ValueError(f"initial data are 1-D, so the grid must be 1-D, got dim {grid.dim}")
     times_arr = np.asarray(sorted(times), dtype=float)
     values = np.empty((times_arr.size, *grid.shape))
     for i, t in enumerate(times_arr):

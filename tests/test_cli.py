@@ -110,6 +110,16 @@ class TestRunExperiment:
         assert "grid_dim must be 1, got 2" in (tmp_path / "summary.txt").read_text()
         assert not (tmp_path / "recovery.csv").exists()
 
+    @pytest.mark.parametrize("pipeline,output", [("evolve", "field.csv"),
+                                                 ("tent-norm", "norm_report.csv")])
+    def test_datum_pipelines_reject_2d_grid(self, tmp_path, pipeline, output):
+        cfg = ExperimentConfig(pipeline=pipeline, datum_id="sign", grid_dim=2,
+                               grid_points=64, out_dir=str(tmp_path))
+        assert run_experiment(cfg).exit_code == 2
+        summary = (tmp_path / "summary.txt").read_text()
+        assert f"{pipeline} evolves a 1-D initial datum, so grid_dim must be 1, got 2" in summary
+        assert not (tmp_path / output).exists()
+
     def test_tent_norm_pipeline(self, tmp_path):
         cfg = ExperimentConfig(pipeline="tent-norm", datum_id="sign",
                                grid_points=512, out_dir=str(tmp_path))

@@ -228,5 +228,38 @@ class TestFieldCsv:
         assert field_to_csv(u) == field_to_csv(u)
 
 
+    @given(data=st.data(), dim=st.sampled_from([1, 2]),
+           half_extent=st.floats(0.5, 1e3), mode=st.sampled_from(["periodic", "zero_padded"]))
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_bit_exact(self, data, dim, half_extent, mode):
+        points = data.draw(st.integers(9, 40 if dim == 1 else 12), label="points")
+        grid = SpatialGrid.make(dim, half_extent, points, mode)
+        times = data.draw(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=3,
+                                   unique=True), label="times")
+        times = sorted(times)
+        count = len(times) * grid.n_points
+        values = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                             min_size=count, max_size=count), label="values"))
+        u = SpaceTimeField(grid, times, values.reshape(len(times), *grid.shape))
+        back = field_from_csv(field_to_csv(u))
+        assert back.grid == grid
+        assert back.times.tobytes() == u.times.tobytes()
+        assert back.values.tobytes() == u.values.tobytes()  # signed zeros included
+
+    @pytest.mark.parametrize("edit,row,message", [
+        (lambda rows: rows + ["0.25,-8.0625,1"], 259, "coordinate off the grid"),
+        (lambda rows: rows + ["0.25,8,1"], 259, "coordinate off the grid"),
+        (lambda rows: rows + [rows[5]], 259, "repeats an earlier"),
+        (lambda rows: rows[:7] + ["0.25,-7.78125,1,4"] + rows[8:], 10, "4 fields, expected 3"),
+    ], ids=["below-minus-L", "at-plus-L", "duplicate", "wrong-width"])
+    def test_bad_rows_name_the_row(self, edit, row, message):
+        grid = SpatialGrid.make(1, 8.0, 256)
+        u = constant_field(grid, [0.25], value=2.0)
+        header, columns, *rows = field_to_csv(u).splitlines()
+        text = "\n".join([header, columns, *edit(rows)])
+        with pytest.raises(DataError, match=rf"row {row} .*{message}"):
+            field_from_csv(text)
+
+
 def test_ball_measure_matches_integral(grid_1d):
     assert ball_measure(grid_1d, (0.0,), 2.5) == pytest.approx(5.0, abs=1e-12)

@@ -37,6 +37,7 @@ from caloric import (
 from caloric import representation
 from caloric.probes import central_compact_panel, hermite_probe
 from caloric.representation import grid_pairing
+from caloric.util import det_sum
 from caloric.zoo import SchwartzGaussPolyDatum
 
 from conftest import constant_field
@@ -147,6 +148,50 @@ class TestHomotopyResidual:
         with pytest.raises(ValueError, match="0 < s < t"):
             homotopy_residual(Eigenmode((1.0,)), 1.0, 0.5, TestFunction((0.0,), 1.0),
                               SPECTRAL, grid=g)
+
+
+def _full_fine_grid_quadrature(u, t, h, grid):
+    """Oracle: the midpoint rule over the whole 8x (1D) / 4x (2D) refined grid."""
+    fine = grid.refined(8 if grid.dim == 1 else 4)
+    mesh = fine.meshgrid()
+    h_vals = h.value(*mesh)
+    mask = h_vals != 0.0
+    return det_sum(u.value(t, *(m[mask] for m in mesh)) * h_vals[mask] * fine.cell_volume)
+
+
+# (solution, bump, grid): dx = 1/32 on L = 8 in 1D, so the fine spacing is
+# 1/256; the last bump sits between two fine points with a radius below
+# their spacing, so its box holds no fine point.
+_SUPPORT_CASES = {
+    "1d-gaussian": (GaussianKernelSolution(1.0), TestFunction((0.5,), 1.0),
+                    SpatialGrid.make(1, 8.0, 512)),
+    "1d-exponential-off-grid-centre": (ExponentialSolution((1.0,)), TestFunction((-1.3,), 0.77),
+                                       SpatialGrid.make(1, 8.0, 512)),
+    "1d-cut-by-box-edge": (Eigenmode((1.0,)), TestFunction((7.6,), 1.0),
+                           SpatialGrid.make(1, 8.0, 512)),
+    "2d-gaussian": (GaussianKernelSolution(1.0, (0.0, 0.0)), TestFunction((0.5, -0.25), 1.0),
+                    SpatialGrid.make(2, 6.0, 64)),
+    "2d-cut-by-box-edge": (Eigenmode((1.0, 0.5)), TestFunction((-5.5, 5.9), 1.2),
+                           SpatialGrid.make(2, 6.0, 64)),
+    "1d-radius-below-fine-spacing": (Eigenmode((1.0,)), TestFunction((0.5 + 1 / 512,), 1e-3),
+                                     SpatialGrid.make(1, 8.0, 512)),
+}
+
+
+class TestSupportQuadrature:
+    """The homotopy's left side visits only the fine points in the bump's
+    box; it must equal the whole-fine-grid midpoint rule bit for bit."""
+
+    @pytest.mark.parametrize("case", list(_SUPPORT_CASES))
+    def test_bitwise_equal_to_full_fine_grid(self, case):
+        u, h, grid = _SUPPORT_CASES[case]
+        got = representation._support_quadrature(u, 0.7, h, grid)
+        want = _full_fine_grid_quadrature(u, 0.7, h, grid)
+        assert got.hex() == want.hex()
+        if case == "1d-radius-below-fine-spacing":
+            assert got == 0.0
+        else:
+            assert got != 0.0
 
 
 class TestFluxFunctional:

@@ -139,11 +139,11 @@ class TestHeatEvolveGradient:
         np.testing.assert_allclose(out[1], math.exp(-0.5) * np.sin(xg) * np.cos(yg), atol=1e-12)
 
 
-def _full_axis_convolution(grid, values, t, gradient):
+def _full_axis_convolution(grid, values, t, gradient, cfg=KERNEL):
     """Oracle: ndimage.convolve1d over every full axis with the boundary mode."""
     mode = {"periodic": "wrap", "zero_padded": "constant"}[grid.boundary_mode]
-    w = _kernel_1d(t, grid, KERNEL)
-    wg = _kernel_gradient_1d(t, grid, KERNEL)
+    w = _kernel_1d(t, grid, cfg)
+    wg = _kernel_gradient_1d(t, grid, cfg)
     comps = []
     for ax in range(grid.dim) if gradient else [None]:
         comp = values
@@ -156,6 +156,24 @@ def _full_axis_convolution(grid, values, t, gradient):
 
 def _bump_field(grid, center, radius):
     return TestFunction(center, radius).value(*grid.meshgrid())
+
+
+def _signed_span(lo, size):
+    """Field supported on [lo, lo + size): random values with -0.0 and
+    subnormals inside, -0.0 and a subnormal at its ends (-0.0 is support)."""
+    def field(grid):
+        rng = np.random.default_rng(lo + size)
+        x = rng.standard_normal(size) * 10.0 ** rng.integers(-3, 3, size)
+        x[1::5] = -0.0
+        x[2::7] = 5e-324
+        x[3::11] = -2.5e-310
+        x[0] = -0.0
+        if size > 1:
+            x[-1] = -1e-320
+        values = np.zeros(grid.shape)
+        values[lo:lo + size] = x
+        return values
+    return field
 
 
 def _spikes(grid, indices):
@@ -194,11 +212,33 @@ _WINDOW_CASES = {
     "2d-window-too-wide": (2, "zero_padded", lambda g: _bump_field(g, (0.0, 3.0), 10.0), 0.8),
     "2d-all-zero": (2, "periodic", lambda g: np.zeros(g.shape), 0.3),
 }
+# A 1-D slice is split at its support span.  Spans of S random values with
+# -0.0 and subnormals inside, at t = 0.3 (m = 38): shorter than, equal to
+# and longer than m, odd and even, at both ends of a zero-padded axis and
+# close enough to the ends of a periodic axis that the window wraps.
+_M = _kernel_1d(0.3, SpatialGrid.make(1, 15.0, 256), KERNEL).size // 2
+_WINDOW_CASES.update({f"1d-span-{name}": (1, mode, _signed_span(lo, size), 0.3)
+                      for name, (size, lo, mode) in {
+    "S=1": (1, 120, "zero_padded"),
+    "S=2": (2, 120, "periodic"),
+    "S=m-1": (_M - 1, 100, "zero_padded"),
+    "S=m": (_M, 100, "periodic"),
+    "S=m+1": (_M + 1, 100, "zero_padded"),
+    "S-even": (20, 90, "periodic"),
+    "S-odd": (21, 90, "zero_padded"),
+    "S-much-longer-than-m": (150, 50, "zero_padded"),
+    "zero-padded-left-end": (30, 0, "zero_padded"),
+    "zero-padded-right-end": (30, 226, "zero_padded"),
+    "window-fills-zero-padded-axis": (180, 38, "zero_padded"),
+    "periodic-wraps-left": (30, 5, "periodic"),
+    "periodic-wraps-right": (45, 205, "periodic"),
+}.items()})
 
 
 class TestSupportWindowConvolution:
-    """The kernel path convolves only the support window; it must equal the
-    full-axis convolution bit for bit, signed zeros included."""
+    """The kernel path convolves only the support window, a 1-D slice split
+    into the span's interior and two exteriors; it must equal the full-axis
+    convolution bit for bit, signed zeros included."""
 
     @pytest.mark.parametrize("case", list(_WINDOW_CASES))
     @pytest.mark.parametrize("gradient", [False, True], ids=["evolve", "gradient"])
@@ -211,6 +251,54 @@ class TestSupportWindowConvolution:
         want = _full_axis_convolution(grid, values, t, gradient)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("gradient", [False, True], ids=["evolve", "gradient"])
+    def test_narrow_bump_under_wide_kernel(self, gradient):
+        # 1023 support points under a 7243-tap kernel (m = 3621): the shape
+        # of the heat-ladder's finest kernel-method level
+        grid = SpatialGrid.make(1, 16.0, 16384)
+        cfg = HeatOperatorConfig("kernel_quadrature", truncation_radius_factor=10.0)
+        assert _kernel_1d(0.5, grid, cfg).size == 2 * 3621 + 1
+        values = _bump_field(grid, (0.5,), 1.0)
+        assert np.count_nonzero(values) == 1023
+        op = heat_evolve_gradient if gradient else heat_evolve
+        got = op(grid, values, 0.5, cfg)
+        want = _full_axis_convolution(grid, values, 0.5, gradient, cfg)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("factor", [8.0, 60.0])
+    def test_negative_zero_alone_in_the_span(self, factor):
+        # At factor 60 the outer gradient taps underflow to +0.0 while the
+        # inner ones keep their sign; those dropped taps decide the sign of
+        # an output that sums to zero.
+        grid = SpatialGrid.make(1, 64.0, 4096, "zero_padded")
+        cfg = HeatOperatorConfig("kernel_quadrature", truncation_radius_factor=factor)
+        for value in (-0.0, -5.0):
+            values = np.zeros(grid.shape)
+            values[2000] = value
+            got = heat_evolve_gradient(grid, values, 0.1, cfg)
+            want = _full_axis_convolution(grid, values, 0.1, True, cfg)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.3, 2.5])
+@pytest.mark.parametrize("points", [256, 4096, 16384])
+@pytest.mark.parametrize("factor", [6.0, 10.0, 13.5])
+def test_kernels_exactly_symmetric_and_antisymmetric(t, points, factor):
+    # the split convolution relies on both: the left exterior is the right
+    # one's fold on the mirrored kernel, and ndimage must take the same
+    # (anti)symmetric loop for the full and the cut kernel
+    grid = SpatialGrid.make(1, 16.0, points)
+    cfg = HeatOperatorConfig("kernel_quadrature", truncation_radius_factor=factor)
+    w = _kernel_1d(t, grid, cfg)
+    wg = _kernel_gradient_1d(t, grid, cfg)
+    assert np.array_equal(w, w[::-1])
+    assert np.array_equal(wg, -wg[::-1])
+    # the centre taps start every exterior output at +0.0
+    assert w[w.size // 2] > 0.0
+    assert wg[wg.size // 2] == 0.0 and not np.signbit(wg[wg.size // 2])
 
 
 def _pairwise_quadrature(grid, values, t, target_mask=None):

@@ -22,6 +22,7 @@ from caloric import (
     TychonoffSolution,
     datum_from_id,
     eval_solution,
+    evolve_datum_exact,
     heat_evolve,
     heat_residual,
     solution_from_id,
@@ -177,6 +178,10 @@ class TestInitialData:
         osc = OscillatorDatum(1.0, 2.0)
         oracle, _ = quad(lambda y: 2.0 * math.sin(y) * y * math.exp(-y * y / 2), -30, 30)
         assert exact_pairing(osc, probe) == pytest.approx(oracle, rel=1e-9)
+
+    def test_evolve_datum_exact_rejects_2d_grid(self):
+        with pytest.raises(ValueError, match="grid must be 1-D, got dim 2"):
+            evolve_datum_exact(SignDatum(), SpatialGrid.make(2, 8.0, 16), [0.1])
 
     def test_even_probe_pairs_to_zero_with_sign(self):
         assert exact_pairing(SignDatum(), hermite_probe(0, 1.0)) == pytest.approx(0.0, abs=1e-12)
