@@ -18,7 +18,6 @@ from .errors import (
     InvariantViolationError,
 )
 from .grid import (
-    ExtentAudit,
     SpaceTimeField,
     SpatialGrid,
     StripSpec,
@@ -47,7 +46,6 @@ from .probes import (
     SchwartzProbe,
     TestFunction,
     default_schwartz_panel,
-    default_test_panel,
     hermite_probe,
 )
 from .representation import (

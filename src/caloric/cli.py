@@ -347,7 +347,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     cfg.operator()
     thread_cap()
     if cfg.pipeline in ("growth-fit", "homotopy", "counterexample"):
-        solution_from_id(cfg.solution_id)
+        sol = solution_from_id(cfg.solution_id)
+        if sol.dim != cfg.grid_dim:
+            raise ValueError(f"{cfg.pipeline} needs a solution of the grid's dimension: "
+                             f"{sol.label} is {sol.dim}-D, grid_dim is {cfg.grid_dim}")
     if cfg.pipeline in ("evolve", "tent-norm", "recover"):
         datum_from_id(cfg.datum_id)
         if cfg.grid_dim != 1:

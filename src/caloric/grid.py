@@ -3,7 +3,10 @@
 The spatial domain is the box [-L, L]^n truncating full space; every
 measurement that depends on L is expected to pass the :func:`extent_audit`
 (recompute on a 1.5x wider box, require <0.1% relative change) so truncation
-error is observed rather than assumed.
+error is observed rather than assumed.  A sampled field is read only at its
+sample times (within :data:`SAMPLE_TIME_TOL`); its slices are never
+interpolated in time.  The one time interpolation left is the documented
+endpoint rule of :func:`time_trapezoid`, on a reduced time profile.
 
 Quadrature conventions
 ----------------------
@@ -40,6 +43,8 @@ from .util import det_sum, fmt_float
 BoundaryMode = Literal["periodic", "zero_padded"]
 
 _COVER_TOL = 1e-9
+# A time within this distance of a sample time names that sample.
+SAMPLE_TIME_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,6 +112,13 @@ class SpatialGrid:
         """Coordinate arrays of shape ``self.shape`` (indexing='ij')."""
         return tuple(np.meshgrid(*([self.axis] * self.dim), indexing="ij"))
 
+    def distance_to(self, center) -> NDArray[np.float64]:
+        """|x - center| at every grid point, an array of shape ``self.shape``."""
+        if self.dim == 1:
+            return np.abs(self.axis - center[0])
+        xg, yg = self.meshgrid()
+        return np.sqrt((xg - center[0]) ** 2 + (yg - center[1]) ** 2)
+
     def refined(self, factor: int = 2) -> "SpatialGrid":
         """Same box, spacing divided by *factor*."""
         return replace(self, spacing=self.spacing / factor)
@@ -167,19 +179,16 @@ class SpaceTimeField:
     def n_times(self) -> int:
         return int(self.times.size)
 
-    def slice_at(self, t: float, tol: float = 1e-9) -> NDArray[np.float64]:
-        """Spatial slice at sample time t (linear interpolation between samples)."""
-        times = self.times
-        if t < times[0] - tol or t > times[-1] + tol:
-            raise CoverageError(f"time {t} outside sampled range [{times[0]}, {times[-1]}]")
-        idx = int(np.searchsorted(times, t))
-        if idx < times.size and abs(times[idx] - t) <= tol:
-            return self.values[idx]
-        if idx > 0 and abs(times[idx - 1] - t) <= tol:
-            return self.values[idx - 1]
-        lo, hi = idx - 1, idx
-        w = (t - times[lo]) / (times[hi] - times[lo])
-        return (1.0 - w) * self.values[lo] + w * self.values[hi]
+    def slice_at(self, t: float) -> NDArray[np.float64]:
+        """The stored sample at sample time t (within SAMPLE_TIME_TOL).
+
+        A field is never interpolated in time: any other t raises CoverageError.
+        """
+        idx = int(np.abs(self.times - t).argmin())
+        if not abs(self.times[idx] - t) <= SAMPLE_TIME_TOL:  # NaN is no sample time
+            raise CoverageError(f"time {t} is not a sample time of the field (nearest "
+                                f"{self.times[idx]}); sampled fields are never interpolated")
+        return self.values[idx]
 
     def scaled(self, c: float, label: str | None = None) -> "SpaceTimeField":
         return SpaceTimeField(self.grid, self.times, c * np.asarray(self.values),
@@ -228,12 +237,6 @@ def integrate_ball(grid: SpatialGrid, values: NDArray[np.float64], center, radiu
     w = ball_weights(grid, center, radius)
     mask = w > 0
     return det_sum(values[mask] * w[mask])
-
-
-def ball_measure(grid: SpatialGrid, center, radius: float) -> float:
-    """Discrete measure of the ball (quadrature of the constant 1)."""
-    w = ball_weights(grid, center, radius)
-    return det_sum(w[w > 0])
 
 
 def time_trapezoid(times: NDArray[np.float64], g: NDArray[np.float64],

@@ -338,11 +338,7 @@ class SpaceTimeRegion:
 
 
 def _region_mask(grid: SpatialGrid, region: SpaceTimeRegion) -> Array:
-    if grid.dim == 1:
-        r = np.abs(grid.axis - region.center[0])
-    else:
-        xg, yg = grid.meshgrid()
-        r = np.sqrt((xg - region.center[0]) ** 2 + (yg - region.center[1]) ** 2)
+    r = grid.distance_to(region.center)
     return (r >= region.r_lo) & (r <= region.r_hi)
 
 

@@ -37,10 +37,6 @@ def registered_ops() -> frozenset[str]:
     return frozenset(_REGISTERED)
 
 
-def call_counts() -> dict[str, int]:
-    return dict(_CALLS)
-
-
 def uncovered_ops() -> list[str]:
     """Registered operations that have never been invoked in this process."""
     return sorted(op for op in _REGISTERED if _CALLS[op] == 0)

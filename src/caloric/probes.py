@@ -236,15 +236,6 @@ def hermite_probe(degree: int, sigma: float) -> SchwartzProbe:
     return SchwartzProbe(coeffs, sigma, label=f"He{degree}(s={sigma:g})")
 
 
-def default_test_panel() -> tuple[TestFunction, ...]:
-    """Six bumps spanning parity, scale and position: centers 0, +-2; radii 1, 2."""
-    return tuple(
-        TestFunction((c,), r)
-        for r in (1.0, 2.0)
-        for c in (0.0, -2.0, 2.0)
-    )
-
-
 def default_schwartz_panel() -> tuple[SchwartzProbe, ...]:
     """Eight probes: Hermite degrees 0..3 at widths 1 and 2."""
     return tuple(

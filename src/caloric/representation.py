@@ -5,7 +5,10 @@ The centerpiece is the interior semigroup relation
     int u(t) h = int u(s) (e^{(t-s)L} h),   0 < s < t,  h compactly supported,
 
 whose quadrature residual must vanish under grid refinement for every
-caloric function satisfying the size condition.  On top of it sit:
+caloric function satisfying the size condition.  The identity and the flux
+functional below are checked against closed-form (analytic) solutions only,
+so no time is ever interpolated; the ladder probes read sampled fields at
+their sample times.  On top of the identity sit:
 
 * the annulus-averaged flux functional Phi(R) = Phi_1 + Phi_2 from the
   identity's proof, bounded (with a decreasing tail) exactly when the
@@ -32,7 +35,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainTooSmallError, InvariantViolationError
-from .grid import SpaceTimeField, SpatialGrid, StripSpec
+from .grid import SAMPLE_TIME_TOL, SpaceTimeField, SpatialGrid, StripSpec, integrate_ball
 from .norms import BallFamily, GrowthFit, TentNormResult, schwartz_seminorm, strip_growth_fit, tent_norm
 from .optrack import track
 from .probes import SchwartzProbe, TestFunction
@@ -121,35 +124,24 @@ def _check_probe_dims(panel, grid: SpatialGrid) -> None:
 def _ladder_slices(u: SpaceTimeField, times: Array) -> Array:
     """Stack of the samples of u at the ladder times, in ladder order.
 
-    Every ladder time must be a sample time (within 1e-9, the tolerance of
+    Every ladder time must be a sample time (within SAMPLE_TIME_TOL, as in
     ``SpaceTimeField.slice_at``): interpolating in time would break the
     polynomial-in-t bias model the extrapolation relies on.
     """
     idx = np.abs(u.times[None, :] - times[:, None]).argmin(axis=1)
-    off = np.abs(u.times[idx] - times) > 1e-9
+    off = np.abs(u.times[idx] - times) > SAMPLE_TIME_TOL
     if off.any():
         raise ValueError(f"ladder time {float(times[off][0])!r} is not a sample time "
                          "of the field; ladder pairings are never interpolated")
     return u.values[idx]
 
 
-def _solution_slice(u: AnalyticSolution | SpaceTimeField, grid: SpatialGrid,
-                    t: float) -> Array:
-    if isinstance(u, SpaceTimeField):
-        return u.slice_at(t)
-    return u.value(t, *grid.meshgrid())
-
-
-def _field_grid(u, grid: SpatialGrid | None) -> SpatialGrid:
-    if isinstance(u, SpaceTimeField):
-        return u.grid
-    if grid is None:
-        raise ValueError("analytic solutions need an explicit grid")
-    return grid
-
-
-def _label(u) -> str:
-    return u.label if hasattr(u, "label") else "field"
+def _check_solution_dims(u: AnalyticSolution, h: TestFunction, grid: SpatialGrid) -> None:
+    """The solution, the bump and the grid must share one dimension (ValueError)."""
+    if u.dim != grid.dim:
+        raise ValueError(f"solution {u.label} is {u.dim}-D but the grid is {grid.dim}-D; "
+                         "the identity needs a solution of the grid's dimension")
+    _check_probe_dims((h,), grid)
 
 
 def _support_quadrature(u, t: float, h: TestFunction, grid: SpatialGrid) -> float:
@@ -178,50 +170,46 @@ def _support_quadrature(u, t: float, h: TestFunction, grid: SpatialGrid) -> floa
 
 
 @track("homotopy_residual")
-def homotopy_residual(u: AnalyticSolution | SpaceTimeField, s: float, t: float,
-                      h: TestFunction, cfg: HeatOperatorConfig = HeatOperatorConfig(),
-                      grid: SpatialGrid | None = None,
-                      grid_level: int = 0) -> HomotopyReport:
+def homotopy_residual(u: AnalyticSolution, s: float, t: float, h: TestFunction,
+                      cfg: HeatOperatorConfig = HeatOperatorConfig(), *,
+                      grid: SpatialGrid, grid_level: int = 0) -> HomotopyReport:
     """Quadrature residual of int u(t) h = int u(s) e^{(t-s)L} h.
 
-    The left side integrates over supp h on a grid-independent refinement;
-    the right side pairs u(s) with the configured discrete operator's
-    e^{(t-s)L} h over the full grid, so the residual tracks the operator's
-    consistency error and falls under grid refinement.  (For a sampled
-    field the left side necessarily uses the field's own grid.)
+    u is a closed-form solution, evaluated exactly at s and t.  The left side
+    integrates u(t) h over supp h on a grid-independent refinement; the right
+    side pairs u(s) with the configured discrete operator's e^{(t-s)L} h over
+    the full grid, so the residual tracks the operator's consistency error
+    and falls under grid refinement.  u, h and the grid must have one
+    dimension (ValueError naming them otherwise).
 
     The right-hand integrand must have died out inside the box: the extent
     audit requires |u(s) * e^{(t-s)L}h| < 1e-10 on the ring |x| >= 0.9 L,
     and fails with DomainTooSmallError otherwise (the expected outcome for
     data growing faster than the inverse Gaussian).
     """
+    _check_solution_dims(u, h, grid)
     if not 0 < s < t:
         raise ValueError("need 0 < s < t")
-    g = _field_grid(u, grid)
-    mesh = g.meshgrid()
+    mesh = grid.meshgrid()
     h_vals = h.value(*mesh)
-    u_s = _solution_slice(u, g, s)
-    phi_s = heat_evolve(g, h_vals, t - s, cfg)
+    u_s = u.value(s, *mesh)
+    phi_s = heat_evolve(grid, h_vals, t - s, cfg)
     # Extent audit on the exact (untruncated) kernel tail: the configured
     # operator may truncate or carry FFT noise at the ring, which would
     # respectively hide a divergent tail or fake one.
-    if g.dim == 1:
-        ring = np.abs(g.axis) >= 0.9 * g.half_extent
+    if grid.dim == 1:
+        ring = np.abs(grid.axis) >= 0.9 * grid.half_extent
     else:
-        ring = np.maximum(np.abs(mesh[0]), np.abs(mesh[1])) >= 0.9 * g.half_extent
-    phi_ring = dense_evolve_at(g, h_vals, t - s, target_mask=ring)
-    tail = float(np.abs(np.asarray(u_s)[ring] * phi_ring).max())
+        ring = np.maximum(np.abs(mesh[0]), np.abs(mesh[1])) >= 0.9 * grid.half_extent
+    phi_ring = dense_evolve_at(grid, h_vals, t - s, target_mask=ring)
+    tail = float(np.abs(u_s[ring] * phi_ring).max())
     if tail > _RHS_TAIL_TOL:
         raise DomainTooSmallError(
             f"homotopy rhs integrand is {tail:.3g} at |x| = 0.9L "
             f"(needs < {_RHS_TAIL_TOL:g}); the box does not contain the pairing")
-    integrand = u_s * phi_s
-    if isinstance(u, SpaceTimeField):
-        lhs = grid_pairing(g, u.slice_at(t), h_vals)
-    else:
-        lhs = _support_quadrature(u, t, h, g)
-    rhs = det_sum(integrand * g.cell_volume)
-    return HomotopyReport(_label(u), s, t, h.label, grid_level, lhs, rhs)
+    lhs = _support_quadrature(u, t, h, grid)
+    rhs = det_sum(u_s * phi_s * grid.cell_volume)
+    return HomotopyReport(u.label, s, t, h.label, grid_level, lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -274,54 +262,46 @@ class FluxResult:
 
 
 @track("flux_functional")
-def flux_functional(u: AnalyticSolution | SpaceTimeField, s: float, t: float,
-                    h: TestFunction, fluxcfg: FluxConfig, gamma_hat: float,
-                    cfg: HeatOperatorConfig = HeatOperatorConfig(),
-                    grid: SpatialGrid | None = None,
-                    n_tau: int = 9) -> FluxResult:
+def flux_functional(u: AnalyticSolution, s: float, t: float, h: TestFunction,
+                    fluxcfg: FluxConfig, gamma_hat: float,
+                    cfg: HeatOperatorConfig = HeatOperatorConfig(), *,
+                    grid: SpatialGrid, n_tau: int = 9) -> FluxResult:
     """Annulus-averaged boundary fluxes Phi_1(R), Phi_2(R) of the identity proof.
 
     Phi_1 = int_s^t int_{lam R<|x|<R} |phi grad u|, Phi_2 = same with
-    |u grad phi|, phi(tau) = e^{(t-tau)L} h.  When the measured growth is
-    admissible (gamma_hat < c lam^2/kappa^2) the maximum over R is finite
-    and the large-R tail decreases; an inadmissible configuration returns a
-    precondition-violation report rather than raising.
+    |u grad phi|, phi(tau) = e^{(t-tau)L} h, with u and grad u evaluated in
+    closed form at each tau node.  When the measured growth is admissible
+    (gamma_hat < c lam^2/kappa^2) the maximum over R is finite and the
+    large-R tail decreases; an inadmissible configuration returns a
+    precondition-violation report rather than raising.  u, h and the grid
+    must have one dimension (ValueError naming them otherwise).
     """
+    _check_solution_dims(u, h, grid)
     if not 0 < s < t:
         raise ValueError("need 0 < s < t")
-    g = _field_grid(u, grid)
-    if fluxcfg.r_values[-1] > 0.8 * g.half_extent + 1e-12:
+    if fluxcfg.r_values[-1] > 0.8 * grid.half_extent + 1e-12:
         raise DomainTooSmallError("largest flux radius exceeds 0.8*L")
-    if fluxcfg.lam * fluxcfg.r_values[0] <= h.radius + 2 * g.spacing:
+    if fluxcfg.lam * fluxcfg.r_values[0] <= h.radius + 2 * grid.spacing:
         raise ValueError("smallest annulus must clear the test-function support")
     admissible = gamma_hat < fluxcfg.gamma_threshold
-    mesh = g.meshgrid()
-    if g.dim == 1:
-        radial = np.abs(g.axis)
-    else:
-        radial = np.sqrt(mesh[0] ** 2 + mesh[1] ** 2)
+    mesh = grid.meshgrid()
+    radial = grid.distance_to((0.0,) * grid.dim)
     taus = np.linspace(s, t, n_tau)
-    cell = g.cell_volume
+    cell = grid.cell_volume
     h_vals = h.value(*mesh)
     # per-tau integrands, assembled once per tau then reduced per annulus
-    phi_slices = np.empty((n_tau, *g.shape))
-    gphi_slices = np.empty((n_tau, g.dim, *g.shape))
+    phi_slices = np.empty((n_tau, *grid.shape))
+    gphi_slices = np.empty((n_tau, grid.dim, *grid.shape))
     for i, tau in enumerate(taus):
         rem = t - tau
         if rem <= 0:
             phi_slices[i] = h_vals
             gphi_slices[i] = np.stack(h.gradient(*mesh))
         else:
-            phi_slices[i] = heat_evolve(g, h_vals, rem, cfg)
-            gphi_slices[i] = heat_evolve_gradient(g, h_vals, rem, cfg)
-    if isinstance(u, SpaceTimeField):
-        from .grid import gradient as fd_gradient
-
-        u_slices = np.stack([u.slice_at(tau) for tau in taus])
-        gu_slices = np.stack([fd_gradient(g, sl) for sl in u_slices])
-    else:
-        u_slices = np.stack([u.value(float(tau), *mesh) for tau in taus])
-        gu_slices = np.stack([np.stack(u.gradient(float(tau), *mesh)) for tau in taus])
+            phi_slices[i] = heat_evolve(grid, h_vals, rem, cfg)
+            gphi_slices[i] = heat_evolve_gradient(grid, h_vals, rem, cfg)
+    u_slices = np.stack([u.value(float(tau), *mesh) for tau in taus])
+    gu_slices = np.stack([np.stack(u.gradient(float(tau), *mesh)) for tau in taus])
     abs_gu = np.sqrt(np.add.reduce(gu_slices**2, axis=1))
     abs_gphi = np.sqrt(np.add.reduce(gphi_slices**2, axis=1))
     dt = (t - s) / (n_tau - 1)
@@ -508,8 +488,6 @@ def uniqueness_probe(u: SpaceTimeField, ladder: SnapshotLadder,
     if not limits or not rec.all_recoverable or max(limits) > pair_tol:
         return UniquenessVerdict("HYPOTHESIS_NOT_MET", fit,
                                  max(limits) if limits else float("inf"), float("nan"))
-    from .grid import integrate_ball
-
     g = u.grid
     r_interior = 0.8 * g.half_extent
     worst = 0.0
@@ -610,34 +588,6 @@ def convergence_mode_probe(sol, grid: SpatialGrid, ladder: SnapshotLadder,
             prev = partial
     return ConvergenceModeReport(tuple(compact_rows), tuple(div_rows), sup_final,
                                  monotone_tail, tuple(factors), diverging)
-
-
-@dataclass(frozen=True)
-class ConditionGapCandidate:
-    label: str
-    growth: GrowthFit
-    bounded: bool
-
-
-def search_condition_gap(candidates, ladder: SnapshotLadder,
-                         panel: Sequence[SchwartzProbe], strip: StripSpec,
-                         radii: Sequence[float]) -> list[ConditionGapCandidate]:
-    """Search hook: fields passing the size condition whose snapshots are unbounded.
-
-    Whether such a field exists at desk scale is open; the hook scans a
-    candidate list of sampled fields and returns any witness (size condition
-    PASS together with a failed boundedness probe).  No witness is asserted
-    anywhere in the suite.
-    """
-    hits = []
-    for fld in candidates:
-        fit = strip_growth_fit(fld, strip, radii)
-        if fit.classification != "PASS":
-            continue
-        bounded = snapshot_boundedness_probe(fld, ladder, panel).bounded
-        if not bounded:
-            hits.append(ConditionGapCandidate(fld.label, fit, bounded))
-    return hits
 
 
 @dataclass(frozen=True)

@@ -407,11 +407,7 @@ def annulus_decay_check(grid: SpatialGrid, h_values: Array, t: float,
         raise DomainTooSmallError(
             f"outermost annulus radius {outer:.3g} exceeds grid extent {grid.half_extent}")
     evolved = dense_evolve_at(grid, h_values, t)
-    if grid.dim == 1:
-        r = np.abs(grid.axis)
-    else:
-        xg, yg = grid.meshgrid()
-        r = np.sqrt(xg**2 + yg**2)
+    r = grid.distance_to((0.0,) * grid.dim)
     cell = grid.cell_volume
     rows: list[AnnulusDecayRow] = []
     fit_z: list[float] = []

@@ -120,6 +120,22 @@ class TestRunExperiment:
         assert f"{pipeline} evolves a 1-D initial datum, so grid_dim must be 1, got 2" in summary
         assert not (tmp_path / output).exists()
 
+    @pytest.mark.parametrize("pipeline,solution_id,grid_dim,output", [
+        ("growth-fit", "gaussian_kernel:t0=1,dim=2", 1, "growth_fit.csv"),
+        ("homotopy", "gaussian_kernel:t0=1,dim=2", 1, "homotopy.csv"),
+        ("counterexample", "tychonoff:K=40", 2, "compact_pairings.csv"),
+    ])
+    def test_solution_dimension_must_match_grid(self, tmp_path, pipeline, solution_id,
+                                                grid_dim, output):
+        cfg = ExperimentConfig(pipeline=pipeline, solution_id=solution_id, grid_dim=grid_dim,
+                               grid_points=64, out_dir=str(tmp_path))
+        assert run_experiment(cfg).exit_code == 2
+        summary = (tmp_path / "summary.txt").read_text()
+        sol_dim = 3 - grid_dim
+        assert f"{pipeline} needs a solution of the grid's dimension" in summary
+        assert f"is {sol_dim}-D, grid_dim is {grid_dim}" in summary
+        assert not (tmp_path / output).exists()
+
     def test_tent_norm_pipeline(self, tmp_path):
         cfg = ExperimentConfig(pipeline="tent-norm", datum_id="sign",
                                grid_points=512, out_dir=str(tmp_path))

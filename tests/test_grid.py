@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from caloric import (
+    CoverageError,
     DataError,
     DomainTooSmallError,
     InsufficientResolutionError,
@@ -18,7 +19,7 @@ from caloric import (
     integrate_ball,
     integrate_strip_L2,
 )
-from caloric.grid import ball_measure, time_trapezoid
+from caloric.grid import time_trapezoid
 from caloric.zoo import GaussianKernelSolution, sample_solution
 
 from conftest import constant_field
@@ -48,6 +49,15 @@ class TestSpatialGrid:
         assert big.spacing == g.spacing
         assert big.half_extent == pytest.approx(12.0)
 
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -1.7)])
+    def test_distance_to(self, center):
+        g1 = SpatialGrid.make(1, 8.0, 64)
+        assert g1.distance_to(center).tobytes() == np.abs(g1.axis - center[0]).tobytes()
+        g2 = SpatialGrid.make(2, 8.0, 32)
+        xg, yg = g2.meshgrid()
+        want = np.sqrt((xg - center[0]) ** 2 + (yg - center[1]) ** 2)
+        assert g2.distance_to(center).tobytes() == want.tobytes()
+
 
 class TestSpaceTimeField:
     def test_validation(self, grid_1d):
@@ -60,10 +70,15 @@ class TestSpaceTimeField:
         with pytest.raises(DataError, match="shape"):
             SpaceTimeField(grid_1d, [0.1], np.zeros((1, 100)))
 
-    def test_slice_interpolation(self, grid_1d):
-        u = SpaceTimeField(grid_1d, [1.0, 2.0],
-                           np.stack([np.zeros(512), np.ones(512)]))
-        np.testing.assert_allclose(u.slice_at(1.5), 0.5)
+    def test_slice_at_reads_samples_only(self, grid_1d):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((3, 512))
+        u = SpaceTimeField(grid_1d, [1.0, 2.0, 3.0], values)
+        for i, t in enumerate((1.0, 2.0 + 5e-10, 3.0 - 5e-10)):
+            assert u.slice_at(t).tobytes() == values[i].tobytes()
+        for t in (1.5, 2.0 + 2e-9, 0.5, 3.5, math.nan):
+            with pytest.raises(CoverageError, match="not a sample time"):
+                u.slice_at(t)
 
 
 class TestIntegrateBall:
@@ -259,7 +274,3 @@ class TestFieldCsv:
         text = "\n".join([header, columns, *edit(rows)])
         with pytest.raises(DataError, match=rf"row {row} .*{message}"):
             field_from_csv(text)
-
-
-def test_ball_measure_matches_integral(grid_1d):
-    assert ball_measure(grid_1d, (0.0,), 2.5) == pytest.approx(5.0, abs=1e-12)

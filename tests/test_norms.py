@@ -34,20 +34,20 @@ SPECTRAL = HeatOperatorConfig("spectral_multiplier")
 
 
 @pytest.fixture(scope="module")
-def strip_field_grid():
+def strip_grid():
     return SpatialGrid.make(1, 15.0, 1024)
 
 
 class TestStripGrowthFit:
-    def test_eigenmode_passes(self, strip_field_grid):
-        u = sample_solution(Eigenmode((1.0,)), strip_field_grid, np.linspace(1, 2, 13))
+    def test_eigenmode_passes(self, strip_grid):
+        u = sample_solution(Eigenmode((1.0,)), strip_grid, np.linspace(1, 2, 13))
         fit = strip_growth_fit(u, StripSpec(1.0, 2.0), [2, 3, 4, 5, 6, 7, 8])
         assert fit.gamma_hat <= 0.01
         assert fit.classification == "PASS"
         assert all(b >= a for a, b in zip(fit.l2_values, fit.l2_values[1:]))
 
-    def test_exponential_gamma_shrinks_with_radius(self, strip_field_grid):
-        u = sample_solution(ExponentialSolution((1.0,)), strip_field_grid,
+    def test_exponential_gamma_shrinks_with_radius(self, strip_grid):
+        u = sample_solution(ExponentialSolution((1.0,)), strip_grid,
                             np.linspace(1, 2, 13))
         small = strip_growth_fit(u, StripSpec(1.0, 2.0), [2, 3, 4, 5, 6])
         large = strip_growth_fit(u, StripSpec(1.0, 2.0), [2, 4, 6, 8, 10, 12])
@@ -62,8 +62,8 @@ class TestStripGrowthFit:
         assert fit.gamma_hat >= 0.25
         assert fit.r2_of_fit >= 0.9
 
-    def test_zero_field_passes(self, strip_field_grid):
-        u = constant_field(strip_field_grid, np.linspace(1, 2, 9), value=0.0)
+    def test_zero_field_passes(self, strip_grid):
+        u = constant_field(strip_grid, np.linspace(1, 2, 9), value=0.0)
         fit = strip_growth_fit(u, StripSpec(1.0, 2.0), [2, 3, 4, 5, 6])
         assert fit.classification == "PASS"
         assert fit.gamma_hat == 0.0
@@ -79,8 +79,8 @@ class TestStripGrowthFit:
         assert scaled.gamma_hat == pytest.approx(base.gamma_hat, abs=1e-10)
         assert scaled.logC_hat == pytest.approx(base.logC_hat + math.log(c), abs=1e-9)
 
-    def test_validation(self, strip_field_grid):
-        u = constant_field(strip_field_grid, np.linspace(1, 2, 9))
+    def test_validation(self, strip_grid):
+        u = constant_field(strip_grid, np.linspace(1, 2, 9))
         with pytest.raises(ValueError, match="5 radii"):
             strip_growth_fit(u, StripSpec(1.0, 2.0), [2, 3, 4, 5])
         with pytest.raises(DataError, match="0.8"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from caloric import SchwartzProbe, TestFunction, default_schwartz_panel, default_test_panel
+from caloric import SchwartzProbe, TestFunction, default_schwartz_panel
 from caloric.norms import SeminormOrder, schwartz_seminorm
 from caloric.probes import hermite_probe
 
@@ -120,12 +120,6 @@ class TestSeminorms:
 
 
 class TestPanels:
-    def test_default_test_panel(self):
-        panel = default_test_panel()
-        assert len(panel) == 6
-        assert {p.center[0] for p in panel} == {0.0, -2.0, 2.0}
-        assert {p.radius for p in panel} == {1.0, 2.0}
-
     def test_default_schwartz_panel(self):
         panel = default_schwartz_panel()
         assert len(panel) == 8

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,15 @@ from conftest import constant_field
 
 KERNEL10 = HeatOperatorConfig("kernel_quadrature", truncation_radius_factor=10.0)
 SPECTRAL = HeatOperatorConfig("spectral_multiplier")
+
+# (solution, bump, message) on a 1-D grid: a 2-D bump used to lose its second
+# centre coordinate, and a 2-D solution was evaluated on the 1-D axis alone.
+_DIM_MISMATCHES = {
+    "2d-bump": (GaussianKernelSolution(1.0), TestFunction((0.5, 0.0), 1.0),
+                "probe bump(c=0.5,0,r=1) is 2-D but the field is 1-D"),
+    "2d-solution": (GaussianKernelSolution(1.0, (0.0, 0.0)), TestFunction((0.5,), 1.0),
+                    "solution gaussian_kernel(t0=1) is 2-D but the grid is 1-D"),
+}
 
 
 class TestSnapshotLadder:
@@ -149,6 +159,13 @@ class TestHomotopyResidual:
             homotopy_residual(Eigenmode((1.0,)), 1.0, 0.5, TestFunction((0.0,), 1.0),
                               SPECTRAL, grid=g)
 
+    @pytest.mark.parametrize("case", list(_DIM_MISMATCHES))
+    def test_dimension_mismatch_rejected(self, case):
+        sol, h, message = _DIM_MISMATCHES[case]
+        g = SpatialGrid.make(1, 8.0, 256)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            homotopy_residual(sol, 0.2, 0.4, h, SPECTRAL, grid=g)
+
 
 def _full_fine_grid_quadrature(u, t, h, grid):
     """Oracle: the midpoint rule over the whole 8x (1D) / 4x (2D) refined grid."""
@@ -197,13 +214,19 @@ class TestSupportQuadrature:
 class TestFluxFunctional:
     def test_zero_field_gives_zero(self):
         g = SpatialGrid.make(1, 12.0, 512)
-        times = np.linspace(0.25, 1.25, 9)
-        u = constant_field(g, times, value=0.0)
-        res = flux_functional(u, 0.5, 1.0, TestFunction((0.0,), 1.0),
+        res = flux_functional(Eigenmode((1.0,), 0.0), 0.5, 1.0, TestFunction((0.0,), 1.0),
                               FluxConfig(), gamma_hat=0.0,
-                              cfg=HeatOperatorConfig("kernel_quadrature", 6.0))
+                              cfg=HeatOperatorConfig("kernel_quadrature", 6.0), grid=g)
         assert res.max_total == 0.0
         assert res.admissible
+
+    @pytest.mark.parametrize("case", list(_DIM_MISMATCHES))
+    def test_dimension_mismatch_rejected(self, case):
+        sol, h, message = _DIM_MISMATCHES[case]
+        g = SpatialGrid.make(1, 12.0, 512)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            flux_functional(sol, 0.5, 1.0, h, FluxConfig(), gamma_hat=0.0,
+                            cfg=HeatOperatorConfig("kernel_quadrature", 6.0), grid=g)
 
     def test_gaussian_tail_decreasing_and_small(self):
         g = SpatialGrid.make(1, 12.0, 1024)
@@ -405,19 +428,3 @@ def test_gauss_poly_datum_recovery(recover_grid):
     fld = evolve_datum_exact(datum, recover_grid, lad.times)
     rec = recover_initial_data(fld, lad, default_schwartz_panel(), datum=datum)
     assert rec.max_error <= 1e-6
-
-
-def test_condition_gap_search_finds_no_witness():
-    # open question: a size-condition PASS with unbounded snapshots; the
-    # standard corpus produces no witness (none is asserted to exist)
-    from caloric.representation import search_condition_gap
-
-    g = SpatialGrid.make(1, 15.0, 512)
-    lad = SnapshotLadder(1.9, 0.7, 6)
-    times = np.unique(np.concatenate([lad.times, np.linspace(1.0, 2.0, 9)]))
-    candidates = [sample_solution(sol, g, times)
-                  for sol in (Eigenmode((1.0,)), GaussianKernelSolution(1.0),
-                              ExponentialSolution((1.0,)))]
-    hits = search_condition_gap(candidates, lad, default_schwartz_panel(),
-                                StripSpec(1.0, 2.0), [2, 3, 4, 5, 6, 7, 8])
-    assert hits == []
