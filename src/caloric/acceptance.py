@@ -371,17 +371,14 @@ def criterion_8_tent_and_bmo() -> CriterionResult:
         # levels (off-center bump, so odd fields do not pair to zero)
         phi_bump = TestFunction((1.0,), 1.0)
 
-        def corpus(g: SpatialGrid):
+        def corpus(g: SpatialGrid) -> list[SpaceTimeField]:
             times = carleson_time_ladder(g, 4.0, extra=[r * r for r in family.radii])
-            yield phi_field(g)
-            yield evolve_datum_exact(SignDatum(), g, times, "e^(tL)sign")
-            yield evolve_datum_exact(osc, g, times, "e^(tL)oscillator")
+            return [phi_field(g),
+                    evolve_datum_exact(SignDatum(), g, times, "e^(tL)sign"),
+                    evolve_datum_exact(osc, g, times, "e^(tL)oscillator")]
 
-        ratios = {n: [] for n in grids}
-        for n, g in grids.items():
-            for fld in corpus(g):
-                r = pairing_bound_check(fld, phi_bump, family=family)
-                ratios[n].append(r.ratio)
+        ratios = {n: [r.ratio for r in pairing_bound_check(corpus(g), phi_bump, family=family)]
+                  for n, g in grids.items()}
         for i, label in enumerate(["Phi", "e^(tL)sign", "e^(tL)oscillator"]):
             a, b = ratios[512][i], ratios[1024][i]
             stable = abs(a - b) / max(a, 1e-300) <= 0.05

@@ -253,7 +253,8 @@ def schwartz_seminorm(phi, order: SeminormOrder | int,
 
     The probe supplies exact derivatives; sups are grid maxima on a window
     covering the probe's decay, refined (doubled) until the value is stable
-    to *rel_tol* relative.
+    to *rel_tol* relative.  Each level takes the weights |x|^alpha once per
+    alpha and each derivative once per beta.
     """
     m = order.M if isinstance(order, SeminormOrder) else SeminormOrder(order).M
     if m > phi.max_derivative_order:
@@ -269,11 +270,13 @@ def schwartz_seminorm(phi, order: SeminormOrder | int,
     prev = None
     for _ in range(12):
         x = np.linspace(-window, window, n)
+        abs_x = np.abs(x)
+        x_powers = [abs_x ** alpha for alpha in range(m + 1)]
         best = 0.0
         for beta in range(m + 1):
             d = np.abs(phi.derivative(beta, x))
             for alpha in range(m + 1 - beta):
-                best = max(best, float((np.abs(x) ** alpha * d).max()))
+                best = max(best, float((x_powers[alpha] * d).max()))
         if prev is not None and abs(best - prev) <= rel_tol * max(best, 1e-300):
             return best
         prev = best

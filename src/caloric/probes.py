@@ -91,14 +91,17 @@ class TestFunction:
         return out
 
     def derivative(self, order: int, x: Array) -> Array:
-        """Exact d^order/dx^order of the 1D bump.
+        """Exact d^order/dx^order of the 1D bump, order 0..12.
 
         Uses the rational recursion phi^(m) = N_m(z) / (1-z^2)^{2m} * phi / r^m
-        with z = (x - c)/r; N_{m+1} = w^2 N_m' + (4 m z w - 2 z) N_m.
+        with z = (x - c)/r; N_{m+1} = w^2 N_m' + (4 m z w - 2 z) N_m.  The
+        numerators N_0..N_12 are tabled once at import (_BUMP_NUMERATORS).
         """
         if self.dim != 1:
             raise ValueError("high-order derivatives implemented for 1D bumps only")
-        num = _bump_numerators(order)
+        if not 0 <= order <= self.max_derivative_order:
+            raise ValueError(f"derivatives available only to order {self.max_derivative_order}")
+        num = _BUMP_NUMERATORS[order]
         x = np.asarray(x, dtype=float)
         z = (x - self.center[0]) / self.radius
         w = 1.0 - z**2
@@ -119,19 +122,26 @@ class TestFunction:
         return 12 if self.dim == 1 else 2
 
 
-def _bump_numerators(order: int) -> Array:
-    """Coefficients (ascending) of N_order in the bump derivative recursion."""
+def _bump_numerator_table(max_order: int) -> tuple[Array, ...]:
+    """Coefficients (ascending) of N_0..N_max_order in the bump derivative recursion."""
     num = np.array([1.0])
     w2 = np.array([1.0, 0.0, -2.0, 0.0, 1.0])  # (1 - z^2)^2
     w = np.array([1.0, 0.0, -1.0])
-    for m in range(order):
+    table = [num]
+    for m in range(max_order):
         dnum = np.polynomial.polynomial.polyder(num) if num.size > 1 else np.array([0.0])
         term1 = np.polynomial.polynomial.polymul(w2, dnum)
         lin = np.polynomial.polynomial.polymul(np.array([0.0, 4.0 * m]), w)
         lin = np.polynomial.polynomial.polyadd(lin, np.array([0.0, -2.0]))
         term2 = np.polynomial.polynomial.polymul(lin, num)
         num = np.polynomial.polynomial.polyadd(term1, term2)
-    return num
+        table.append(num)
+    for coeffs in table:
+        coeffs.flags.writeable = False
+    return tuple(table)
+
+
+_BUMP_NUMERATORS = _bump_numerator_table(12)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from numpy.typing import NDArray
 
 from .errors import DomainTooSmallError, InvariantViolationError
 from .grid import SAMPLE_TIME_TOL, SpaceTimeField, SpatialGrid, StripSpec, integrate_ball
-from .norms import BallFamily, GrowthFit, TentNormResult, schwartz_seminorm, strip_growth_fit, tent_norm
+from .norms import BallFamily, GrowthFit, schwartz_seminorm, strip_growth_fit, tent_norm
 from .optrack import track
 from .probes import SchwartzProbe, TestFunction
 from .semigroup import HeatOperatorConfig, dense_evolve_at, heat_evolve, heat_evolve_gradient
@@ -600,36 +600,41 @@ class PairingBoundResult:
 
 
 @track("pairing_bound_check")
-def pairing_bound_check(u: SpaceTimeField, phi: TestFunction,
-                        tent: TentNormResult | None = None,
+def pairing_bound_check(fields: Sequence[SpaceTimeField], phi: TestFunction,
                         family: BallFamily | None = None,
-                        t_cap: float = 0.5) -> PairingBoundResult:
-    """Ratio sup_{t_k < 1/2} |<u(t_k), phi>| / (P_{n+3}(phi) ||u||_{T_inf}).
+                        t_cap: float = 0.5) -> tuple[PairingBoundResult, ...]:
+    """Ratio sup_{t_k < 1/2} |<u(t_k), phi>| / (P_{n+3}(phi) ||u||_{T_inf}) per field.
 
-    The theory bounds this by a constant; the suite asserts the corpus-wide
-    maximum is bounded and refinement-stable.  A zero tent norm with a
-    nonzero pairing is impossible for genuine tent-space fields and raises
+    One result per field of *fields*, in order; the seminorm P_{n+3}(phi)
+    is computed once for the whole sequence.  The theory bounds each ratio
+    by a constant; the suite asserts the corpus-wide maximum is bounded and
+    refinement-stable.  A zero tent norm with a nonzero pairing is
+    impossible for genuine tent-space fields and raises
     InvariantViolationError (it signals a quadrature bug).  phi must have
-    u's dimension and derivatives to order n + 3 (ValueError at entry).
+    every field's dimension and derivatives to order n + 3 (ValueError at
+    entry, before any field is measured).
     """
-    g = u.grid
-    _check_probe_dims((phi,), g)
-    order = g.dim + 3
+    order = phi.dim + 3
+    for u in fields:
+        _check_probe_dims((phi,), u.grid)
     if phi.max_derivative_order < order:
         raise ValueError(f"pairing bound needs the seminorm of order n+3 = {order}, but "
                          f"{phi.label} has derivatives only to order {phi.max_derivative_order}")
-    if tent is None:
-        if family is None:
-            family = BallFamily.lattice(g, max_time=float(u.times[-1]))
-        tent = tent_norm(u, family)
-    phi_vals = phi.value(*g.meshgrid())
-    early = u.values[:int(np.searchsorted(u.times, t_cap))]  # the times < t_cap
-    sup_pair = float(np.abs(grid_pairing(g, early, phi_vals)).max(initial=0.0))
     seminorm = schwartz_seminorm(phi, order)
-    if tent.value <= 0.0:
-        if sup_pair > 1e-12:
-            raise InvariantViolationError(
-                "zero tent norm with a nonzero pairing: quadrature bug")
-        return PairingBoundResult(0.0, sup_pair, seminorm, order, tent.value)
-    return PairingBoundResult(sup_pair / (seminorm * tent.value), sup_pair,
-                              seminorm, order, tent.value)
+    results = []
+    for u in fields:
+        g = u.grid
+        fam = family if family is not None else BallFamily.lattice(g, max_time=float(u.times[-1]))
+        tent = tent_norm(u, fam)
+        phi_vals = phi.value(*g.meshgrid())
+        early = u.values[:int(np.searchsorted(u.times, t_cap))]  # the times < t_cap
+        sup_pair = float(np.abs(grid_pairing(g, early, phi_vals)).max(initial=0.0))
+        if tent.value <= 0.0:
+            if sup_pair > 1e-12:
+                raise InvariantViolationError(
+                    "zero tent norm with a nonzero pairing: quadrature bug")
+            results.append(PairingBoundResult(0.0, sup_pair, seminorm, order, tent.value))
+        else:
+            results.append(PairingBoundResult(sup_pair / (seminorm * tent.value), sup_pair,
+                                              seminorm, order, tent.value))
+    return tuple(results)

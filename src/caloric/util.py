@@ -22,7 +22,10 @@ def det_sum(values, axis=None) -> float | np.ndarray:
     Non-finite input follows ``math.fsum``: nan gives nan, inf gives inf,
     +inf with -inf raises ValueError.  A finite total beyond the float
     range raises OverflowError; unlike ``math.fsum``, an intermediate
-    overflow does not.
+    overflow does not.  Stacks of at most ``_FSUM_MAX_TERMS`` terms are
+    summed row by row with ``math.fsum`` (faster there, same result),
+    larger ones, and any stack on which ``math.fsum`` meets an intermediate
+    overflow, by exact integer limbs.
     """
     arr = np.asarray(values, dtype=float)
     if axis is None:
@@ -52,11 +55,23 @@ _BLOCK = 1 << 13
 _MAX_TERMS = _BLOCK << 15
 _SCALE = 1 << _BIAS
 _DIGIT_OFFSETS = np.arange(3).reshape(3, 1, 1)
+# Stacks of up to this many terms in all go to math.fsum, one row at a time.
+# The limb path costs about 25 us plus 3 us per row whatever the size; fsum
+# costs about 1 us per row plus 0.02-0.15 us per term, rising with the spread
+# of the terms' exponents.  Timed on the arrays the gate and measure-sweep
+# benchmark passes reduce (CHANGES.md has the table), the summed cost of a
+# pass is flat for thresholds from 1280 to 3584 terms and worse outside.
+_FSUM_MAX_TERMS = 2560
 
 
 def _row_sums(rows: np.ndarray) -> np.ndarray:
     """Correctly rounded sum of each row of a 2-D float array."""
     n_rows, n_terms = rows.shape
+    if rows.size <= _FSUM_MAX_TERMS:
+        try:
+            return np.array([math.fsum(row.tolist()) for row in rows], dtype=float)
+        except OverflowError:
+            pass  # an intermediate overflow in fsum; the limb path has none
     if not np.isfinite(rows).all():
         return np.array([math.fsum(row) for row in rows.tolist()], dtype=float)
     if n_terms > _MAX_TERMS:

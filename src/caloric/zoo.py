@@ -8,17 +8,22 @@ The flat-series member deserves its own warning label.  It is the classical
 nonuniqueness witness sum_k f^(k)(t) x^{2k} / (2k)! with f(t) = e^{-1/t},
 where the evaluator contract is the K-term partial sum plus a truncation
 flag.  Derivatives come from the Cauchy integral on the circle of radius t/2
-(inside the analyticity half-plane), which is numerically faithful to the
-exact partial sum at the ~0.1% level even deep in the cancellation regime.
-Two caveats, verified against a high-precision oracle during development:
+(inside the analyticity half-plane).  Caveats, checked against a 60-digit
+mpmath evaluation of the series (tests/test_zoo.py):
 
 * the infinite series has zero initial trace only on |x| < 2 for this flat
   function (t -> 0 decay like exp(-(1-|x|/2)^2/t)); compact-support probes
   of the vanishing trace must therefore live inside (-2, 2);
-* outside its convergence budget (roughly |x|^2/(4t) > K/e) the partial sum
-  is truncation-dominated; the flag reports this, and the counterexample
-  experiments deliberately measure the flagged, super-exponentially growing
-  truncated object.
+* the convergence budget depends on a = x^2/(4t) alone (term k is roughly
+  a^k / k!), not on x/t.  At K = 40 and t in [0.02, 1]: where a <= 8 the
+  flag stays off and the value matches the exact partial sum to 1e-8 and
+  the full series to 1e-13 (relative); from a = 10 on the flag fires; for
+  t >= 0.1 the truncation error passes 1e-3 near a = 16 and swamps the
+  value by a = 20;
+* the counterexample experiments deliberately measure the flagged,
+  super-exponentially growing truncated object.  There the value matches
+  the exact partial sum to about 1e-3 at t <= 0.05 and 1% at t = 0.1, but
+  only to 40% at t = 1 (worst near a = 20).
 """
 
 from __future__ import annotations
@@ -217,21 +222,41 @@ class ErfFront:
         return np.sign(np.asarray(x, dtype=float))
 
 
+@lru_cache(maxsize=8)
+def _contour_nodes(k_max: int) -> tuple[Array, Array, tuple[int, ...]]:
+    """Unit-circle nodes e^{i th} and twiddles e^{-ik th} for k = 0..k_max.
+
+    Mean k uses N_k = max(64, 8k) equispaced angles th = 2 pi j / N_k; the
+    nodes of all k are concatenated, k's slice starting at offsets[k].  The
+    table does not depend on t, so it is built once per k_max and is
+    read-only.
+    """
+    unit, twiddle, offsets = [], [], [0]
+    for k in range(k_max + 1):
+        n = max(64, 8 * k)
+        theta = 2.0 * pi * np.arange(n) / n
+        unit.append(np.exp(1j * theta))
+        twiddle.append(np.exp(-1j * k * theta))
+        offsets.append(offsets[-1] + n)
+    unit, twiddle = np.concatenate(unit), np.concatenate(twiddle)
+    unit.flags.writeable = twiddle.flags.writeable = False
+    return unit, twiddle, tuple(offsets)
+
+
 @lru_cache(maxsize=256)
 def _contour_means(t: float, k_max: int) -> tuple[float, ...]:
     """Contour means mean_theta[f(t + r e^{i th}) e^{-ik th}], r = t/2, f = e^{-1/t}.
 
     f^(k)(t) = k! r^{-k} * mean_k; trapezoid on N = max(64, 8k) nodes, which
-    is spectrally accurate for this periodic analytic integrand.
+    is spectrally accurate for this periodic analytic integrand.  The nodes
+    and twiddles come from the t-independent ``_contour_nodes`` table; the
+    integrand is evaluated once over all of them and mean k is the mean of
+    its slice.
     """
-    r = 0.5 * t
-    means = []
-    for k in range(k_max + 1):
-        n = max(64, 8 * k)
-        theta = 2.0 * pi * np.arange(n) / n
-        z = t + r * np.exp(1j * theta)
-        means.append(float(np.mean(np.exp(-1.0 / z) * np.exp(-1j * k * theta)).real))
-    return tuple(means)
+    unit, twiddle, offsets = _contour_nodes(k_max)
+    z = t + 0.5 * t * unit
+    integrand = np.exp(-1.0 / z) * twiddle
+    return tuple(float(np.mean(integrand[a:b]).real) for a, b in zip(offsets, offsets[1:]))
 
 
 def _tychonoff_terms(t: float, x_flat: Array, K: int) -> tuple[Array, Array]:

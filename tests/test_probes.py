@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from caloric import SchwartzProbe, TestFunction, default_schwartz_panel
 from caloric.norms import SeminormOrder, schwartz_seminorm
-from caloric.probes import hermite_probe
+from caloric.probes import _BUMP_NUMERATORS, hermite_probe
 
 
 class TestBump:
@@ -43,6 +43,23 @@ class TestBump:
         fd = (b.derivative(order - 1, x + h) - b.derivative(order - 1, x - h)) / (2 * h)
         scale = max(np.abs(b.derivative(order, x)).max(), 1.0)
         np.testing.assert_allclose(b.derivative(order, x) / scale, fd / scale, atol=1e-6)
+
+    def test_numerator_table_matches_recursion(self):
+        # N_0 = 1, N_{m+1} = w^2 N_m' + (4 m z w - 2 z) N_m with w = 1 - z^2
+        P = np.polynomial.polynomial
+        num = np.array([1.0])
+        for order in range(13):
+            np.testing.assert_array_equal(_BUMP_NUMERATORS[order], num)
+            dnum = P.polyder(num) if num.size > 1 else np.array([0.0])
+            lin = P.polyadd(P.polymul([0.0, 4.0 * order], [1.0, 0.0, -1.0]), [0.0, -2.0])
+            num = P.polyadd(P.polymul([1.0, 0.0, -2.0, 0.0, 1.0], dnum), P.polymul(lin, num))
+        assert len(_BUMP_NUMERATORS) == 13
+
+    def test_derivative_order_cap(self):
+        bump = TestFunction((0.0,), 1.0)
+        for order in (-1, 13):
+            with pytest.raises(ValueError, match="only to order 12"):
+                bump.derivative(order, np.zeros(3))
 
     def test_rim_is_smooth_zero(self):
         b = TestFunction((0.0,), 1.0)
@@ -117,6 +134,27 @@ class TestSeminorms:
     def test_bump_seminorm_finite(self):
         val = schwartz_seminorm(TestFunction((0.0,), 1.0), 4)
         assert math.isfinite(val) and val > 0
+
+    @pytest.mark.parametrize("phi,m", [(TestFunction((1.0,), 1.0), 4),
+                                       (SchwartzProbe((1.0, 0.5), 3.0), 4)])
+    def test_matches_pairwise_loop(self, phi, m):
+        # the reference takes |x|^alpha anew for every (alpha, beta) pair
+        if hasattr(phi, "decay_window"):
+            window = phi.decay_window()
+        else:
+            window = abs(phi.center[0]) + phi.radius
+        n, prev = 2049, None
+        for _ in range(12):
+            x = np.linspace(-window, window, n)
+            best = 0.0
+            for beta in range(m + 1):
+                d = np.abs(phi.derivative(beta, x))
+                for alpha in range(m + 1 - beta):
+                    best = max(best, float((np.abs(x) ** alpha * d).max()))
+            if prev is not None and abs(best - prev) <= 1e-4 * best:
+                break
+            prev, n = best, 2 * n - 1
+        assert schwartz_seminorm(phi, m) == best
 
 
 class TestPanels:

@@ -1,4 +1,5 @@
-"""Every public function and class of the package has a caller.
+"""Every public function and class of the package has a caller, and the
+benchmark's hooks into the package exist.
 
 A top-level public name of ``src/caloric/*.py`` must be referenced somewhere
 in the package (``__init__.py`` does not count: re-exporting is not calling)
@@ -69,3 +70,17 @@ def test_every_public_name_has_a_caller():
 def test_allow_list_names_exist():
     defined = {node.name for tree in _modules().values() for node in _public_definitions(tree)}
     assert _ALLOWED <= defined
+
+
+def test_benchmark_hooks_exist():
+    # bench/workloads.py and bench/record_reference.py start every pass from
+    # cold caches and counts through these; a refactor must keep them
+    from caloric import optrack, zoo
+
+    assert callable(zoo._contour_means.cache_clear)
+    assert zoo._contour_means.cache_info().maxsize > 0
+    assert callable(optrack.reset_counts)
+    bench_text = "".join(p.read_text() for p in sorted((_REPO / "bench").glob("*.py")))
+    for hook in ("zoo._contour_means.cache_clear", "zoo._contour_means.cache_info",
+                 "optrack.reset_counts"):
+        assert hook in bench_text, f"bench/ no longer calls {hook}; update this test"

@@ -371,8 +371,8 @@ class TestPairingBound:
     def test_zero_field(self, grid_1d):
         times = carleson_time_ladder(grid_1d, 1.0, extra=[0.25, 1.0])
         u = constant_field(grid_1d, times, value=0.0)
-        res = pairing_bound_check(u, TestFunction((0.0,), 1.0),
-                                  family=BallFamily(((0.0,),), (0.5, 1.0)))
+        res = pairing_bound_check([u], TestFunction((0.0,), 1.0),
+                                  family=BallFamily(((0.0,),), (0.5, 1.0)))[0]
         assert res.ratio == 0.0
 
     def test_scaling_invariance(self, grid_1d):
@@ -380,8 +380,8 @@ class TestPairingBound:
         times = carleson_time_ladder(grid_1d, 1.0, extra=[0.25, 1.0])
         u = evolve_datum_exact(SignDatum(), grid_1d, times)
         fam = BallFamily(((0.0,),), (0.5, 1.0))
-        base = pairing_bound_check(u, TestFunction((1.0,), 1.0), family=fam)
-        scaled_u = pairing_bound_check(u.scaled(10.0), TestFunction((1.0,), 1.0), family=fam)
+        base = pairing_bound_check([u], TestFunction((1.0,), 1.0), family=fam)[0]
+        scaled_u = pairing_bound_check([u.scaled(10.0)], TestFunction((1.0,), 1.0), family=fam)[0]
         assert base.ratio > 0
         assert scaled_u.ratio == pytest.approx(base.ratio, rel=1e-12)
 
@@ -391,11 +391,32 @@ class TestPairingBound:
             g = SpatialGrid.make(1, 8.0, n)
             times = carleson_time_ladder(g, 1.0, extra=[0.25, 1.0])
             u = evolve_datum_exact(SignDatum(), g, times)
-            res = pairing_bound_check(u, TestFunction((1.0,), 1.0),
-                                      family=BallFamily(((0.0,),), (0.5, 1.0)))
+            res = pairing_bound_check([u], TestFunction((1.0,), 1.0),
+                                      family=BallFamily(((0.0,),), (0.5, 1.0)))[0]
             ratios.append(res.ratio)
         assert ratios[0] > 0
         assert abs(ratios[0] - ratios[1]) / ratios[0] <= 0.05
+
+    def test_batch_matches_single_fields_with_one_seminorm(self, grid_1d, monkeypatch):
+        times = carleson_time_ladder(grid_1d, 1.0, extra=[0.25, 1.0])
+        fields = [evolve_datum_exact(SignDatum(), grid_1d, times),
+                  evolve_datum_exact(OscillatorDatum(1.0, 1.0), grid_1d, times),
+                  constant_field(grid_1d, times, value=0.0)]
+        phi, fam = TestFunction((1.0,), 1.0), BallFamily(((0.0,),), (0.5, 1.0))
+        seminorm_calls = []
+        seminorm = representation.schwartz_seminorm
+
+        def counted(*args, **kwargs):
+            seminorm_calls.append(args)
+            return seminorm(*args, **kwargs)
+
+        monkeypatch.setattr(representation, "schwartz_seminorm", counted)
+        batch = pairing_bound_check(fields, phi, family=fam)
+        assert len(seminorm_calls) == 1
+        singles = [pairing_bound_check([u], phi, family=fam)[0] for u in fields]
+        assert len(seminorm_calls) == 1 + len(fields)
+        assert batch == tuple(singles)
+        assert batch[0].ratio > 0 and batch[2].ratio == 0.0
 
     def test_rejects_2d_bump_before_the_tent_norm(self, grid_2d, monkeypatch):
         # a 2-D bump has derivatives to order 2; the bound needs order n+3 = 5
@@ -405,12 +426,21 @@ class TestPairingBound:
         monkeypatch.setattr(representation, "tent_norm", no_tent_norm)
         u = constant_field(grid_2d, [0.25, 1.0])
         with pytest.raises(ValueError, match=r"order n\+3 = 5.*only to order 2"):
-            pairing_bound_check(u, TestFunction((0.0, 0.0), 1.0))
+            pairing_bound_check([u], TestFunction((0.0, 0.0), 1.0))
+
+    def test_checks_every_field_before_measuring_any(self, grid_1d, grid_2d, monkeypatch):
+        def no_tent_norm(*args, **kwargs):
+            raise AssertionError("tent norm computed before every field was checked")
+
+        monkeypatch.setattr(representation, "tent_norm", no_tent_norm)
+        fields = [constant_field(grid_1d, [0.25, 1.0]), constant_field(grid_2d, [0.25, 1.0])]
+        with pytest.raises(ValueError, match="is 1-D but the field is 2-D"):
+            pairing_bound_check(fields, TestFunction((0.0,), 1.0))
 
     def test_rejects_probe_of_other_dimension(self, grid_2d):
         u = constant_field(grid_2d, [0.25, 1.0])
         with pytest.raises(ValueError, match="is 1-D but the field is 2-D"):
-            pairing_bound_check(u, TestFunction((0.0,), 1.0))
+            pairing_bound_check([u], TestFunction((0.0,), 1.0))
 
 
 def test_grid_pairing_matches_quadrature(grid_1d):

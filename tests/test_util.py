@@ -24,9 +24,10 @@ from caloric import (
     recover_initial_data,
     snapshot_boundedness_probe,
 )
+from caloric import util
 from caloric.grid import ball_weights, time_trapezoid
 from caloric.norms import carleson_box_value
-from caloric.util import det_sum
+from caloric.util import _FSUM_MAX_TERMS, det_sum
 
 
 def fsum_oracle(values) -> float:
@@ -172,6 +173,59 @@ class TestDetSumRows:
             det_sum(np.array([[1.0, 2.0], [np.inf, -np.inf]]), axis=-1)
 
 
+@st.composite
+def stacks_near_the_crossover(draw):
+    """Stacks just below, at and just above _FSUM_MAX_TERMS terms in all.
+
+    Terms spread over wide exponent ranges, and some are negated copies of
+    others in their row, so rows cancel partly or exactly.
+    """
+    c = _FSUM_MAX_TERMS
+    shape = draw(st.sampled_from([(1, c - 1), (1, c), (1, c + 1), (2, c // 2), (2, c // 2 + 1),
+                                  (40, c // 40), (40, c // 40 + 1)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.integers(-320, 0))
+    stack = wide(rng, shape, lo, draw(st.integers(lo + 1, 300)))
+    copies = np.take_along_axis(stack, rng.integers(0, shape[1], shape), axis=-1)
+    return np.where(rng.random(shape) < draw(st.floats(0.0, 1.0)), -copies, stack)
+
+
+class TestFsumCrossover:
+    @settings(max_examples=60, deadline=None)
+    @given(stacks_near_the_crossover())
+    def test_equals_rowwise_fsum_on_both_sides(self, stack):
+        assert_same(det_sum(stack, axis=-1), rowwise_oracle(stack))
+        assert_same(det_sum(stack), fsum_oracle(stack))
+
+    def test_dispatch_at_the_crossover(self, monkeypatch):
+        limb_blocks = []
+        limb_totals = util._limb_totals
+
+        def counted(block):
+            limb_blocks.append(block.shape)
+            return limb_totals(block)
+
+        monkeypatch.setattr(util, "_limb_totals", counted)
+        c = _FSUM_MAX_TERMS
+        for shape, limbs in [((c,), False), ((2, c // 2), False),
+                             ((c + 1,), True), ((2, c // 2 + 1), True)]:
+            limb_blocks.clear()
+            assert_same(det_sum(np.ones(shape), axis=-1), np.full(shape[:-1], float(shape[-1])))
+            assert bool(limb_blocks) == limbs, shape
+
+    def test_intermediate_overflow_falls_back_to_limbs(self):
+        assert det_sum([1e308, 1e308, -1e308]) == 1e308
+        stack = np.array([[1.0, 2.0, 3.0], [1e308, 1e308, -1e308]])
+        assert_same(det_sum(stack, axis=-1), np.array([6.0, 1e308]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cancelling_terms())
+    def test_limb_path_equals_fsum(self, terms):
+        # zeros past the crossover change no sum but force the limb path
+        padded = np.concatenate([terms, np.zeros(_FSUM_MAX_TERMS + 1)])
+        assert_same(det_sum(padded), fsum_oracle(terms))
+
+
 # -- the batched reductions against per-slice fsum loops ---------------------
 
 
@@ -255,4 +309,4 @@ def test_pairing_bound_sup_matches_slice_loop():
     phi_vals = phi.value(*g.meshgrid())
     want = max(abs(fsum_oracle(u.values[i] * phi_vals * g.cell_volume))
                for i in range(u.n_times) if u.times[i] < 0.5)
-    assert_same(pairing_bound_check(u, phi, family=None).sup_pairing, want)
+    assert_same(pairing_bound_check([u], phi, family=None)[0].sup_pairing, want)

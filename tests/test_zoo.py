@@ -30,6 +30,7 @@ from caloric import (
 )
 from caloric.acceptance import _RECOVERY_DATA
 from caloric.probes import default_schwartz_panel, hermite_probe
+from caloric import zoo
 from caloric.zoo import exact_pairing
 
 
@@ -118,6 +119,68 @@ class TestTychonoff:
     def test_no_initial_trace_sample(self):
         with pytest.raises(NotImplementedError):
             TychonoffSolution(40).initial_values(np.array([0.0]))
+
+    # (t, x^2/4t) points inside and outside the K = 40 trust region; t = 0.02
+    # puts x/t far above K/2 while x^2/4t stays small
+    _TIMES = (0.02, 0.1, 0.5, 1.0)
+
+    @pytest.mark.parametrize("t", _TIMES)
+    @pytest.mark.parametrize("a", [2.0, 5.0, 8.0])
+    def test_accurate_inside_trust_region(self, t, a):
+        x = math.sqrt(4.0 * t * a)
+        v, flagged = TychonoffSolution(40).value_with_flag(t, np.array(x))
+        partial, full = _flat_series_mp(t, x, 41), _flat_series_mp(t, x, 150)
+        assert not flagged
+        assert abs(float(v) - float(partial)) <= 1e-8 * abs(float(partial))
+        assert abs(partial - full) <= 1e-13 * abs(full)
+
+    @pytest.mark.parametrize("t", _TIMES)
+    @pytest.mark.parametrize("a", [10.0, 14.0, 20.0, 40.0])
+    def test_flag_fires_outside_trust_region(self, t, a):
+        _, flagged = TychonoffSolution(40).value_with_flag(t, np.array(math.sqrt(4.0 * t * a)))
+        assert flagged
+
+
+def _flat_series_mp(t: float, x: float, n_terms: int):
+    """sum_{k < n_terms} f^(k)(t) x^2k / (2k)! for f = e^{-1/t}, in 60-digit mpmath.
+
+    f^(k)(t) = e^{-1/t} t^{-2k} Q_k(t) with integer polynomials Q_0 = 1 and
+    Q_{k+1} = t^2 Q_k' + (1 - 2kt) Q_k.
+    """
+    with mpmath.workdps(60):
+        t, x = mpmath.mpf(t), mpmath.mpf(x)
+        q = [1]  # ascending coefficients of Q_k
+        total = mpmath.mpf(0)
+        for k in range(n_terms):
+            f_k = mpmath.exp(-1 / t) * t ** (-2 * k) * mpmath.polyval(q[::-1], t)
+            total += f_k * x ** (2 * k) / mpmath.factorial(2 * k)
+            nxt = [0] * (len(q) + 1)
+            for i, c in enumerate(q):
+                nxt[i] += c
+                nxt[i + 1] += i * c - 2 * k * c
+            q = nxt
+        return +total
+
+
+def _contour_means_per_k(t: float, k_max: int) -> tuple[float, ...]:
+    """Contour means with nodes and twiddles rebuilt for every k (the reference loop)."""
+    r = 0.5 * t
+    means = []
+    for k in range(k_max + 1):
+        n = max(64, 8 * k)
+        theta = 2.0 * math.pi * np.arange(n) / n
+        z = t + r * np.exp(1j * theta)
+        means.append(float(np.mean(np.exp(-1.0 / z) * np.exp(-1j * k * theta)).real))
+    return tuple(means)
+
+
+@pytest.mark.parametrize("k_max", [1, 8, 9, 40])
+def test_contour_means_match_per_k_loop_bit_for_bit(k_max):
+    ts = 1.0 - np.random.default_rng(k_max).random(200)  # in (0, 1]
+    for t in ts.tolist():
+        got = np.array(zoo._contour_means(t, k_max))
+        want = np.array(_contour_means_per_k(t, k_max))
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestHeatResidual:
