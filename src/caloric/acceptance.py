@@ -13,8 +13,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erf
 
 from . import optrack
 from .grid import SpatialGrid, SpaceTimeField, StripSpec
@@ -335,8 +333,15 @@ def criterion_7_flux_boundedness() -> CriterionResult:
 
 
 def _tent_oracle_value() -> float:
-    """Closed-form tent norm of the 1D heat kernel via the erf integral."""
-    integral, _ = quad(lambda s: 2.0 * erf(1.0 / (math.sqrt(2.0) * s)), 0.0, 1.0, limit=200)
+    """Closed-form tent norm of the 1D heat kernel.
+
+    It needs I = int_0^1 2 erf(1/(sqrt(2) s)) ds.  Integrating by parts and
+    substituting u = 1/(2 s^2) gives I = 2 (erf(1/sqrt(2)) + E1(1/2)/sqrt(2 pi)),
+    which matches a 40-digit quadrature to the last double digit.
+    """
+    from scipy.special import erf, exp1
+
+    integral = 2.0 * (erf(1.0 / math.sqrt(2.0)) + exp1(0.5) / math.sqrt(2.0 * math.pi))
     return math.sqrt(0.5 * (8.0 * math.pi) ** -0.5 * integral)
 
 

@@ -124,7 +124,7 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
             elif isinstance(val, float):
                 txt = fmt_float(val)
             else:
-                txt = str(val)
+                txt = str(val).replace("%", "%%")  # configparser interpolates '%'
             lines.append(f"{key} = {txt}")
         lines.append("")
     return "\n".join(lines)

@@ -24,6 +24,7 @@ Quadrature conventions
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Literal
@@ -354,19 +355,22 @@ def extent_audit(compute: Callable[[SpatialGrid], float], grid: SpatialGrid,
     return ExtentAudit(v, v_big, rel, rel <= rel_tol, factor)
 
 
+# The column header row of a field CSV, by grid dimension.
+_COLUMNS = {1: "t,x,value", 2: "t,x,y,value"}
+
+
 def field_to_csv(u: SpaceTimeField) -> str:
     """Serialize snapshots: grid header comment, then t,x[,y],value rows."""
     g = u.grid
     buf = io.StringIO()
     buf.write(f"# grid n={g.dim} L={fmt_float(g.half_extent)} "
               f"dx={fmt_float(g.spacing)} mode={g.boundary_mode}\n")
+    buf.write(_COLUMNS[g.dim] + "\n")
     if g.dim == 1:
-        buf.write("t,x,value\n")
         for i, t in enumerate(u.times):
             for j, x in enumerate(g.axis):
                 buf.write(f"{fmt_float(t)},{fmt_float(x)},{fmt_float(u.values[i, j])}\n")
     else:
-        buf.write("t,x,y,value\n")
         ax = g.axis
         for i, t in enumerate(u.times):
             for j, x in enumerate(ax):
@@ -379,9 +383,12 @@ def field_to_csv(u: SpaceTimeField) -> str:
 def field_from_csv(text: str, label: str = "") -> SpaceTimeField:
     """Parse the output of :func:`field_to_csv`.
 
-    Every data row must name a point of the header's grid, once per time.
-    A row of the wrong width, a coordinate that rounds to no grid index
-    and a repeated (t, x[, y]) raise DataError naming the row.
+    The column header row that :func:`field_to_csv` writes for the grid's
+    dimension is optional; every other line is a data row.  Every data row
+    must name a point of the header's grid, once per time.  A row of the
+    wrong width, a field that is not a number, a time or coordinate that is
+    not finite, a coordinate that rounds to no grid index and a repeated
+    (t, x[, y]) raise DataError naming the row.
     """
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or not lines[0][1].startswith("# grid"):
@@ -390,15 +397,21 @@ def field_from_csv(text: str, label: str = "") -> SpaceTimeField:
     grid = SpatialGrid(int(header["n"]), float(header["L"]), float(header["dx"]),
                        header["mode"])  # type: ignore[arg-type]
     body = lines[1:]
-    if body and not body[0][1][0].isdigit() and not body[0][1].startswith("-"):
-        body = body[1:]  # skip column header row
+    if body and body[0][1].strip() == _COLUMNS[grid.dim]:
+        body = body[1:]
     width = grid.dim + 2
     rows = []
     for no, ln in body:
         fields = ln.split(",")
         if len(fields) != width:
             raise DataError(f"row {no} {ln!r}: {len(fields)} fields, expected {width}")
-        rows.append((no, ln, tuple(float(v) for v in fields)))
+        try:
+            r = tuple(float(v) for v in fields)
+        except ValueError:
+            raise DataError(f"row {no} {ln!r}: a field is not a number") from None
+        if not all(map(math.isfinite, r[:-1])):
+            raise DataError(f"row {no} {ln!r}: time or coordinate is not finite")
+        rows.append((no, ln, r))
     times = sorted({r[0] for _, _, r in rows})
     t_index = {t: i for i, t in enumerate(times)}
     n = grid.points_per_axis

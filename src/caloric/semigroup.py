@@ -47,7 +47,6 @@ from math import ceil, pi, sqrt
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
-from scipy import ndimage
 
 from .errors import DomainTooSmallError, InsufficientDecayDataError
 from .grid import SpatialGrid
@@ -198,6 +197,8 @@ def _exterior_1d(span: Array, kernel: Array) -> Array:
     opposite sign and exact cancellations both give +0.0); ``+ 0.0``
     restores that for the swapped sum, which may start at -0.0.
     """
+    from scipy import ndimage
+
     m = kernel.size // 2
     M = min(span.size, m)
     taps = np.zeros(M + 2 - M % 2)
@@ -222,6 +223,8 @@ def _split_convolve_1d(span: Array, kernel: Array) -> Array:
     Relies on the kernel being exactly symmetric or antisymmetric, as both
     heat kernels are.
     """
+    from scipy import ndimage
+
     m = kernel.size // 2
     M = min(span.size, m)
     inner = ndimage.convolve1d(span, kernel[m - M:m + M + 1], mode="constant", cval=0.0)
@@ -242,6 +245,8 @@ def _convolve(values: Array, kernel: Array, axis: int, grid: SpatialGrid) -> Arr
     # compare both paths with the full-axis convolution bit for bit.  The
     # linear window is taken modulo n on a periodic axis and clipped on a
     # zero-padded one.
+    from scipy import ndimage
+
     m = kernel.size // 2
     span = _support_span(values, axis, m)
     if span is None:

@@ -36,7 +36,6 @@ from typing import Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import erf
 
 from .grid import SpaceTimeField, SpatialGrid
 from .optrack import track
@@ -70,7 +69,9 @@ class GaussianKernelSolution:
 
     @property
     def label(self) -> str:
-        return f"gaussian_kernel(t0={self.t0:g})"
+        if self.x0 == (0.0,):
+            return f"gaussian_kernel(t0={self.t0:g})"
+        return f"gaussian_kernel(t0={self.t0:g},x0={','.join(f'{c:g}' for c in self.x0)})"
 
     def _r2(self, axes) -> Array:
         r2 = np.zeros(np.broadcast_shapes(*(np.shape(a) for a in axes)))
@@ -211,6 +212,8 @@ class ErfFront:
     label = "erf_front"
 
     def value(self, t: float, x: Array) -> Array:
+        from scipy.special import erf
+
         x = np.asarray(x, dtype=float)
         return erf(x / sqrt(4.0 * t))
 
@@ -485,6 +488,8 @@ class SignDatum:
         return np.sign(grid.axis)
 
     def evolved_values(self, t: float, x: Array) -> Array:
+        from scipy.special import erf
+
         return erf(np.asarray(x, dtype=float) / sqrt(4.0 * t))
 
     def initial_function(self, x: Array) -> Array:

@@ -5,6 +5,9 @@ prints its pass/fail line.  Criterion 10 is the suite's own coverage
 assertion (every tracked operation exercised at least once).
 """
 
+import math
+
+import mpmath
 import pytest
 
 from caloric import acceptance
@@ -56,6 +59,21 @@ def test_criterion_7_flux_boundedness(results):
 
 def test_criterion_8_tent_and_bmo(results):
     _assert_criterion(results, 8)
+
+
+def test_tent_oracle_closed_form_matches_quadrature():
+    # I = int_0^1 2 erf(1/(sqrt(2) s)) ds at 40 digits, split where the
+    # integrand bends; the closed form must agree to 2 ulp
+    with mpmath.workdps(40):
+        integral = mpmath.quad(lambda s: 2 * mpmath.erf(1 / (mpmath.sqrt(2) * s)), [0, 0.25, 1])
+        want = float(mpmath.sqrt(integral / (2 * mpmath.sqrt(8 * mpmath.pi))))
+    got = acceptance._tent_oracle_value()
+    assert abs(got - want) <= 2 * math.ulp(want)
+
+
+def test_criterion_8_oracle_line_unchanged(results):
+    assert ("  ok: tent norm of the heat kernel matches the erf oracle "
+            "(0.4243 vs 0.4251 (0.20%))") in results[8].details
 
 
 def test_criterion_9_caccioppoli(results):

@@ -1,6 +1,11 @@
+from dataclasses import fields
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from caloric.cli import (
+    PIPELINES,
     ExperimentConfig,
     config_from_ini,
     config_to_ini,
@@ -10,7 +15,40 @@ from caloric.cli import (
 )
 
 
+_FLOATS = st.floats(allow_nan=False)  # infinities, subnormals and -0.0 included
+# configparser strips a value and reads it line by line
+_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                max_size=24).map(str.strip)
+
+
+def _field_strategy(name: str, default):
+    """Any value of the field's type; the pipeline is one of the real ones."""
+    if name == "pipeline":
+        return st.sampled_from(PIPELINES)
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-2**62, 2**62)
+    if isinstance(default, float):
+        return _FLOATS
+    if isinstance(default, tuple):
+        return st.lists(_FLOATS, max_size=8).map(tuple)
+    return _TEXT
+
+
+_CONFIGS = st.builds(ExperimentConfig, **{
+    f.name: _field_strategy(f.name, getattr(ExperimentConfig(), f.name))
+    for f in fields(ExperimentConfig)})
+
+
 class TestConfig:
+    @given(cfg=_CONFIGS)
+    @example(cfg=ExperimentConfig(pipeline="recover", out_dir="runs/50%_done", radii=(),
+                                  evolve_times=(0.1, 5e-324, 0.30000000000000004)))
+    @settings(max_examples=150, deadline=None)
+    def test_ini_round_trip_property(self, cfg):
+        assert config_from_ini(config_to_ini(cfg)) == cfg
+
     def test_round_trip(self):
         cfg = ExperimentConfig(pipeline="growth-fit", solution_id="eigenmode:omega=2",
                                grid_points=512, radii=(2.0, 3.0, 4.0, 5.0, 6.0),

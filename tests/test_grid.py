@@ -274,3 +274,28 @@ class TestFieldCsv:
         text = "\n".join([header, columns, *edit(rows)])
         with pytest.raises(DataError, match=rf"row {row} .*{message}"):
             field_from_csv(text)
+
+    @pytest.mark.parametrize("first", ["0.25,-8,2", "+0.25,-8,2", ".25,-8,2", "0.25,-8,+2"])
+    def test_first_row_without_column_header_is_data(self, first):
+        # only the exact column header is skipped: a first data row that does
+        # not start with a digit or '-' used to be dropped as a header
+        grid = SpatialGrid.make(1, 8.0, 256)
+        u = constant_field(grid, [0.25], value=2.0)
+        header, columns, *rows = field_to_csv(u).splitlines()
+        assert columns == "t,x,value" and rows[0] == "0.25,-8,2"
+        back = field_from_csv("\n".join([header, first, *rows[1:]]))
+        np.testing.assert_array_equal(back.values, u.values)
+        np.testing.assert_array_equal(back.times, u.times)
+
+    @pytest.mark.parametrize("first,message", [
+        ("nan,-8,2", "time or coordinate is not finite"),
+        ("0.25,inf,2", "time or coordinate is not finite"),
+        ("t,x,y,value", "4 fields, expected 3"),
+        ("time,x,value", "a field is not a number"),
+        ("T,X,VALUE", "a field is not a number"),
+    ], ids=["nan-time", "inf-x", "2d-header", "other-header", "upper-case-header"])
+    def test_first_row_that_is_neither_header_nor_data(self, first, message):
+        grid = SpatialGrid.make(1, 8.0, 256)
+        header, _, *rows = field_to_csv(constant_field(grid, [0.25])).splitlines()
+        with pytest.raises(DataError, match=rf"row 2 .*{message}"):
+            field_from_csv("\n".join([header, first, *rows]))

@@ -52,7 +52,7 @@ _DIM_MISMATCHES = {
     "2d-bump": (GaussianKernelSolution(1.0), TestFunction((0.5, 0.0), 1.0),
                 "probe bump(c=0.5,0,r=1) is 2-D but the field is 1-D"),
     "2d-solution": (GaussianKernelSolution(1.0, (0.0, 0.0)), TestFunction((0.5,), 1.0),
-                    "solution gaussian_kernel(t0=1) is 2-D but the grid is 1-D"),
+                    "solution gaussian_kernel(t0=1,x0=0,0) is 2-D but the grid is 1-D"),
 }
 
 

@@ -308,6 +308,10 @@ class TestExactPairingOracle:
 class TestRegistry:
     @pytest.mark.parametrize("ident,label", [
         ("gaussian_kernel:t0=2", "gaussian_kernel(t0=2)"),
+        ("gaussian_kernel:t0=1,x0=0", "gaussian_kernel(t0=1)"),
+        ("gaussian_kernel:t0=1,x0=-1.5", "gaussian_kernel(t0=1,x0=-1.5)"),
+        ("gaussian_kernel:t0=1,dim=2", "gaussian_kernel(t0=1,x0=0,0)"),
+        ("gaussian_kernel:t0=0.5,x0=2,dim=2", "gaussian_kernel(t0=0.5,x0=2,2)"),
         ("caloric_polynomial:m=4", "caloric_polynomial(4)"),
         ("exponential:mu=1", "exponential(mu=1)"),
         ("eigenmode:omega=2", "eigenmode(omega=2)"),
