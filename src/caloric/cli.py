@@ -397,6 +397,24 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     return result
 
 
+def _gnuplot_row(row: str) -> str:
+    """A CSV row as whitespace-separated gnuplot columns.
+
+    Only top-level commas break columns: a bracketed label such as
+    ``bump(c=1,r=1)`` stays one column.
+    """
+    cols: list[str] = []
+    depth = 0
+    for piece in row.split(","):
+        if depth > 0:
+            cols[-1] += "," + piece
+        else:
+            cols.append(piece)
+        depth += (piece.count("(") + piece.count("[")
+                  - piece.count(")") - piece.count("]"))
+    return " ".join(cols)
+
+
 def _plot_block(path: Path, index: int) -> str:
     """One gnuplot panel per recognized CSV type, data inlined."""
     text = path.read_text().strip().splitlines()
@@ -413,8 +431,11 @@ def _plot_block(path: Path, index: int) -> str:
         return "\n".join(lines)
     cols = header.split(",")
     lines.append(f"$data{index} << EOD")
-    for r in rows:
-        lines.append(r.replace(",", " "))
+    data = "\n".join(rows)
+    if "(" in data or "[" in data:
+        lines.extend(_gnuplot_row(r) for r in rows)
+    else:  # a numeric block: every comma is a column break
+        lines.append(data.replace(",", " "))
     lines.append("EOD")
     if header.startswith("solution,s,t,h_id,grid_level"):
         lines.append("set title 'homotopy residual vs grid level'")

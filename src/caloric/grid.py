@@ -23,7 +23,6 @@ Quadrature conventions
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -360,24 +359,25 @@ _COLUMNS = {1: "t,x,value", 2: "t,x,y,value"}
 
 
 def field_to_csv(u: SpaceTimeField) -> str:
-    """Serialize snapshots: grid header comment, then t,x[,y],value rows."""
+    """Serialize snapshots: grid header comment, then t,x[,y],value rows.
+
+    Rows run over times, then over grid points in C order (x, then y).
+    Every number is written as ``'%.17g'``, the same string as
+    :func:`~caloric.util.fmt_float` gives, so the text round-trips bit for
+    bit through :func:`field_from_csv` and is byte-identical across runs.
+    """
     g = u.grid
-    buf = io.StringIO()
-    buf.write(f"# grid n={g.dim} L={fmt_float(g.half_extent)} "
-              f"dx={fmt_float(g.spacing)} mode={g.boundary_mode}\n")
-    buf.write(_COLUMNS[g.dim] + "\n")
-    if g.dim == 1:
-        for i, t in enumerate(u.times):
-            for j, x in enumerate(g.axis):
-                buf.write(f"{fmt_float(t)},{fmt_float(x)},{fmt_float(u.values[i, j])}\n")
-    else:
-        ax = g.axis
-        for i, t in enumerate(u.times):
-            for j, x in enumerate(ax):
-                for k, y in enumerate(ax):
-                    buf.write(f"{fmt_float(t)},{fmt_float(x)},{fmt_float(y)},"
-                              f"{fmt_float(u.values[i, j, k])}\n")
-    return buf.getvalue()
+    ax = ["%.17g" % x for x in g.axis.tolist()]
+    points = ax if g.dim == 1 else [f"{x},{y}" for x in ax for y in ax]
+    cells = ["", *(f"{p},%.17g\n" for p in points)]
+    parts = [f"# grid n={g.dim} L={fmt_float(g.half_extent)} "
+             f"dx={fmt_float(g.spacing)} mode={g.boundary_mode}\n{_COLUMNS[g.dim]}\n"]
+    # one '%' call per time slice: "t," joined before every cell is the row
+    # template of that time
+    for t, row in zip(u.times, u.values):
+        template = f"{fmt_float(t)},".join(cells)
+        parts.append(template % tuple(row.ravel().tolist()))
+    return "".join(parts)
 
 
 def field_from_csv(text: str, label: str = "") -> SpaceTimeField:

@@ -135,7 +135,7 @@ def worker_count(n_tasks: int) -> int:
 
 
 def fmt_float(x: float) -> str:
-    """Stable shortest-round-trip formatting for CSV output."""
+    """CSV number format: ``'%.17g'``, 17 significant digits, round-trips exactly."""
     return format(float(x), ".17g")
 
 

@@ -1,9 +1,11 @@
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from caloric import SpaceTimeField, SpatialGrid, field_to_csv
 from caloric.cli import (
     PIPELINES,
     ExperimentConfig,
@@ -261,6 +263,53 @@ class TestEmitPlots:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             emit_plots([tmp_path / "ghost.csv"])
+
+    @staticmethod
+    def _data_block(script: str, index: int = 0) -> str:
+        return script.split(f"$data{index} << EOD\n", 1)[1].split("\nEOD\n", 1)[0]
+
+    @pytest.mark.parametrize("name,text", [
+        ("field.csv", field_to_csv(SpaceTimeField(
+            SpatialGrid.make(1, 8.0, 64), [1e-3, 1 / 3],
+            np.array([np.sin(np.arange(64.0)) * 1e-300, -np.exp(np.arange(64.0))])))),
+        ("growth_fit.csv", "radius,z,l2,log_l2,fit_log_l2\n2,4,1.5e-07,-15.7,-0.0\n"
+                           "3,9,2.25,0.81093021621632877,0.8\n"),
+    ], ids=["field", "growth-fit"])
+    def test_numeric_block_equals_per_row_replacement(self, tmp_path, name, text):
+        # a block with no bracket is inlined by one replace over the whole
+        # block; it must equal the per-row replacement it stands for
+        csv = tmp_path / name
+        csv.write_text(text)
+        rows = text.strip().splitlines()[1:]
+        block = self._data_block(emit_plots([csv]))
+        assert block == "\n".join(r.replace(",", " ") for r in rows)
+
+    def test_bracketed_labels_stay_one_column(self, tmp_path):
+        csv = tmp_path / "labels.csv"
+        csv.write_text("name,value,tag\nf(a,g(b,c)),1,[x,y]\nplain,2,(p)\n")
+        block = self._data_block(emit_plots([csv]))
+        assert block.splitlines() == ["f(a,g(b,c)) 1 [x,y]", "plain 2 (p)"]
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        dict(solution_id="gaussian_kernel:t0=1,dim=2", grid_dim=2, grid_half_extent=12.0,
+             grid_points=64, grid_levels=2, method="spectral_multiplier"),
+    ], ids=["default-1d", "2d"])
+    def test_homotopy_plot_columns(self, tmp_path, overrides):
+        # 'using 5:8' must read grid_level and residual although the solution
+        # and probe labels carry commas
+        cfg = ExperimentConfig(pipeline="homotopy", out_dir=str(tmp_path), **overrides)
+        assert run_experiment(cfg).exit_code == 0
+        csv_rows = (tmp_path / "homotopy.csv").read_text().strip().splitlines()[1:]
+        script = (tmp_path / "plots.gp").read_text()
+        assert "using 5:8" in script
+        plot_rows = self._data_block(script).splitlines()
+        assert len(plot_rows) == len(csv_rows) > 0
+        for plot_row, csv_row in zip(plot_rows, csv_rows):
+            cols = plot_row.split()
+            assert len(cols) == 8 and "," in cols[3]
+            _, grid_level, _, _, residual = csv_row.rsplit(",", 4)
+            assert (cols[4], cols[7]) == (grid_level, residual)
 
 
 def test_worker_count_respects_env(monkeypatch):
