@@ -31,7 +31,6 @@ from .grid import (
 from .norms import (
     BallFamily,
     GrowthFit,
-    SeminormOrder,
     SpaceTimeRegion,
     TentNormResult,
     bmo_inv_norm,

@@ -500,23 +500,22 @@ def coverage_check(out_dir=None) -> CriterionResult:
 
     from . import cli
 
-    start = time.perf_counter()
-    chk = _Checker()
-    target = out_dir or tempfile.mkdtemp(prefix="caloric-coverage-")
-    config = cli.ExperimentConfig(
-        pipeline="growth-fit",
-        solution_id="eigenmode:omega=1",
-        grid_dim=1, grid_half_extent=15.0, grid_points=512, grid_mode="periodic",
-        strip_a=1.0, strip_b=2.0,
-        radii=(2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0),
-        out_dir=str(target),
-    )
-    run = cli.run_experiment(config)
-    chk.check("embedded growth-fit experiment exits 0", run.exit_code == 0,
-              f"exit {run.exit_code}")
-    missing = optrack.uncovered_ops()
-    chk.check("every tracked operation exercised", not missing,
-              "missing: " + ",".join(missing) if missing else
-              f"{len(optrack.registered_ops())} ops covered")
-    elapsed = time.perf_counter() - start
-    return CriterionResult(10, "operation coverage", chk.ok, 60.0, elapsed, chk.details)
+    def body(chk: _Checker) -> None:
+        target = out_dir or tempfile.mkdtemp(prefix="caloric-coverage-")
+        config = cli.ExperimentConfig(
+            pipeline="growth-fit",
+            solution_id="eigenmode:omega=1",
+            grid_dim=1, grid_half_extent=15.0, grid_points=512, grid_mode="periodic",
+            strip_a=1.0, strip_b=2.0,
+            radii=(2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0),
+            out_dir=str(target),
+        )
+        run = cli.run_experiment(config)
+        chk.check("embedded growth-fit experiment exits 0", run.exit_code == 0,
+                  f"exit {run.exit_code}")
+        missing = optrack.uncovered_ops()
+        chk.check("every tracked operation exercised", not missing,
+                  "missing: " + ",".join(missing) if missing else
+                  f"{len(optrack.registered_ops())} ops covered")
+
+    return _run(10, "operation coverage", 60.0, body)

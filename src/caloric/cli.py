@@ -167,6 +167,7 @@ class _Reporter:
     def __init__(self, out_dir: Path) -> None:
         self.out_dir = out_dir
         self.files: list[str] = []
+        self.csvs: list[tuple[str, str]] = []  # (name, text) of each CSV written
         self.lines: list[str] = []
         self.failed = False
 
@@ -174,6 +175,8 @@ class _Reporter:
         path = self.out_dir / name
         path.write_text(text)
         self.files.append(str(path))
+        if name.endswith(".csv"):
+            self.csvs.append((name, text))
         return path
 
     def record(self, name: str, ok: bool, info: str = "") -> None:
@@ -389,9 +392,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         rep.record(f"pipeline {cfg.pipeline} aborted: {exc}", False)
         return rep.finish()
     result = rep.finish()
-    csvs = [f for f in result.files if f.endswith(".csv")]
-    if csvs:
-        script = emit_plots(csvs)
+    if rep.csvs:
+        script = emit_plots(rep.csvs)
         (out_dir / "plots.gp").write_text(script)
         result.files.append(str(out_dir / "plots.gp"))
     return result
@@ -415,14 +417,11 @@ def _gnuplot_row(row: str) -> str:
     return " ".join(cols)
 
 
-def _plot_block(path: Path, index: int) -> str:
+def _plot_block(name: str, text: str, index: int) -> str:
     """One gnuplot panel per recognized CSV type, data inlined."""
-    text = path.read_text().strip().splitlines()
-    header = text[0] if text else ""
-    rows = text[1:]
-    name = path.name
+    header, _, data = text.strip().partition("\n")
     lines = [f"# panel {index}: {name}"]
-    if not rows:
+    if not data:
         lines.append(f"# warning: {name} contains no data rows")
         lines.append(f"$data{index} << EOD")
         lines.append("EOD")
@@ -431,9 +430,8 @@ def _plot_block(path: Path, index: int) -> str:
         return "\n".join(lines)
     cols = header.split(",")
     lines.append(f"$data{index} << EOD")
-    data = "\n".join(rows)
     if "(" in data or "[" in data:
-        lines.extend(_gnuplot_row(r) for r in rows)
+        lines.extend(_gnuplot_row(r) for r in data.split("\n"))
     else:  # a numeric block: every comma is a column break
         lines.append(data.replace(",", " "))
     lines.append("EOD")
@@ -458,17 +456,13 @@ def _plot_block(path: Path, index: int) -> str:
 
 
 @track("emit_plots")
-def emit_plots(csv_paths) -> str:
-    """Gnuplot-compatible script text for the given report CSVs.
+def emit_plots(csvs) -> str:
+    """Gnuplot-compatible script text for report CSVs given as (name, text) pairs.
 
     Panels are ordered by filename; header-only CSVs yield an empty data
     block plus a warning comment.
     """
-    paths = sorted(Path(p) for p in csv_paths)
-    missing = [p for p in paths if not p.exists()]
-    if missing:
-        raise FileNotFoundError(f"missing report CSVs: {', '.join(str(m) for m in missing)}")
-    blocks = [_plot_block(p, i) for i, p in enumerate(paths)]
+    blocks = [_plot_block(name, text, i) for i, (name, text) in enumerate(sorted(csvs))]
     head = ["# caloric report plots (gnuplot)", "set grid"]
     if len(blocks) > 1:
         head.append(f"set multiplot layout {len(blocks)},1")

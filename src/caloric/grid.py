@@ -45,6 +45,10 @@ BoundaryMode = Literal["periodic", "zero_padded"]
 _COVER_TOL = 1e-9
 # A time within this distance of a sample time names that sample.
 SAMPLE_TIME_TOL = 1e-9
+# The extent audit recomputes on a box this much wider and passes when the
+# relative change stays within EXTENT_REL_TOL.
+EXTENT_FACTOR = 1.5
+EXTENT_REL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -123,9 +127,9 @@ class SpatialGrid:
         """Same box, spacing divided by *factor*."""
         return replace(self, spacing=self.spacing / factor)
 
-    def enlarged(self, factor: float = 1.5) -> "SpatialGrid":
-        """Wider box at identical spacing (for extent audits)."""
-        n_new = round(self.points_per_axis * factor / 2) * 2
+    def enlarged(self) -> "SpatialGrid":
+        """Box EXTENT_FACTOR times wider at identical spacing (for extent audits)."""
+        n_new = round(self.points_per_axis * EXTENT_FACTOR / 2) * 2
         return SpatialGrid(self.dim, n_new * self.spacing / 2.0, self.spacing, self.boundary_mode)
 
 
@@ -189,10 +193,6 @@ class SpaceTimeField:
             raise CoverageError(f"time {t} is not a sample time of the field (nearest "
                                 f"{self.times[idx]}); sampled fields are never interpolated")
         return self.values[idx]
-
-    def scaled(self, c: float, label: str | None = None) -> "SpaceTimeField":
-        return SpaceTimeField(self.grid, self.times, c * np.asarray(self.values),
-                              label if label is not None else self.label)
 
 
 def ball_weights(grid: SpatialGrid, center, radius: float) -> NDArray[np.float64]:
@@ -331,27 +331,26 @@ def _assign_along(arr: NDArray, axis: int, idx, values) -> None:
 
 @dataclass(frozen=True)
 class ExtentAudit:
-    """Result of recomputing a scalar on a 1.5x wider box."""
+    """Result of recomputing a scalar on an EXTENT_FACTOR times wider box."""
 
     value: float
     enlarged_value: float
     rel_change: float
     passed: bool
-    factor: float = 1.5
 
 
-def extent_audit(compute: Callable[[SpatialGrid], float], grid: SpatialGrid,
-                 factor: float = 1.5, rel_tol: float = 1e-3) -> ExtentAudit:
+def extent_audit(compute: Callable[[SpatialGrid], float], grid: SpatialGrid) -> ExtentAudit:
     """Check that a reported quantity is insensitive to the domain truncation.
 
-    Recomputes ``compute`` on a grid enlarged by *factor* (same spacing) and
-    reports the relative change; passes when it stays below *rel_tol*.
+    Recomputes ``compute`` on ``grid.enlarged()`` (EXTENT_FACTOR times wider,
+    same spacing) and reports the relative change; passes when it is at most
+    EXTENT_REL_TOL.
     """
     v = float(compute(grid))
-    v_big = float(compute(grid.enlarged(factor)))
+    v_big = float(compute(grid.enlarged()))
     scale = max(abs(v), abs(v_big), 1e-300)
     rel = abs(v_big - v) / scale
-    return ExtentAudit(v, v_big, rel, rel <= rel_tol, factor)
+    return ExtentAudit(v, v_big, rel, rel <= EXTENT_REL_TOL)
 
 
 # The column header row of a field CSV, by grid dimension.
@@ -380,7 +379,7 @@ def field_to_csv(u: SpaceTimeField) -> str:
     return "".join(parts)
 
 
-def field_from_csv(text: str, label: str = "") -> SpaceTimeField:
+def field_from_csv(text: str) -> SpaceTimeField:
     """Parse the output of :func:`field_to_csv`.
 
     The column header row that :func:`field_to_csv` writes for the grid's
@@ -428,4 +427,4 @@ def field_from_csv(text: str, label: str = "") -> SpaceTimeField:
         values[at] = r[-1]
     if not seen.all():
         raise DataError("CSV does not cover the full grid")
-    return SpaceTimeField(grid, np.asarray(times), values, label)
+    return SpaceTimeField(grid, np.asarray(times), values)

@@ -42,6 +42,12 @@ Array = NDArray[np.float64]
 
 GAMMA_THRESHOLD = 0.25
 _BORDERLINE = (0.24, 0.26)
+# Ratio of the geometric Carleson t-ladder.
+_LADDER_RATIO = 1.3
+# Schwartz seminorm sups are refined until stable to this relative change.
+_SEMINORM_REL_TOL = 1e-4
+# Centers of the tent-to-strip lattice.
+_STRIP_CENTERS = 9
 
 
 @dataclass(frozen=True)
@@ -116,23 +122,6 @@ class BallFamily:
         if any(r <= 0 for r in self.radii):
             raise ValueError("radii must be positive")
 
-    @classmethod
-    def lattice(cls, grid: SpatialGrid, max_time: float, n_centers: int = 5,
-                n_radii: int = 4, spread: float = 0.5) -> "BallFamily":
-        """Centers on a symmetric lattice, radii geometric up to sqrt(max_time)."""
-        r_max = sqrt(max_time)
-        radii = tuple(r_max * 2.0 ** (-j) for j in reversed(range(n_radii)))
-        span = spread * grid.half_extent
-        if n_centers == 1:
-            cs = [0.0]
-        else:
-            cs = np.linspace(-span, span, n_centers).tolist()
-        if grid.dim == 1:
-            centers = tuple((c,) for c in cs)
-        else:
-            centers = tuple((c1, c2) for c1 in cs for c2 in cs)
-        return cls(centers, radii)
-
     def balls(self):
         for c in self.centers:
             for r in self.radii:
@@ -198,9 +187,9 @@ def tent_norm(u: SpaceTimeField, family: BallFamily) -> TentNormResult:
     return TentNormResult(best.value, best, tuple(per), family)
 
 
-def carleson_time_ladder(grid: SpatialGrid, max_time: float, ratio: float = 1.3,
+def carleson_time_ladder(grid: SpatialGrid, max_time: float,
                          extra: Sequence[float] = ()) -> NDArray[np.float64]:
-    """Geometric t-ladder t_min * q^i from t_min = dx^2 up to max_time.
+    """Geometric t-ladder t_min * q^i, q = 1.3, from t_min = dx^2 up to max_time.
 
     The integrand of a Carleson box can blow up like t^{-1/2} near 0 for
     rough data; a geometric ladder integrates that accurately.  Exact box
@@ -209,7 +198,7 @@ def carleson_time_ladder(grid: SpatialGrid, max_time: float, ratio: float = 1.3,
     t_min = grid.spacing**2
     ts = [t_min]
     while ts[-1] < max_time:
-        ts.append(ts[-1] * ratio)
+        ts.append(ts[-1] * _LADDER_RATIO)
     ts[-1] = max_time
     merged = sorted(set(ts) | {float(e) for e in extra if t_min < e <= max_time})
     return np.asarray(merged)
@@ -217,8 +206,7 @@ def carleson_time_ladder(grid: SpatialGrid, max_time: float, ratio: float = 1.3,
 
 @track("bmo_inv_norm")
 def bmo_inv_norm(datum_values: Array, grid: SpatialGrid, family: BallFamily,
-                 cfg: HeatOperatorConfig = HeatOperatorConfig(),
-                 ladder_ratio: float = 1.3) -> TentNormResult:
+                 cfg: HeatOperatorConfig = HeatOperatorConfig()) -> TentNormResult:
     """Heat characterization ||f||_{bmo^-1} ~ ||e^{tL} f||_{T_inf}.
 
     Evolves the sampled datum over a geometric Carleson ladder and returns
@@ -226,8 +214,7 @@ def bmo_inv_norm(datum_values: Array, grid: SpatialGrid, family: BallFamily,
     """
     datum_values = np.asarray(datum_values, dtype=float)
     max_t = max(r * r for r in family.radii)
-    times = carleson_time_ladder(grid, max_t, ladder_ratio,
-                                 extra=[r * r for r in family.radii])
+    times = carleson_time_ladder(grid, max_t, extra=[r * r for r in family.radii])
     values = np.empty((times.size, *grid.shape))
     for i, t in enumerate(times):
         values[i] = heat_evolve(grid, datum_values, float(t), cfg)
@@ -235,31 +222,21 @@ def bmo_inv_norm(datum_values: Array, grid: SpatialGrid, family: BallFamily,
     return tent_norm(field, family)
 
 
-@dataclass(frozen=True)
-class SeminormOrder:
-    """Highest |alpha|+|beta| entering the Schwartz seminorm."""
-
-    M: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.M <= 12:
-            raise ValueError("seminorm order must lie in 0..12 (evaluation cost)")
-
-
 @track("schwartz_seminorm")
-def schwartz_seminorm(phi, order: SeminormOrder | int,
-                      rel_tol: float = 1e-4) -> float:
+def schwartz_seminorm(phi, order: int) -> float:
     """P_M(phi) = max over |alpha|+|beta| <= M of sup_x |x^alpha phi^(beta)(x)|.
 
+    The order M must lie in 0..12 (evaluation cost; ValueError otherwise).
     The probe supplies exact derivatives; sups are grid maxima on a window
     covering the probe's decay, refined (doubled) until the value is stable
-    to *rel_tol* relative.  Each level takes the weights |x|^alpha once per
+    to 1e-4 relative.  Each level takes the weights |x|^alpha once per
     alpha and each derivative once per beta.
     """
-    m = order.M if isinstance(order, SeminormOrder) else SeminormOrder(order).M
-    if m > phi.max_derivative_order:
+    if not 0 <= order <= 12:
+        raise ValueError("seminorm order must lie in 0..12 (evaluation cost)")
+    if order > phi.max_derivative_order:
         raise ValueError(
-            f"seminorm order {m} exceeds available derivatives ({phi.max_derivative_order})")
+            f"seminorm order {order} exceeds available derivatives ({phi.max_derivative_order})")
     if getattr(phi, "dim", 1) != 1:
         raise ValueError("seminorms are computed for 1D probes")
     if hasattr(phi, "decay_window"):
@@ -271,13 +248,13 @@ def schwartz_seminorm(phi, order: SeminormOrder | int,
     for _ in range(12):
         x = np.linspace(-window, window, n)
         abs_x = np.abs(x)
-        x_powers = [abs_x ** alpha for alpha in range(m + 1)]
+        x_powers = [abs_x ** alpha for alpha in range(order + 1)]
         best = 0.0
-        for beta in range(m + 1):
+        for beta in range(order + 1):
             d = np.abs(phi.derivative(beta, x))
-            for alpha in range(m + 1 - beta):
+            for alpha in range(order + 1 - beta):
                 best = max(best, float((x_powers[alpha] * d).max()))
-        if prev is not None and abs(best - prev) <= rel_tol * max(best, 1e-300):
+        if prev is not None and abs(best - prev) <= _SEMINORM_REL_TOL * max(best, 1e-300):
             return best
         prev = best
         n = 2 * n - 1
@@ -294,12 +271,12 @@ class TentToStripReport:
 
 @track("tent_to_strip_bound")
 def tent_to_strip_bound(u: SpaceTimeField, strip: StripSpec,
-                        family: BallFamily | None = None,
-                        n_centers: int = 9) -> TentToStripReport:
+                        family: BallFamily) -> TentToStripReport:
     """sup_x F(x) against the tent norm, F(x) = ||u||_{L2((a,b) x B(x, sqrt(b)))}.
 
-    Realizes the bound ||F||_inf <= C ||u||_{T_inf} on a center lattice;
-    the returned ratio should be bounded and refinement-stable across the
+    Realizes the bound ||F||_inf <= C ||u||_{T_inf} with F sampled on 9
+    evenly spaced centers and the tent norm taken over *family*; the
+    returned ratio should be bounded and refinement-stable across the
     corpus (the constant is not specified by the theory).
     """
     grid = u.grid
@@ -307,13 +284,11 @@ def tent_to_strip_bound(u: SpaceTimeField, strip: StripSpec,
     if r > 0.5 * grid.half_extent:
         raise CoverageError("need sqrt(b) <= L/2 for the center lattice")
     span = grid.half_extent - grid.spacing / 2 - r
-    centers = np.linspace(-span, span, n_centers)
+    centers = np.linspace(-span, span, _STRIP_CENTERS)
     sup_f = 0.0
     for c in centers:
         center = (c,) if grid.dim == 1 else (c, 0.0)
         sup_f = max(sup_f, integrate_strip_L2(u, strip, r, center=center))
-    if family is None:
-        family = BallFamily.lattice(grid, max_time=min(u.times[-1], strip.b))
     tv = tent_norm(u, family).value
     ratio = sup_f / tv if tv > 0 else (0.0 if sup_f == 0 else float("inf"))
     return TentToStripReport(sup_f, tv, ratio, tuple(centers.tolist()))
@@ -355,8 +330,7 @@ def _spacetime_integral(u: SpaceTimeField, slices: Array, region: SpaceTimeRegio
 
 @track("caccioppoli_ratio")
 def caccioppoli_ratio(u: SpaceTimeField, inner: SpaceTimeRegion,
-                      enlarged: SpaceTimeRegion,
-                      gradient_slices: Array | None = None) -> float:
+                      enlarged: SpaceTimeRegion) -> float:
     """Interior energy over the Caccioppoli bound's right-hand side.
 
     ratio = int_inner |grad u|^2 / [(1/r^2 + 1/(s-a)) int_enlarged |u|^2]
@@ -367,12 +341,9 @@ def caccioppoli_ratio(u: SpaceTimeField, inner: SpaceTimeRegion,
         raise ValueError("enlargement must strictly contain the inner region")
     from .grid import gradient as fd_gradient
 
-    if gradient_slices is None:
-        grads = np.empty((u.n_times, u.grid.dim, *u.grid.shape))
-        for i in range(u.n_times):
-            grads[i] = fd_gradient(u.grid, u.values[i])
-    else:
-        grads = np.asarray(gradient_slices, dtype=float)
+    grads = np.empty((u.n_times, u.grid.dim, *u.grid.shape))
+    for i in range(u.n_times):
+        grads[i] = fd_gradient(u.grid, u.values[i])
     grad_sq = np.add.reduce(grads**2, axis=1)
     energy = _spacetime_integral(u, grad_sq, inner)
     mass = _spacetime_integral(u, u.values**2, enlarged)

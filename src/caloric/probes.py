@@ -1,7 +1,7 @@
 """Pairing duals: compactly supported bumps and Gaussian-polynomial probes.
 
-Both families evaluate exactly (value, gradient, Laplacian, and - in 1D -
-arbitrary-order derivatives), which is what the seminorm and pairing-bound
+Both families evaluate exactly (value and - in 1D - derivatives to order
+12; bumps also their gradient), which is what the seminorm and pairing-bound
 measurements need.  The Gaussian-polynomial probes additionally evolve in
 closed form under the heat semigroup: evolving p(x) e^{-x^2/2s^2} yields
 another polynomial times a Gaussian of width sqrt(s^2 + 2t), computed from
@@ -23,6 +23,8 @@ Array = NDArray[np.float64]
 
 # exp(1 - 1/w) underflows for 1/w beyond ~745; cut a bit earlier.
 _EXP_FLOOR = 700.0
+# A Gaussian probe's decay window ends where |phi| falls below this.
+_DECAY_TAIL = 1e-18
 
 
 @dataclass(frozen=True)
@@ -77,18 +79,6 @@ class TestFunction:
             g[safe] = phi[safe] * (-1.0 / w[safe] ** 2) * (2.0 * da[safe] / self.radius**2)
             comps.append(g)
         return tuple(comps)
-
-    def laplacian(self, *axes: Array) -> Array:
-        s = self._s(axes)
-        w = 1.0 - s
-        safe = w > 1.0 / _EXP_FLOOR
-        out = np.zeros_like(s)
-        ws = w[safe]
-        ss = s[safe]
-        phi = np.exp(1.0 - 1.0 / ws)
-        n = self.dim
-        out[safe] = phi / self.radius**2 * (4 * ss / ws**4 - 8 * ss / ws**3 - 2 * n / ws**2)
-        return out
 
     def derivative(self, order: int, x: Array) -> Array:
         """Exact d^order/dx^order of the 1D bump, order 0..12.
@@ -191,9 +181,6 @@ class SchwartzProbe:
         c = self._derivative_coeffs(order)
         return np.polynomial.polynomial.polyval(x, c) * np.exp(-(x**2) / (2.0 * self.sigma**2))
 
-    def laplacian(self, x: Array) -> Array:
-        return self.derivative(2, x)
-
     def evolved(self, t: float) -> "SchwartzProbe":
         """Closed-form heat evolution; returns another Gaussian-polynomial probe."""
         if t < 0:
@@ -203,10 +190,10 @@ class SchwartzProbe:
         coeffs_t, sigma_t = evolve_gauss_poly(self.coeffs, self.sigma, t)
         return SchwartzProbe(coeffs_t, sigma_t, label=f"{self.label}@t={t:g}")
 
-    def decay_window(self, tail: float = 1e-18) -> float:
-        """Half-width beyond which |phi| is below *tail* (for sup searches)."""
+    def decay_window(self) -> float:
+        """Half-width beyond which |phi| is below 1e-18 (for sup searches)."""
         deg = len(self.coeffs) - 1
-        x = self.sigma * (sqrt(2.0 * abs(np.log(tail))) + deg + 4.0)
+        x = self.sigma * (sqrt(2.0 * abs(np.log(_DECAY_TAIL))) + deg + 4.0)
         return float(x)
 
 
@@ -255,6 +242,6 @@ def default_schwartz_panel() -> tuple[SchwartzProbe, ...]:
     )
 
 
-def central_compact_panel(radii: Sequence[float] = (0.5, 1.0, 1.5)) -> tuple[TestFunction, ...]:
+def central_compact_panel(radii: Sequence[float]) -> tuple[TestFunction, ...]:
     """Origin-centered bumps, used where the probed solution is only tame near 0."""
     return tuple(TestFunction((0.0,), r) for r in radii)

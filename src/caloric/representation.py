@@ -16,7 +16,7 @@ their sample times.  On top of the identity sit:
 * recovery of the initial datum as a tempered-distribution functional: the
   pairings <u(t_k), phi> along a geometric ladder are Cauchy, and Richardson
   extrapolation (the bias is O(t) with smooth higher corrections; three
-  levels by default) pins the limit independently of the ladder ratio;
+  levels) pins the limit independently of the ladder ratio;
 * probes for the uniqueness principle (ladder pairings tending to zero
   should force u = 0), for the boundedness of snapshots against a probe
   panel, for the convergence dichotomy exhibited by the flat-series
@@ -46,6 +46,18 @@ from .zoo import AnalyticSolution, InitialDatum, exact_pairing
 Array = NDArray[np.float64]
 
 _RHS_TAIL_TOL = 1e-10
+# Trapezoid nodes in tau of the flux functional.
+_N_TAU = 9
+# Richardson levels: the recovery bias terms t, t^2, t^3 are removed.
+_RICHARDSON_LEVELS = 3
+# Uniqueness probe: a pairing limit or an interior slice norm at or below
+# these counts as zero.
+_PAIR_TOL = 1e-6
+_SLICE_TOL = 1e-6
+# Schwartz partial integrals diverge when each grows by at least this factor.
+_DIVERGENCE_FACTOR = 10.0
+# The pairing bound takes the sup over the sample times below this cap.
+_PAIRING_T_CAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -68,12 +80,12 @@ class SnapshotLadder:
     def times(self) -> NDArray[np.float64]:
         return self.t0 * self.ratio ** np.arange(self.count, dtype=float)
 
-    def validate_floor(self, grid: SpatialGrid, safety: float = 1.0) -> None:
-        floor = safety * grid.spacing**2
+    def validate_floor(self, grid: SpatialGrid) -> None:
+        floor = grid.spacing**2
         if self.times[-1] < floor:
             raise ValueError(
                 f"ladder bottom {self.times[-1]:g} is below the resolution floor "
-                f"{floor:g} = {safety:g}*dx^2")
+                f"{floor:g} = 1*dx^2")
 
     @classmethod
     def down_to(cls, t0: float, ratio: float, t_floor: float) -> "SnapshotLadder":
@@ -208,7 +220,7 @@ def homotopy_residual(u: AnalyticSolution, s: float, t: float, h: TestFunction,
             f"homotopy rhs integrand is {tail:.3g} at |x| = 0.9L "
             f"(needs < {_RHS_TAIL_TOL:g}); the box does not contain the pairing")
     lhs = _support_quadrature(u, t, h, grid)
-    rhs = det_sum(u_s * phi_s * grid.cell_volume)
+    rhs = grid_pairing(grid, u_s, phi_s)
     return HomotopyReport(u.label, s, t, h.label, grid_level, lhs, rhs)
 
 
@@ -265,7 +277,7 @@ class FluxResult:
 def flux_functional(u: AnalyticSolution, s: float, t: float, h: TestFunction,
                     fluxcfg: FluxConfig, gamma_hat: float,
                     cfg: HeatOperatorConfig = HeatOperatorConfig(), *,
-                    grid: SpatialGrid, n_tau: int = 9) -> FluxResult:
+                    grid: SpatialGrid) -> FluxResult:
     """Annulus-averaged boundary fluxes Phi_1(R), Phi_2(R) of the identity proof.
 
     Phi_1 = int_s^t int_{lam R<|x|<R} |phi grad u|, Phi_2 = same with
@@ -286,12 +298,12 @@ def flux_functional(u: AnalyticSolution, s: float, t: float, h: TestFunction,
     admissible = gamma_hat < fluxcfg.gamma_threshold
     mesh = grid.meshgrid()
     radial = grid.distance_to((0.0,) * grid.dim)
-    taus = np.linspace(s, t, n_tau)
+    taus = np.linspace(s, t, _N_TAU)
     cell = grid.cell_volume
     h_vals = h.value(*mesh)
     # per-tau integrands, assembled once per tau then reduced per annulus
-    phi_slices = np.empty((n_tau, *grid.shape))
-    gphi_slices = np.empty((n_tau, grid.dim, *grid.shape))
+    phi_slices = np.empty((_N_TAU, *grid.shape))
+    gphi_slices = np.empty((_N_TAU, grid.dim, *grid.shape))
     for i, tau in enumerate(taus):
         rem = t - tau
         if rem <= 0:
@@ -304,11 +316,11 @@ def flux_functional(u: AnalyticSolution, s: float, t: float, h: TestFunction,
     gu_slices = np.stack([np.stack(u.gradient(float(tau), *mesh)) for tau in taus])
     abs_gu = np.sqrt(np.add.reduce(gu_slices**2, axis=1))
     abs_gphi = np.sqrt(np.add.reduce(gphi_slices**2, axis=1))
-    dt = (t - s) / (n_tau - 1)
-    w = np.full(n_tau, dt)
+    dt = (t - s) / (_N_TAU - 1)
+    w = np.full(_N_TAU, dt)
     w[0] = w[-1] = dt / 2.0
     # time profiles of the Phi_1 and Phi_2 integrands on each annulus
-    profiles = np.empty((len(fluxcfg.r_values), 2, n_tau))
+    profiles = np.empty((len(fluxcfg.r_values), 2, _N_TAU))
     for j, R in enumerate(fluxcfg.r_values):
         mask = (radial > fluxcfg.lam * R) & (radial < R)
         terms = np.stack([np.abs(phi_slices[:, mask]) * abs_gu[:, mask],
@@ -350,18 +362,17 @@ class RecoveryResult:
         return max(errs) if errs else float("nan")
 
 
-def richardson_limit(times: Sequence[float], values: Sequence[float],
-                     levels: int = 3) -> float:
-    """Extrapolate p(t) -> p(0) on a geometric ladder, killing t..t^levels bias.
+def richardson_limit(times: Sequence[float], values: Sequence[float]) -> float:
+    """Extrapolate p(t) -> p(0) on a geometric ladder, killing t, t^2, t^3 bias.
 
     The recovery bias is <u0, e^{tL}phi - phi> = t <u0, Lap phi> + O(t^2)
-    with smooth higher corrections, so successive Richardson levels remove
-    t, t^2, t^3; uses the last levels+1 points.  Raises ValueError unless
+    with smooth higher corrections, so three successive Richardson levels
+    remove t, t^2, t^3; uses the last 4 points.  Raises ValueError unless
     every ratio t[k+1]/t[k] equals q = t[1]/t[0] within rtol 1e-9.
     """
     t = np.asarray(times, dtype=float)
     p = np.asarray(values, dtype=float)
-    if t.size < levels + 1:
+    if t.size < _RICHARDSON_LEVELS + 1:
         raise ValueError("not enough ladder points for the requested extrapolation")
     q = t[1] / t[0]
     ratios = t[1:] / t[:-1]
@@ -370,9 +381,9 @@ def richardson_limit(times: Sequence[float], values: Sequence[float],
         k = int(np.argmax(off))
         raise ValueError(f"Richardson extrapolation needs a geometric ladder: "
                          f"t[{k + 1}]/t[{k}] = {ratios[k]!r} differs from q = {q!r}")
-    tt = t[-(levels + 1):]
-    pp = p[-(levels + 1):]
-    for level in range(1, levels + 1):
+    tt = t[-(_RICHARDSON_LEVELS + 1):]
+    pp = p[-(_RICHARDSON_LEVELS + 1):]
+    for level in range(1, _RICHARDSON_LEVELS + 1):
         factor = q**level
         pp = (pp[1:] - factor * pp[:-1]) / (1.0 - factor)
         tt = tt[1:]
@@ -394,8 +405,7 @@ def _is_divergent(incs: np.ndarray) -> bool:
 @track("recover_initial_data")
 def recover_initial_data(u: SpaceTimeField, ladder: SnapshotLadder,
                          panel: Sequence[SchwartzProbe],
-                         datum: InitialDatum | None = None,
-                         label: str | None = None) -> RecoveryResult:
+                         datum: InitialDatum | None = None) -> RecoveryResult:
     """Pairings <u(t_k), phi> along the ladder, with extrapolated limits.
 
     When the underlying datum is known its exact pairing is reported
@@ -428,7 +438,7 @@ def recover_initial_data(u: SpaceTimeField, ladder: SnapshotLadder,
         err = abs(extrap - exact) if (exact is not None and not divergent) else None
         per.append(ProbeRecovery(probe.label, tuple(ps.tolist()), tuple(incs.tolist()),
                                  extrap, exact, err, not divergent))
-    return RecoveryResult(label or u.label, tuple(times.tolist()), tuple(per))
+    return RecoveryResult(u.label, tuple(times.tolist()), tuple(per))
 
 
 @dataclass(frozen=True)
@@ -472,8 +482,7 @@ class UniquenessVerdict:
 @track("uniqueness_probe")
 def uniqueness_probe(u: SpaceTimeField, ladder: SnapshotLadder,
                      panel: Sequence[SchwartzProbe], strip: StripSpec,
-                     radii: Sequence[float], pair_tol: float = 1e-6,
-                     slice_tol: float = 1e-6) -> UniquenessVerdict:
+                     radii: Sequence[float]) -> UniquenessVerdict:
     """Probe the uniqueness principle: pairings -> 0 should force u = 0.
 
     NOT_APPLICABLE when the growth precondition fails (gamma_hat >= 1/4);
@@ -485,7 +494,7 @@ def uniqueness_probe(u: SpaceTimeField, ladder: SnapshotLadder,
         return UniquenessVerdict("NOT_APPLICABLE", fit, float("nan"), float("nan"))
     rec = recover_initial_data(u, ladder, panel)
     limits = [abs(p.extrapolated) for p in rec.per_probe if p.recoverable]
-    if not limits or not rec.all_recoverable or max(limits) > pair_tol:
+    if not limits or not rec.all_recoverable or max(limits) > _PAIR_TOL:
         return UniquenessVerdict("HYPOTHESIS_NOT_MET", fit,
                                  max(limits) if limits else float("inf"), float("nan"))
     g = u.grid
@@ -494,7 +503,7 @@ def uniqueness_probe(u: SpaceTimeField, ladder: SnapshotLadder,
     for t in np.linspace(strip.a, strip.b, 5):
         sl = u.slice_at(float(t))
         worst = max(worst, sqrt(max(integrate_ball(g, sl**2, np.zeros(g.dim), r_interior), 0.0)))
-    verdict = "CONSISTENT" if worst <= slice_tol else "VIOLATION"
+    verdict = "CONSISTENT" if worst <= _SLICE_TOL else "VIOLATION"
     return UniquenessVerdict(verdict, fit, max(limits), worst)
 
 
@@ -528,9 +537,8 @@ class ConvergenceModeReport:
 def convergence_mode_probe(sol, grid: SpatialGrid, ladder: SnapshotLadder,
                            compact_panel: Sequence[TestFunction],
                            schwartz_panel: Sequence[SchwartzProbe],
-                           rho_values: Sequence[float] = (2.0, 4.0, 6.0, 8.0),
-                           t_divergence: float | None = None,
-                           growth_factor: float = 10.0) -> ConvergenceModeReport:
+                           rho_values: Sequence[float],
+                           t_divergence: float) -> ConvergenceModeReport:
     """Witness the D'-versus-S' dichotomy of the flat-series solution.
 
     (a) Pairings against compact bumps tend to 0 along t_k -> 0 (supports
@@ -568,13 +576,12 @@ def convergence_mode_probe(sol, grid: SpatialGrid, ladder: SnapshotLadder,
         half = len(seq) // 2
         monotone_tail = monotone_tail and all(
             b <= a * (1 + 1e-9) + 1e-300 for a, b in zip(seq[half:], seq[half + 1:]))
-    t_div = t_divergence if t_divergence is not None else float(ladder.times[0])
     div_rows = []
     factors: list[float] = []
     diverging = True
     for probe in schwartz_panel:
         probe_vals = probe.value(x)
-        vals, flags = eval_with_flag(t_div)
+        vals, flags = eval_with_flag(t_divergence)
         prev = None
         for rho in rho_values:
             region = np.abs(x) <= rho
@@ -584,7 +591,7 @@ def convergence_mode_probe(sol, grid: SpatialGrid, ladder: SnapshotLadder,
             if prev is not None:
                 if abs(prev) > 0:
                     factors.append(abs(partial) / abs(prev))
-                diverging = diverging and abs(partial) >= growth_factor * abs(prev)
+                diverging = diverging and abs(partial) >= _DIVERGENCE_FACTOR * abs(prev)
             prev = partial
     return ConvergenceModeReport(tuple(compact_rows), tuple(div_rows), sup_final,
                                  monotone_tail, tuple(factors), diverging)
@@ -601,8 +608,7 @@ class PairingBoundResult:
 
 @track("pairing_bound_check")
 def pairing_bound_check(fields: Sequence[SpaceTimeField], phi: TestFunction,
-                        family: BallFamily | None = None,
-                        t_cap: float = 0.5) -> tuple[PairingBoundResult, ...]:
+                        family: BallFamily) -> tuple[PairingBoundResult, ...]:
     """Ratio sup_{t_k < 1/2} |<u(t_k), phi>| / (P_{n+3}(phi) ||u||_{T_inf}) per field.
 
     One result per field of *fields*, in order; the seminorm P_{n+3}(phi)
@@ -624,10 +630,9 @@ def pairing_bound_check(fields: Sequence[SpaceTimeField], phi: TestFunction,
     results = []
     for u in fields:
         g = u.grid
-        fam = family if family is not None else BallFamily.lattice(g, max_time=float(u.times[-1]))
-        tent = tent_norm(u, fam)
+        tent = tent_norm(u, family)
         phi_vals = phi.value(*g.meshgrid())
-        early = u.values[:int(np.searchsorted(u.times, t_cap))]  # the times < t_cap
+        early = u.values[:int(np.searchsorted(u.times, _PAIRING_T_CAP))]  # the times < cap
         sup_pair = float(np.abs(grid_pairing(g, early, phi_vals)).max(initial=0.0))
         if tent.value <= 0.0:
             if sup_pair > 1e-12:

@@ -50,6 +50,14 @@ def heat_kernel(t: float, r2: Array, dim: int) -> Array:
     return (4.0 * pi * t) ** (-dim / 2.0) * np.exp(-r2 / (4.0 * t))
 
 
+def _phase(axes, coeffs) -> Array:
+    """The linear phase sum_i coeffs[i] * axes[i], broadcast over the axes."""
+    p = np.zeros(np.broadcast_shapes(*(np.shape(a) for a in axes)))
+    for a, c in zip(axes, coeffs):
+        p = p + c * np.asarray(a, dtype=float)
+    return p
+
+
 @dataclass(frozen=True)
 class GaussianKernelSolution:
     """u(t, x) = Phi(t0 + t, x - x0): the fundamental solution started at -t0."""
@@ -148,22 +156,16 @@ class ExponentialSolution:
     def label(self) -> str:
         return f"exponential(mu={','.join(f'{m:g}' for m in self.mu)})"
 
-    def _phase(self, axes) -> Array:
-        p = np.zeros(np.broadcast_shapes(*(np.shape(a) for a in axes)))
-        for a, m in zip(axes, self.mu):
-            p = p + m * np.asarray(a, dtype=float)
-        return p
-
     def value(self, t: float, *axes: Array) -> Array:
         mu2 = sum(m * m for m in self.mu)
-        return np.exp(self._phase(axes) + mu2 * t)
+        return np.exp(_phase(axes, self.mu) + mu2 * t)
 
     def gradient(self, t: float, *axes: Array) -> tuple[Array, ...]:
         v = self.value(t, *axes)
         return tuple(m * v for m in self.mu)
 
     def initial_values(self, *axes: Array) -> Array:
-        return np.exp(self._phase(axes))
+        return np.exp(_phase(axes, self.mu))
 
 
 @dataclass(frozen=True)
@@ -183,24 +185,18 @@ class Eigenmode:
     def label(self) -> str:
         return f"eigenmode(omega={','.join(f'{w:g}' for w in self.omega)})"
 
-    def _phase(self, axes) -> Array:
-        p = np.zeros(np.broadcast_shapes(*(np.shape(a) for a in axes)))
-        for a, w in zip(axes, self.omega):
-            p = p + w * np.asarray(a, dtype=float)
-        return p
-
     def _decay(self, t: float) -> float:
         return self.amplitude * math.exp(-sum(w * w for w in self.omega) * t)
 
     def value(self, t: float, *axes: Array) -> Array:
-        return self._decay(t) * np.sin(self._phase(axes))
+        return self._decay(t) * np.sin(_phase(axes, self.omega))
 
     def gradient(self, t: float, *axes: Array) -> tuple[Array, ...]:
-        c = self._decay(t) * np.cos(self._phase(axes))
+        c = self._decay(t) * np.cos(_phase(axes, self.omega))
         return tuple(w * c for w in self.omega)
 
     def initial_values(self, *axes: Array) -> Array:
-        return self.amplitude * np.sin(self._phase(axes))
+        return self.amplitude * np.sin(_phase(axes, self.omega))
 
 
 @dataclass(frozen=True)
@@ -377,15 +373,15 @@ def tychonoff_eval(t: float, x, K: int = 40) -> tuple[float, bool]:
     return float(v), bool(flag)
 
 
-def sample_solution(sol: AnalyticSolution, grid: SpatialGrid, times: Sequence[float],
-                    label: str | None = None) -> SpaceTimeField:
+def sample_solution(sol: AnalyticSolution, grid: SpatialGrid,
+                    times: Sequence[float]) -> SpaceTimeField:
     """Exact samples of a zoo member on a grid x time ladder."""
     times_arr = np.asarray(sorted(times), dtype=float)
     mesh = grid.meshgrid()
     values = np.empty((times_arr.size, *grid.shape))
     for i, t in enumerate(times_arr):
         values[i] = eval_solution(sol, float(t), *mesh)
-    return SpaceTimeField(grid, times_arr, values, label or sol.label)
+    return SpaceTimeField(grid, times_arr, values, sol.label)
 
 
 @dataclass(frozen=True)

@@ -236,33 +236,25 @@ grid_levels = 2
 
 
 class TestEmitPlots:
-    def test_growth_plot_has_reference_slope(self, tmp_path):
-        csv = tmp_path / "growth_fit.csv"
-        csv.write_text("radius,z,l2,log_l2,fit_log_l2\n2,4,1.0,0.0,0.1\n3,9,1.5,0.4,0.5\n")
-        script = emit_plots([csv])
+    def test_growth_plot_has_reference_slope(self):
+        script = emit_plots([("growth_fit.csv",
+                              "radius,z,l2,log_l2,fit_log_l2\n2,4,1.0,0.0,0.1\n3,9,1.5,0.4,0.5\n")])
         assert "slope 1/4" in script
         assert "$data0" in script
 
-    def test_empty_csv_warning(self, tmp_path):
-        csv = tmp_path / "recovery.csv"
-        csv.write_text("solution,probe_id,t_k,pairing,increment,extrapolated,"
-                       "exact_if_known,error\n")
-        script = emit_plots([csv])
+    def test_empty_csv_warning(self):
+        script = emit_plots([("recovery.csv", "solution,probe_id,t_k,pairing,increment,"
+                                              "extrapolated,exact_if_known,error\n")])
         assert "warning" in script
         assert "empty" in script
 
-    def test_multiplot_ordering(self, tmp_path):
-        a = tmp_path / "a_homotopy.csv"
-        a.write_text("solution,s,t,h_id,grid_level,lhs,rhs,residual\nx,0.5,1,h,0,1,1,0.1\n")
-        b = tmp_path / "b_growth.csv"
-        b.write_text("radius,z,l2,log_l2,fit_log_l2\n2,4,1,0,0\n")
+    def test_multiplot_ordering(self):
+        a = ("a_homotopy.csv",
+             "solution,s,t,h_id,grid_level,lhs,rhs,residual\nx,0.5,1,h,0,1,1,0.1\n")
+        b = ("b_growth.csv", "radius,z,l2,log_l2,fit_log_l2\n2,4,1,0,0\n")
         script = emit_plots([b, a])  # order by filename, not argument order
         assert "multiplot" in script
         assert script.index("a_homotopy") < script.index("b_growth")
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            emit_plots([tmp_path / "ghost.csv"])
 
     @staticmethod
     def _data_block(script: str, index: int = 0) -> str:
@@ -275,19 +267,16 @@ class TestEmitPlots:
         ("growth_fit.csv", "radius,z,l2,log_l2,fit_log_l2\n2,4,1.5e-07,-15.7,-0.0\n"
                            "3,9,2.25,0.81093021621632877,0.8\n"),
     ], ids=["field", "growth-fit"])
-    def test_numeric_block_equals_per_row_replacement(self, tmp_path, name, text):
+    def test_numeric_block_equals_per_row_replacement(self, name, text):
         # a block with no bracket is inlined by one replace over the whole
         # block; it must equal the per-row replacement it stands for
-        csv = tmp_path / name
-        csv.write_text(text)
         rows = text.strip().splitlines()[1:]
-        block = self._data_block(emit_plots([csv]))
+        block = self._data_block(emit_plots([(name, text)]))
         assert block == "\n".join(r.replace(",", " ") for r in rows)
 
-    def test_bracketed_labels_stay_one_column(self, tmp_path):
-        csv = tmp_path / "labels.csv"
-        csv.write_text("name,value,tag\nf(a,g(b,c)),1,[x,y]\nplain,2,(p)\n")
-        block = self._data_block(emit_plots([csv]))
+    def test_bracketed_labels_stay_one_column(self):
+        block = self._data_block(
+            emit_plots([("labels.csv", "name,value,tag\nf(a,g(b,c)),1,[x,y]\nplain,2,(p)\n")]))
         assert block.splitlines() == ["f(a,g(b,c)) 1 [x,y]", "plain 2 (p)"]
 
     @pytest.mark.parametrize("overrides", [

@@ -47,7 +47,7 @@ class TestSpatialGrid:
     def test_refine_and_enlarge(self):
         g = SpatialGrid.make(1, 8.0, 64)
         assert g.refined().points_per_axis == 128
-        big = g.enlarged(1.5)
+        big = g.enlarged()
         assert big.spacing == g.spacing
         assert big.half_extent == pytest.approx(12.0)
 

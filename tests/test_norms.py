@@ -74,7 +74,8 @@ class TestStripGrowthFit:
         g = SpatialGrid.make(1, 15.0, 256)
         u = sample_solution(ExponentialSolution((1.0,)), g, np.linspace(1, 2, 9))
         base = strip_growth_fit(u, StripSpec(1.0, 2.0), [2, 3, 4, 5, 6])
-        scaled = strip_growth_fit(u.scaled(c), StripSpec(1.0, 2.0), [2, 3, 4, 5, 6])
+        scaled = strip_growth_fit(SpaceTimeField(u.grid, u.times, c * u.values),
+                                  StripSpec(1.0, 2.0), [2, 3, 4, 5, 6])
         assert scaled.classification == base.classification
         assert scaled.gamma_hat == pytest.approx(base.gamma_hat, abs=1e-10)
         assert scaled.logC_hat == pytest.approx(base.logC_hat + math.log(c), abs=1e-9)
@@ -129,8 +130,12 @@ class TestTentNorm:
         # ((1 - e^{-2 r^2}) / 4)^{1/2}, increasing toward 1/2 from below;
         # the discrete values match it to 1% (trapezoid bias is upward)
         radii = (math.pi / 2, math.pi)
-        times = carleson_time_ladder(grid_1d, max(r * r for r in radii),
-                                     ratio=1.15, extra=[r * r for r in radii])
+        # the Carleson ladder from dx^2 at the finer ratio q = 1.15
+        t, ladder = grid_1d.spacing**2, []
+        while t < radii[-1] ** 2:
+            ladder.append(t)
+            t *= 1.15
+        times = np.asarray(sorted(set(ladder) | {r * r for r in radii}))
         u = sample_solution(Eigenmode((1.0,)), grid_1d, times)
         res = tent_norm(u, BallFamily(((0.0,),), radii))
         exacts = [math.sqrt((1.0 - math.exp(-2 * p.radius**2)) / 4.0)
@@ -148,7 +153,7 @@ class TestTentNorm:
         times = carleson_time_ladder(g, 1.0, extra=[0.25, 1.0])
         u = sample_solution(Eigenmode((1.0,)), g, times)
         base = tent_norm(u, fam).value
-        scaled = tent_norm(u.scaled(c), fam).value
+        scaled = tent_norm(SpaceTimeField(u.grid, u.times, c * u.values), fam).value
         assert scaled == pytest.approx(abs(c) * base, rel=1e-12)
 
     def test_monotone_under_family_enlargement(self, grid_1d):
@@ -194,18 +199,22 @@ class TestBmoInvNorm:
         assert b2.value / b1.value == pytest.approx(1.0, abs=0.10)
 
 
+# the ball family of acceptance criterion 8
+GATE_FAMILY = BallFamily(((0.0,),), (0.5, 1.0, 2.0))
+
+
 class TestTentToStrip:
     def test_zero_field(self, grid_1d):
         times = carleson_time_ladder(grid_1d, 4.0, extra=[1.0])
         u = constant_field(grid_1d, times, value=0.0)
-        rep = tent_to_strip_bound(u, StripSpec(0.01, 1.0))
+        rep = tent_to_strip_bound(u, StripSpec(0.01, 1.0), GATE_FAMILY)
         assert rep.sup_F == 0.0
 
     def test_constant_closed_form(self, grid_1d):
         # F = ((b - a) * 2 sqrt(b))^{1/2} for u == 1 with a=0.01, b=1
         times = carleson_time_ladder(grid_1d, 4.0, extra=[0.01, 1.0])
         u = constant_field(grid_1d, times)
-        rep = tent_to_strip_bound(u, StripSpec(0.01, 1.0))
+        rep = tent_to_strip_bound(u, StripSpec(0.01, 1.0), GATE_FAMILY)
         assert rep.sup_F == pytest.approx(math.sqrt(0.99 * 2.0), rel=1e-10)
 
     def test_sign_evolution_ratio_stable(self):
@@ -214,7 +223,7 @@ class TestTentToStrip:
             g = SpatialGrid.make(1, 8.0, n)
             times = carleson_time_ladder(g, 4.0, extra=[0.01, 1.0])
             u = evolve_datum_exact(SignDatum(), g, times)
-            ratios.append(tent_to_strip_bound(u, StripSpec(0.01, 1.0)).ratio)
+            ratios.append(tent_to_strip_bound(u, StripSpec(0.01, 1.0), GATE_FAMILY).ratio)
         assert math.isfinite(ratios[0])
         assert abs(ratios[0] - ratios[1]) / ratios[0] <= 0.05
 

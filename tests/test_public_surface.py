@@ -1,10 +1,13 @@
-"""Every public function and class of the package has a caller, and the
-benchmark's hooks into the package exist.
+"""Every public function, class, method and parameter of the package has a
+caller, and the benchmark's hooks into the package exist.
 
 A top-level public name of ``src/caloric/*.py`` must be referenced somewhere
 in the package (``__init__.py`` does not count: re-exporting is not calling)
 or in ``bench/*.py``, outside its own definition.  Tests do not count either:
-a helper only the tests call is dead weight in the package.
+a helper only the tests call is dead weight in the package.  The same holds
+for the public methods of public classes, and for every parameter with a
+default: some call in the package or in ``bench/*.py`` must pass it, or its
+single value in use is a constant, not a setting.
 """
 
 import ast
@@ -18,6 +21,11 @@ _REPO = _PACKAGE.parents[1]
 # The documented inverses of the CSV and INI formats: the package only ever
 # writes these formats, and the parsers exist for readers of its outputs.
 _ALLOWED = {"field_from_csv", "config_to_ini"}
+# The oracles the tests compare against: the solutions' initial traces and
+# the closed-form evolution of a Gaussian-polynomial probe.
+_ALLOWED_METHODS = {"initial_values", "evolved"}
+# cli.main takes argv so that tests can pass arguments.
+_ALLOWED_PARAMETERS = {"main(argv)"}
 
 
 def _modules() -> dict[Path, ast.Module]:
@@ -25,10 +33,74 @@ def _modules() -> dict[Path, ast.Module]:
             if p.name != "__init__.py"}
 
 
+def _bench() -> list[ast.Module]:
+    bench_files = sorted((_REPO / "bench").glob("*.py"))
+    assert bench_files, f"no bench/*.py under {_REPO}: run the tests from a source tree"
+    return [ast.parse(p.read_text(), str(p)) for p in bench_files]
+
+
 def _public_definitions(tree: ast.Module) -> list[ast.AST]:
     return [node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             and not node.name.startswith("_")]
+
+
+def _public_functions(tree: ast.Module):
+    """(qualified name, def node, leading parameters a call does not pass)
+    for each public function and each public method of a public class."""
+    for node in _public_definitions(tree):
+        if not isinstance(node, ast.ClassDef):
+            yield node.name, node, 0
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in item.decorator_list)
+                yield f"{node.name}.{item.name}", item, 0 if static else 1
+
+
+def _defaulted_parameters(fn: ast.FunctionDef, skip: int):
+    """(name, call position or None if keyword-only) of each defaulted parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def defaulted_parameters() -> list[tuple[str, str, int | None]]:
+    """(qualified function name, parameter, call position) of every defaulted
+    public parameter."""
+    return [(qualname, name, pos) for tree in _modules().values()
+            for qualname, fn, skip in _public_functions(tree)
+            for name, pos in _defaulted_parameters(fn, skip)]
+
+
+def _calls(trees) -> dict[str, list[tuple[int, set[str]]]]:
+    """Per called name: (positional arguments passed, keywords passed) of each call.
+
+    A ``*args`` counts as every position and a ``**kwargs`` as every keyword.
+    """
+    calls: dict[str, list[tuple[int, set[str]]]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            if None in keywords:
+                keywords = {"*"}
+            calls.setdefault(name, []).append(
+                (1 << 30 if starred else len(node.args), keywords))
+    return calls
 
 
 def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -51,9 +123,7 @@ def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
 
 def test_every_public_name_has_a_caller():
     modules = _modules()
-    bench_files = sorted((_REPO / "bench").glob("*.py"))
-    assert bench_files, f"no bench/*.py under {_REPO}: run the tests from a source tree"
-    bench = [ast.parse(p.read_text(), str(p)) for p in bench_files]
+    bench = _bench()
     elsewhere = {path: set().union(*(_references(t) for p, t in modules.items() if p != path),
                                    *(_references(t) for t in bench))
                  for path in modules}
@@ -67,9 +137,40 @@ def test_every_public_name_has_a_caller():
     assert not uncalled, "public names without a caller: " + ", ".join(uncalled)
 
 
+def test_every_public_method_has_a_caller():
+    # a method is called through an attribute: count attribute references only
+    modules = _modules()
+    attributes = {node.attr for tree in [*modules.values(), *_bench()]
+                  for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    uncalled = []
+    for path, tree in modules.items():
+        for qualname, fn, _ in _public_functions(tree):
+            if "." in qualname and fn.name not in _ALLOWED_METHODS | attributes:
+                uncalled.append(f"{path.name}:{fn.lineno} {qualname}")
+    assert not uncalled, "public methods without a caller outside tests: " + ", ".join(uncalled)
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls = _calls([*_modules().values(), *_bench()])
+    unpassed = []
+    for qualname, name, pos in defaulted_parameters():
+        if f"{qualname}({name})" in _ALLOWED_PARAMETERS:
+            continue
+        if not any(name in keywords or "*" in keywords or (pos is not None and n_pos > pos)
+                   for n_pos, keywords in calls.get(qualname.rsplit(".", 1)[-1], [])):
+            unpassed.append(f"{qualname}({name})")
+    assert not unpassed, ("defaulted parameters no call in the package or bench/ passes "
+                          "(make each a constant): " + ", ".join(unpassed))
+
+
 def test_allow_list_names_exist():
-    defined = {node.name for tree in _modules().values() for node in _public_definitions(tree)}
+    modules = _modules()
+    defined = {node.name for tree in modules.values() for node in _public_definitions(tree)}
     assert _ALLOWED <= defined
+    methods = {qualname.split(".")[1] for tree in modules.values()
+               for qualname, _, _ in _public_functions(tree) if "." in qualname}
+    assert _ALLOWED_METHODS <= methods
+    assert _ALLOWED_PARAMETERS <= {f"{fn}({name})" for fn, name, _ in defaulted_parameters()}
 
 
 def test_benchmark_hooks_exist():

@@ -18,6 +18,7 @@ from caloric import (
     OscillatorDatum,
     SignDatum,
     SnapshotLadder,
+    SpaceTimeField,
     SpatialGrid,
     StripSpec,
     TestFunction,
@@ -381,7 +382,8 @@ class TestPairingBound:
         u = evolve_datum_exact(SignDatum(), grid_1d, times)
         fam = BallFamily(((0.0,),), (0.5, 1.0))
         base = pairing_bound_check([u], TestFunction((1.0,), 1.0), family=fam)[0]
-        scaled_u = pairing_bound_check([u.scaled(10.0)], TestFunction((1.0,), 1.0), family=fam)[0]
+        scaled_u = pairing_bound_check([SpaceTimeField(u.grid, u.times, 10.0 * u.values)],
+                                       TestFunction((1.0,), 1.0), family=fam)[0]
         assert base.ratio > 0
         assert scaled_u.ratio == pytest.approx(base.ratio, rel=1e-12)
 
@@ -426,7 +428,8 @@ class TestPairingBound:
         monkeypatch.setattr(representation, "tent_norm", no_tent_norm)
         u = constant_field(grid_2d, [0.25, 1.0])
         with pytest.raises(ValueError, match=r"order n\+3 = 5.*only to order 2"):
-            pairing_bound_check([u], TestFunction((0.0, 0.0), 1.0))
+            pairing_bound_check([u], TestFunction((0.0, 0.0), 1.0),
+                                family=BallFamily(((0.0, 0.0),), (0.5, 1.0)))
 
     def test_checks_every_field_before_measuring_any(self, grid_1d, grid_2d, monkeypatch):
         def no_tent_norm(*args, **kwargs):
@@ -435,12 +438,14 @@ class TestPairingBound:
         monkeypatch.setattr(representation, "tent_norm", no_tent_norm)
         fields = [constant_field(grid_1d, [0.25, 1.0]), constant_field(grid_2d, [0.25, 1.0])]
         with pytest.raises(ValueError, match="is 1-D but the field is 2-D"):
-            pairing_bound_check(fields, TestFunction((0.0,), 1.0))
+            pairing_bound_check(fields, TestFunction((0.0,), 1.0),
+                                family=BallFamily(((0.0,),), (0.5, 1.0)))
 
     def test_rejects_probe_of_other_dimension(self, grid_2d):
         u = constant_field(grid_2d, [0.25, 1.0])
         with pytest.raises(ValueError, match="is 1-D but the field is 2-D"):
-            pairing_bound_check([u], TestFunction((0.0,), 1.0))
+            pairing_bound_check([u], TestFunction((0.0,), 1.0),
+                                family=BallFamily(((0.0, 0.0),), (0.5, 1.0)))
 
 
 def test_grid_pairing_matches_quadrature(grid_1d):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caloric import (
+    BallFamily,
     SnapshotLadder,
     SpaceTimeField,
     SpatialGrid,
@@ -309,4 +310,5 @@ def test_pairing_bound_sup_matches_slice_loop():
     phi_vals = phi.value(*g.meshgrid())
     want = max(abs(fsum_oracle(u.values[i] * phi_vals * g.cell_volume))
                for i in range(u.n_times) if u.times[i] < 0.5)
-    assert_same(pairing_bound_check([u], phi, family=None)[0].sup_pairing, want)
+    fam = BallFamily(((0.0,),), (0.5, 1.0))
+    assert_same(pairing_bound_check([u], phi, family=fam)[0].sup_pairing, want)
