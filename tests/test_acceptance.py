@@ -84,6 +84,12 @@ def test_criterion_10_operation_coverage(results):
     _assert_criterion(results, 10)
 
 
+def test_criterion_10_checks_its_runtime_budget(results):
+    details = results[10].details
+    assert sum("runtime budget" in line for line in details) == 1
+    assert details[-1].startswith("  ok: runtime budget (")
+
+
 def test_total_runtime_under_ten_minutes(results):
     total = sum(r.elapsed for r in results.values())
     print(f"\ntotal acceptance runtime: {total:.1f}s")

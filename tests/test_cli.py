@@ -279,6 +279,19 @@ class TestEmitPlots:
             emit_plots([("labels.csv", "name,value,tag\nf(a,g(b,c)),1,[x,y]\nplain,2,(p)\n")]))
         assert block.splitlines() == ["f(a,g(b,c)) 1 [x,y]", "plain 2 (p)"]
 
+    def test_script_matches_csv_files_written(self, tmp_path):
+        # the reporter builds plots.gp from the texts it wrote; they must
+        # give the same script as the CSV files read back from disk
+        cfg = ExperimentConfig(pipeline="growth-fit", solution_id="eigenmode:omega=1",
+                               grid_half_extent=15.0, grid_points=512,
+                               strip_a=1.0, strip_b=2.0, radii=(2.0, 3.0, 4.0, 5.0, 6.0),
+                               out_dir=str(tmp_path))
+        result = run_experiment(cfg)
+        assert result.exit_code == 0
+        csvs = [(p.name, p.read_text()) for p in tmp_path.glob("*.csv")]
+        assert csvs
+        assert (tmp_path / "plots.gp").read_text() == emit_plots(csvs)
+
     @pytest.mark.parametrize("overrides", [
         {},
         dict(solution_id="gaussian_kernel:t0=1,dim=2", grid_dim=2, grid_half_extent=12.0,
