@@ -261,8 +261,8 @@ def _pipeline_homotopy(cfg: ExperimentConfig, rep: _Reporter) -> None:
     def run_level(level: int):
         g = SpatialGrid.make(cfg.grid_dim, cfg.grid_half_extent,
                              cfg.grid_points * 2**level, cfg.grid_mode)  # type: ignore[arg-type]
-        return homotopy_residual(sol, cfg.homotopy_s, cfg.homotopy_t, h, op,
-                                 grid=g, grid_level=level)
+        return homotopy_residual((sol,), cfg.homotopy_s, cfg.homotopy_t, h, op,
+                                 grid=g, grid_level=level)[0]
 
     levels = list(range(cfg.grid_levels))
     with ThreadPoolExecutor(max_workers=worker_count(len(levels))) as pool:

@@ -182,29 +182,33 @@ def _support_quadrature(u, t: float, h: TestFunction, grid: SpatialGrid) -> floa
 
 
 @track("homotopy_residual")
-def homotopy_residual(u: AnalyticSolution, s: float, t: float, h: TestFunction,
-                      cfg: HeatOperatorConfig = HeatOperatorConfig(), *,
-                      grid: SpatialGrid, grid_level: int = 0) -> HomotopyReport:
-    """Quadrature residual of int u(t) h = int u(s) e^{(t-s)L} h.
+def homotopy_residual(solutions: Sequence[AnalyticSolution], s: float, t: float,
+                      h: TestFunction, cfg: HeatOperatorConfig, *, grid: SpatialGrid,
+                      grid_level: int) -> tuple[HomotopyReport, ...]:
+    """Quadrature residuals of int u(t) h = int u(s) e^{(t-s)L} h, one per solution.
 
-    u is a closed-form solution, evaluated exactly at s and t.  The left side
+    Returns one report per solution of *solutions*, in order.  Each u is a
+    closed-form solution, evaluated exactly at s and t.  The left side
     integrates u(t) h over supp h on a grid-independent refinement; the right
     side pairs u(s) with the configured discrete operator's e^{(t-s)L} h over
     the full grid, so the residual tracks the operator's consistency error
-    and falls under grid refinement.  u, h and the grid must have one
-    dimension (ValueError naming them otherwise).
+    and falls under grid refinement.  Every solution, h and the grid must
+    have one dimension: each is checked before any operator work (ValueError
+    naming them otherwise).  The operator image e^{(t-s)L} h and its exact
+    ring values below do not depend on u, so they are computed once per
+    call; per solution only u(s), the ring audit and the two sides are.
 
     The right-hand integrand must have died out inside the box: the extent
     audit requires |u(s) * e^{(t-s)L}h| < 1e-10 on the ring |x| >= 0.9 L,
-    and fails with DomainTooSmallError otherwise (the expected outcome for
-    data growing faster than the inverse Gaussian).
+    and fails with DomainTooSmallError naming the solution otherwise (the
+    expected outcome for data growing faster than the inverse Gaussian).
     """
-    _check_solution_dims(u, h, grid)
+    for u in solutions:
+        _check_solution_dims(u, h, grid)
     if not 0 < s < t:
         raise ValueError("need 0 < s < t")
     mesh = grid.meshgrid()
     h_vals = h.value(*mesh)
-    u_s = u.value(s, *mesh)
     phi_s = heat_evolve(grid, h_vals, t - s, cfg)
     # Extent audit on the exact (untruncated) kernel tail: the configured
     # operator may truncate or carry FFT noise at the ring, which would
@@ -214,14 +218,18 @@ def homotopy_residual(u: AnalyticSolution, s: float, t: float, h: TestFunction,
     else:
         ring = np.maximum(np.abs(mesh[0]), np.abs(mesh[1])) >= 0.9 * grid.half_extent
     phi_ring = dense_evolve_at(grid, h_vals, t - s, target_mask=ring)
-    tail = float(np.abs(u_s[ring] * phi_ring).max())
-    if tail > _RHS_TAIL_TOL:
-        raise DomainTooSmallError(
-            f"homotopy rhs integrand is {tail:.3g} at |x| = 0.9L "
-            f"(needs < {_RHS_TAIL_TOL:g}); the box does not contain the pairing")
-    lhs = _support_quadrature(u, t, h, grid)
-    rhs = grid_pairing(grid, u_s, phi_s)
-    return HomotopyReport(u.label, s, t, h.label, grid_level, lhs, rhs)
+    reports = []
+    for u in solutions:
+        u_s = u.value(s, *mesh)
+        tail = float(np.abs(u_s[ring] * phi_ring).max())
+        if tail > _RHS_TAIL_TOL:
+            raise DomainTooSmallError(
+                f"homotopy rhs integrand of {u.label} is {tail:.3g} at |x| = 0.9L "
+                f"(needs < {_RHS_TAIL_TOL:g}); the box does not contain the pairing")
+        lhs = _support_quadrature(u, t, h, grid)
+        rhs = grid_pairing(grid, u_s, phi_s)
+        reports.append(HomotopyReport(u.label, s, t, h.label, grid_level, lhs, rhs))
+    return tuple(reports)
 
 
 @dataclass(frozen=True)
@@ -275,8 +283,7 @@ class FluxResult:
 
 @track("flux_functional")
 def flux_functional(u: AnalyticSolution, s: float, t: float, h: TestFunction,
-                    fluxcfg: FluxConfig, gamma_hat: float,
-                    cfg: HeatOperatorConfig = HeatOperatorConfig(), *,
+                    fluxcfg: FluxConfig, gamma_hat: float, cfg: HeatOperatorConfig, *,
                     grid: SpatialGrid) -> FluxResult:
     """Annulus-averaged boundary fluxes Phi_1(R), Phi_2(R) of the identity proof.
 
@@ -559,6 +566,9 @@ def convergence_mode_probe(sol, grid: SpatialGrid, ladder: SnapshotLadder,
         v = sol.value(t, x)
         return v, np.zeros_like(v, dtype=bool)
 
+    # one series evaluation per time, shared by every bump and every probe
+    snapshots = [(t_k, *eval_with_flag(t_k)) for t_k in ladder.times.tolist()]
+    div_vals, div_flags = eval_with_flag(t_divergence)
     compact_rows = []
     sup_final = 0.0
     monotone_tail = True
@@ -566,12 +576,11 @@ def convergence_mode_probe(sol, grid: SpatialGrid, ladder: SnapshotLadder,
         h_vals = h.value(x)
         supp = h_vals != 0.0
         seq = []
-        for t_k in ladder.times:
-            vals, flags = eval_with_flag(float(t_k))
-            pairing = det_sum(vals[supp] * h_vals[supp] * grid.cell_volume)
+        for t_k, snap, snap_flags in snapshots:
+            pairing = det_sum(snap[supp] * h_vals[supp] * grid.cell_volume)
             seq.append(abs(pairing))
-            compact_rows.append(CompactPairingRow(h.label, float(t_k), pairing,
-                                                  bool(flags[supp].any())))
+            compact_rows.append(CompactPairingRow(h.label, t_k, pairing,
+                                                  bool(snap_flags[supp].any())))
         sup_final = max(sup_final, seq[-1])
         half = len(seq) // 2
         monotone_tail = monotone_tail and all(
@@ -581,13 +590,12 @@ def convergence_mode_probe(sol, grid: SpatialGrid, ladder: SnapshotLadder,
     diverging = True
     for probe in schwartz_panel:
         probe_vals = probe.value(x)
-        vals, flags = eval_with_flag(t_divergence)
         prev = None
         for rho in rho_values:
             region = np.abs(x) <= rho
-            partial = det_sum(vals[region] * probe_vals[region] * grid.cell_volume)
+            partial = det_sum(div_vals[region] * probe_vals[region] * grid.cell_volume)
             div_rows.append(DivergenceRow(probe.label, float(rho), partial,
-                                          bool(flags[region].any())))
+                                          bool(div_flags[region].any())))
             if prev is not None:
                 if abs(prev) > 0:
                     factors.append(abs(partial) / abs(prev))

@@ -37,6 +37,19 @@ def test_criterion_2_homotopy_identity(results):
     _assert_criterion(results, 2)
 
 
+def test_criterion_2_makes_one_homotopy_call_per_method_and_level(monkeypatch):
+    batches = []
+    homotopy_residual = acceptance.homotopy_residual
+
+    def counted(solutions, *args, **kwargs):
+        batches.append(len(solutions))
+        return homotopy_residual(solutions, *args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "homotopy_residual", counted)
+    assert acceptance.criterion_2_homotopy().passed
+    assert batches == [len(acceptance._HOMOTOPY_ZOO)] * 6
+
+
 def test_criterion_3_size_condition(results):
     _assert_criterion(results, 3)
 
@@ -69,6 +82,21 @@ def test_tent_oracle_closed_form_matches_quadrature():
         want = float(mpmath.sqrt(integral / (2 * mpmath.sqrt(8 * mpmath.pi))))
     got = acceptance._tent_oracle_value()
     assert abs(got - want) <= 2 * math.ulp(want)
+
+
+def test_criterion_8_computes_one_seminorm(monkeypatch):
+    from caloric import representation
+
+    orders = []
+    schwartz_seminorm = representation.schwartz_seminorm
+
+    def counted(phi, order):
+        orders.append(order)
+        return schwartz_seminorm(phi, order)
+
+    monkeypatch.setattr(representation, "schwartz_seminorm", counted)
+    assert acceptance.criterion_8_tent_and_bmo().passed
+    assert orders == [4]
 
 
 def test_criterion_8_oracle_line_unchanged(results):

@@ -56,6 +56,23 @@ _DIM_MISMATCHES = {
                     "solution gaussian_kernel(t0=1,x0=0,0) is 2-D but the grid is 1-D"),
 }
 
+# (solutions, bump, operator, grid) of the batched homotopy call: three
+# solutions per call, both methods, 1-D and 2-D
+_BATCH_CASES = {
+    "1d-kernel": ((GaussianKernelSolution(1.0), CaloricPolynomial(2), Eigenmode((1.0,))),
+                  TestFunction((1.0,), 1.0), KERNEL10, SpatialGrid.make(1, 16.0, 512)),
+    "1d-spectral": ((GaussianKernelSolution(1.0), ExponentialSolution((1.0,)),
+                     Eigenmode((1.0,))),
+                    TestFunction((1.0,), 1.0), SPECTRAL, SpatialGrid.make(1, 16.0, 256)),
+    "2d-kernel": ((GaussianKernelSolution(1.0, (0.0, 0.0)), Eigenmode((1.0, 0.5)),
+                   ExponentialSolution((0.5, 0.5))),
+                  TestFunction((0.5, 0.0), 1.0), HeatOperatorConfig("kernel_quadrature", 6.0),
+                  SpatialGrid.make(2, 8.0, 64)),
+    "2d-spectral": ((GaussianKernelSolution(1.0, (0.0, 0.0)), Eigenmode((1.0, 0.5)),
+                     ExponentialSolution((0.5, 0.5))),
+                    TestFunction((0.5, 0.0), 1.0), SPECTRAL, SpatialGrid.make(2, 8.0, 64)),
+}
+
 
 class TestSnapshotLadder:
     def test_times_and_floor(self):
@@ -105,7 +122,8 @@ class TestHomotopyResidual:
             resids = []
             for n in levels:
                 g = SpatialGrid.make(1, 16.0, n)
-                resids.append(homotopy_residual(sol, 0.5, 1.0, h, cfg, grid=g).residual)
+                resids.append(homotopy_residual((sol,), 0.5, 1.0, h, cfg, grid=g,
+                                                grid_level=0)[0].residual)
             assert resids[0] / resids[1] >= 3.0
             assert resids[-1] <= 1e-5
 
@@ -116,7 +134,7 @@ class TestHomotopyResidual:
         oracle, _ = quad(lambda x: (x * x + 2.0) * float(h.value(np.array([x]))[0]),
                          0.0, 2.0, limit=200)
         g = SpatialGrid.make(1, 16.0, 1024)
-        rep = homotopy_residual(sol, 0.5, 1.0, h, SPECTRAL, grid=g)
+        rep = homotopy_residual((sol,), 0.5, 1.0, h, SPECTRAL, grid=g, grid_level=0)[0]
         assert rep.lhs == pytest.approx(oracle, rel=1e-9)
         assert rep.rhs == pytest.approx(oracle, rel=1e-6)
 
@@ -133,8 +151,9 @@ class TestHomotopyResidual:
     def test_2d_gaussian_kernel(self):
         g = SpatialGrid.make(2, 8.0, 128)
         h = TestFunction((0.5, 0.0), 1.0)
-        rep = homotopy_residual(GaussianKernelSolution(1.0, (0.0, 0.0)), 0.2, 0.4,
-                                h, HeatOperatorConfig("kernel_quadrature", 6.0), grid=g)
+        rep = homotopy_residual((GaussianKernelSolution(1.0, (0.0, 0.0)),), 0.2, 0.4,
+                                h, HeatOperatorConfig("kernel_quadrature", 6.0), grid=g,
+                                grid_level=0)[0]
         assert rep.residual <= 1e-3
 
     def test_transitivity_at_fine_resolution(self):
@@ -143,29 +162,81 @@ class TestHomotopyResidual:
         h = TestFunction((1.0,), 1.0)
         g = SpatialGrid.make(1, 16.0, 2048)
         for sol in (GaussianKernelSolution(1.0), Eigenmode((1.0,))):
-            r_st = homotopy_residual(sol, 0.5, 1.0, h, SPECTRAL, grid=g).residual
-            r_sr = homotopy_residual(sol, 0.5, 0.75, h, SPECTRAL, grid=g).residual
-            r_rt = homotopy_residual(sol, 0.75, 1.0, h, SPECTRAL, grid=g).residual
+            r_st = homotopy_residual((sol,), 0.5, 1.0, h, SPECTRAL, grid=g,
+                                     grid_level=0)[0].residual
+            r_sr = homotopy_residual((sol,), 0.5, 0.75, h, SPECTRAL, grid=g,
+                                     grid_level=0)[0].residual
+            r_rt = homotopy_residual((sol,), 0.75, 1.0, h, SPECTRAL, grid=g,
+                                     grid_level=0)[0].residual
             assert r_st <= r_sr + r_rt + 1e-8
 
     def test_tychonoff_fails_extent_audit(self):
         g = SpatialGrid.make(1, 8.0, 1024)
         with pytest.raises(DomainTooSmallError, match="0.9"):
-            homotopy_residual(TychonoffSolution(40), 0.1, 0.25, TestFunction((0.0,), 1.0),
-                              HeatOperatorConfig("kernel_quadrature", 6.0), grid=g)
+            homotopy_residual((TychonoffSolution(40),), 0.1, 0.25, TestFunction((0.0,), 1.0),
+                              HeatOperatorConfig("kernel_quadrature", 6.0), grid=g,
+                              grid_level=0)
 
     def test_time_ordering_enforced(self):
         g = SpatialGrid.make(1, 16.0, 256)
         with pytest.raises(ValueError, match="0 < s < t"):
-            homotopy_residual(Eigenmode((1.0,)), 1.0, 0.5, TestFunction((0.0,), 1.0),
-                              SPECTRAL, grid=g)
+            homotopy_residual((Eigenmode((1.0,)),), 1.0, 0.5, TestFunction((0.0,), 1.0),
+                              SPECTRAL, grid=g, grid_level=0)
 
     @pytest.mark.parametrize("case", list(_DIM_MISMATCHES))
     def test_dimension_mismatch_rejected(self, case):
         sol, h, message = _DIM_MISMATCHES[case]
         g = SpatialGrid.make(1, 8.0, 256)
         with pytest.raises(ValueError, match=re.escape(message)):
-            homotopy_residual(sol, 0.2, 0.4, h, SPECTRAL, grid=g)
+            homotopy_residual((sol,), 0.2, 0.4, h, SPECTRAL, grid=g, grid_level=0)
+
+    @pytest.mark.parametrize("case", list(_BATCH_CASES))
+    def test_batch_matches_single_solutions_bitwise(self, case):
+        solutions, h, cfg, grid = _BATCH_CASES[case]
+        batch = homotopy_residual(solutions, 0.2, 0.4, h, cfg, grid=grid, grid_level=1)
+        singles = [homotopy_residual((u,), 0.2, 0.4, h, cfg, grid=grid, grid_level=1)[0]
+                   for u in solutions]
+        assert [r.solution for r in batch] == [u.label for u in solutions]
+        for got, want in zip(batch, singles, strict=True):
+            assert (got.lhs.hex(), got.rhs.hex(), got.residual.hex()) == \
+                (want.lhs.hex(), want.rhs.hex(), want.residual.hex())
+            assert got == want
+
+    def test_operator_images_computed_once_per_call(self, monkeypatch):
+        calls = {"heat_evolve": 0, "dense_evolve_at": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(representation, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(representation, name, counted)
+        solutions, h, cfg, grid = _BATCH_CASES["1d-spectral"]
+        for n_solutions in (1, 3):
+            for name in calls:
+                calls[name] = 0
+            homotopy_residual(solutions[:n_solutions], 0.2, 0.4, h, cfg, grid=grid,
+                              grid_level=0)
+            assert calls == {"heat_evolve": 1, "dense_evolve_at": 1}
+
+    def test_checks_every_solution_before_operator_work(self, monkeypatch):
+        def no_operator(*args, **kwargs):
+            raise AssertionError("operator applied before every solution was checked")
+
+        monkeypatch.setattr(representation, "heat_evolve", no_operator)
+        monkeypatch.setattr(representation, "dense_evolve_at", no_operator)
+        sol_2d = GaussianKernelSolution(1.0, (0.0, 0.0))
+        with pytest.raises(ValueError, match=re.escape(f"solution {sol_2d.label} is 2-D")):
+            homotopy_residual((Eigenmode((1.0,)), CaloricPolynomial(2), sol_2d), 0.2, 0.4,
+                              TestFunction((0.5,), 1.0), SPECTRAL,
+                              grid=SpatialGrid.make(1, 8.0, 256), grid_level=0)
+
+    def test_extent_audit_names_the_solution(self):
+        g = SpatialGrid.make(1, 8.0, 1024)
+        flat = TychonoffSolution(40)
+        with pytest.raises(DomainTooSmallError, match=re.escape(f"of {flat.label} is")):
+            homotopy_residual((Eigenmode((1.0,)), flat), 0.1, 0.25, TestFunction((0.0,), 1.0),
+                              HeatOperatorConfig("kernel_quadrature", 6.0), grid=g,
+                              grid_level=0)
 
 
 def _full_fine_grid_quadrature(u, t, h, grid):
@@ -353,13 +424,24 @@ class TestConvergenceModeProbe:
         partials = [r.partial_integral for r in rep.divergence_rows]
         assert abs(partials[-1] - partials[-2]) <= 1e-3 * abs(partials[-1])
 
-    def test_tychonoff_dichotomy(self):
+    def test_tychonoff_dichotomy(self, monkeypatch):
         g = SpatialGrid.make(1, 8.0, 1024)
         lad = SnapshotLadder.down_to(0.1, 0.7, 2e-3)
+        evaluated = []
+        value_with_flag = TychonoffSolution.value_with_flag
+
+        def counted(self, t, x):
+            evaluated.append(t)
+            return value_with_flag(self, t, x)
+
+        monkeypatch.setattr(TychonoffSolution, "value_with_flag", counted)
         rep = convergence_mode_probe(TychonoffSolution(40), g, lad,
                                      central_compact_panel((0.5, 1.0)),
                                      [hermite_probe(0, 1.0)],
                                      rho_values=(2.0, 4.0, 6.0, 8.0), t_divergence=0.1)
+        # one series evaluation per ladder time plus one at t_divergence,
+        # however many bumps and probes pair against them
+        assert evaluated == [*lad.times.tolist(), 0.1]
         assert rep.compact_converging
         assert rep.compact_final_sup < 1e-8
         assert rep.schwartz_diverging
