@@ -475,12 +475,13 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(out_dir=None, echo=print) -> list[CriterionResult]:
+def run_all(out_dir: str, echo) -> list[CriterionResult]:
     """Run the nine criteria plus the operation-coverage assertion.
 
-    When *out_dir* is given, a small growth-fit experiment is routed through
-    the CLI runner so the report/plot machinery is exercised and its files
-    land there alongside summary.txt.
+    The coverage check routes a small growth-fit experiment through the CLI
+    runner so the report/plot machinery is exercised; its files land in
+    *out_dir* alongside summary.txt.  *echo* receives every status and
+    detail line.
     """
     results = [fn() for fn in ALL_CRITERIA]
     for r in results:
@@ -495,21 +496,18 @@ def run_all(out_dir=None, echo=print) -> list[CriterionResult]:
     return results
 
 
-def coverage_check(out_dir=None) -> CriterionResult:
+def coverage_check(out_dir: str) -> CriterionResult:
     """Assert the suite has exercised every tracked operation."""
-    import tempfile
-
     from . import cli
 
     def body(chk: _Checker) -> None:
-        target = out_dir or tempfile.mkdtemp(prefix="caloric-coverage-")
         config = cli.ExperimentConfig(
             pipeline="growth-fit",
             solution_id="eigenmode:omega=1",
-            grid_dim=1, grid_half_extent=15.0, grid_points=512, grid_mode="periodic",
+            grid_dim=1, grid_half_extent=15.0, grid_points=512,
             strip_a=1.0, strip_b=2.0,
             radii=(2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0),
-            out_dir=str(target),
+            out_dir=out_dir,
         )
         run = cli.run_experiment(config)
         chk.check("embedded growth-fit experiment exits 0", run.exit_code == 0,

@@ -18,7 +18,7 @@ import argparse
 import configparser
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,6 @@ class ExperimentConfig:
     grid_dim: int = 1
     grid_half_extent: float = 16.0
     grid_points: int = 1024
-    grid_mode: str = "periodic"
     strip_a: float = 0.5
     strip_b: float = 1.5
     ladder_t0: float = 0.08
@@ -61,7 +60,6 @@ class ExperimentConfig:
     radii: tuple[float, ...] = (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
     method: str = "kernel_quadrature"
     truncation_factor: float = 8.0
-    mass_normalization: bool = True
     homotopy_s: float = 0.5
     homotopy_t: float = 1.0
     h_center: float = 1.0
@@ -80,15 +78,13 @@ class ExperimentConfig:
                 f"unknown pipeline {self.pipeline!r}; valid pipelines: {', '.join(PIPELINES)}")
 
     def grid(self) -> SpatialGrid:
-        return SpatialGrid.make(self.grid_dim, self.grid_half_extent,
-                                self.grid_points, self.grid_mode)  # type: ignore[arg-type]
+        return SpatialGrid.make(self.grid_dim, self.grid_half_extent, self.grid_points)
 
     def strip(self) -> StripSpec:
         return StripSpec(self.strip_a, self.strip_b)
 
     def operator(self) -> HeatOperatorConfig:
-        return HeatOperatorConfig(self.method, self.truncation_factor,
-                                  self.mass_normalization)
+        return HeatOperatorConfig(self.method, self.truncation_factor)
 
     def ladder(self) -> SnapshotLadder:
         return SnapshotLadder.down_to(self.ladder_t0, self.ladder_ratio, self.ladder_floor)
@@ -98,11 +94,11 @@ _SECTIONS = {
     "experiment": ("pipeline",),
     "solution": ("solution_id",),
     "datum": ("datum_id",),
-    "grid": ("grid_dim", "grid_half_extent", "grid_points", "grid_mode"),
+    "grid": ("grid_dim", "grid_half_extent", "grid_points"),
     "strip": ("strip_a", "strip_b"),
     "ladder": ("ladder_t0", "ladder_ratio", "ladder_floor"),
     "radii": ("radii",),
-    "operator": ("method", "truncation_factor", "mass_normalization"),
+    "operator": ("method", "truncation_factor"),
     "homotopy": ("homotopy_s", "homotopy_t", "h_center", "h_radius", "grid_levels"),
     "tent": ("tent_radii",),
     "counterexample": ("rho_values", "t_divergence", "compact_radii"),
@@ -119,8 +115,6 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
             val = getattr(cfg, key)
             if isinstance(val, tuple):
                 txt = ",".join(fmt_float(v) for v in val)
-            elif isinstance(val, bool):
-                txt = "true" if val else "false"
             elif isinstance(val, float):
                 txt = fmt_float(val)
             else:
@@ -134,7 +128,6 @@ def config_from_ini(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     parser.read_string(text)
     kwargs = {}
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
     defaults = ExperimentConfig()
     for section in parser.sections():
         for key, raw in parser.items(section):
@@ -145,8 +138,6 @@ def config_from_ini(text: str) -> ExperimentConfig:
             current = getattr(defaults, key)
             if isinstance(current, tuple):
                 kwargs[key] = tuple(float(v) for v in raw.split(",") if v.strip())
-            elif isinstance(current, bool):
-                kwargs[key] = raw.strip().lower() in ("1", "true", "yes", "on")
             elif isinstance(current, int):
                 kwargs[key] = int(raw)
             elif isinstance(current, float):
@@ -259,8 +250,7 @@ def _pipeline_homotopy(cfg: ExperimentConfig, rep: _Reporter) -> None:
     op = cfg.operator()
 
     def run_level(level: int):
-        g = SpatialGrid.make(cfg.grid_dim, cfg.grid_half_extent,
-                             cfg.grid_points * 2**level, cfg.grid_mode)  # type: ignore[arg-type]
+        g = SpatialGrid.make(cfg.grid_dim, cfg.grid_half_extent, cfg.grid_points * 2**level)
         return homotopy_residual((sol,), cfg.homotopy_s, cfg.homotopy_t, h, op,
                                  grid=g, grid_level=level)[0]
 

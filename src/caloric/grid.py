@@ -1,12 +1,13 @@
 """Uniform tensor grids, sampled space-time fields, and deterministic quadrature.
 
-The spatial domain is the box [-L, L]^n truncating full space; every
-measurement that depends on L is expected to pass the :func:`extent_audit`
-(recompute on a 1.5x wider box, require <0.1% relative change) so truncation
-error is observed rather than assumed.  A sampled field is read only at its
-sample times (within :data:`SAMPLE_TIME_TOL`); its slices are never
-interpolated in time.  The one time interpolation left is the documented
-endpoint rule of :func:`time_trapezoid`, on a reduced time profile.
+The spatial domain is the periodic box [-L, L]^n truncating full space;
+every measurement that depends on L is expected to pass the
+:func:`extent_audit` (recompute on a 1.5x wider box, require <0.1% relative
+change) so truncation error is observed rather than assumed.  A sampled
+field is read only at its sample times (within :data:`SAMPLE_TIME_TOL`);
+its slices are never interpolated in time.  The one time interpolation left
+is the documented endpoint rule of :func:`time_trapezoid`, on a reduced time
+profile.
 
 Quadrature conventions
 ----------------------
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -40,8 +41,6 @@ from .errors import (
 from .optrack import track
 from .util import det_sum, fmt_float
 
-BoundaryMode = Literal["periodic", "zero_padded"]
-
 _COVER_TOL = 1e-9
 # A time within this distance of a sample time names that sample.
 SAMPLE_TIME_TOL = 1e-9
@@ -53,7 +52,7 @@ EXTENT_REL_TOL = 1e-3
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform tensor grid on [-L, L]^dim with spacing dx.
+    """Periodic uniform tensor grid on [-L, L]^dim with spacing dx.
 
     Points per axis equal round(2L/dx) and 2L/dx must be an integer to
     round-off, so the periodic wrap x_{N-1} + dx == L is exact.
@@ -62,7 +61,6 @@ class SpatialGrid:
     dim: int
     half_extent: float
     spacing: float
-    boundary_mode: BoundaryMode = "periodic"
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
@@ -80,14 +78,11 @@ class SpatialGrid:
             )
         if n < 8:
             raise ValueError("SpatialGrid invariant violated: need >= 8 points per axis")
-        if self.boundary_mode not in ("periodic", "zero_padded"):
-            raise ValueError(f"unknown boundary_mode {self.boundary_mode!r}")
 
     @classmethod
-    def make(cls, dim: int, half_extent: float, points_per_axis: int,
-             boundary_mode: BoundaryMode = "periodic") -> "SpatialGrid":
+    def make(cls, dim: int, half_extent: float, points_per_axis: int) -> "SpatialGrid":
         """Grid with exactly *points_per_axis* points per axis."""
-        return cls(dim, half_extent, 2.0 * half_extent / points_per_axis, boundary_mode)
+        return cls(dim, half_extent, 2.0 * half_extent / points_per_axis)
 
     @property
     def points_per_axis(self) -> int:
@@ -130,7 +125,7 @@ class SpatialGrid:
     def enlarged(self) -> "SpatialGrid":
         """Box EXTENT_FACTOR times wider at identical spacing (for extent audits)."""
         n_new = round(self.points_per_axis * EXTENT_FACTOR / 2) * 2
-        return SpatialGrid(self.dim, n_new * self.spacing / 2.0, self.spacing, self.boundary_mode)
+        return SpatialGrid(self.dim, n_new * self.spacing / 2.0, self.spacing)
 
 
 @dataclass(frozen=True)
@@ -291,8 +286,7 @@ def integrate_strip_L2(u: SpaceTimeField, strip: StripSpec, radius: float,
 def gradient(grid: SpatialGrid, values: NDArray[np.float64]) -> NDArray[np.float64]:
     """Second-order central differences; returns array of shape (dim, *grid.shape).
 
-    Boundary handling follows the grid's boundary mode: periodic wrap, or
-    one-sided second-order stencils for zero-padded grids.
+    Grids are periodic, so the stencil wraps round each axis.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape:
@@ -300,33 +294,8 @@ def gradient(grid: SpatialGrid, values: NDArray[np.float64]) -> NDArray[np.float
     h = grid.spacing
     out = np.empty((grid.dim, *grid.shape))
     for ax in range(grid.dim):
-        if grid.boundary_mode == "periodic":
-            d = (np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2 * h)
-        else:
-            d = np.empty_like(values)
-            mid = (np.take(values, range(2, grid.shape[ax]), axis=ax)
-                   - np.take(values, range(0, grid.shape[ax] - 2), axis=ax)) / (2 * h)
-            _assign_along(d, ax, slice(1, -1), mid)
-            first = (-3 * _take1(values, ax, 0) + 4 * _take1(values, ax, 1)
-                     - _take1(values, ax, 2)) / (2 * h)
-            last = (3 * _take1(values, ax, -1) - 4 * _take1(values, ax, -2)
-                    + _take1(values, ax, -3)) / (2 * h)
-            _assign_along(d, ax, 0, first)
-            _assign_along(d, ax, -1, last)
-        out[ax] = d
+        out[ax] = (np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2 * h)
     return out
-
-
-def _take1(arr: NDArray, axis: int, idx: int) -> NDArray:
-    sl: list = [slice(None)] * arr.ndim
-    sl[axis] = idx
-    return arr[tuple(sl)]
-
-
-def _assign_along(arr: NDArray, axis: int, idx, values) -> None:
-    sl: list = [slice(None)] * arr.ndim
-    sl[axis] = idx
-    arr[tuple(sl)] = values
 
 
 @dataclass(frozen=True)
@@ -370,7 +339,7 @@ def field_to_csv(u: SpaceTimeField) -> str:
     points = ax if g.dim == 1 else [f"{x},{y}" for x in ax for y in ax]
     cells = ["", *(f"{p},%.17g\n" for p in points)]
     parts = [f"# grid n={g.dim} L={fmt_float(g.half_extent)} "
-             f"dx={fmt_float(g.spacing)} mode={g.boundary_mode}\n{_COLUMNS[g.dim]}\n"]
+             f"dx={fmt_float(g.spacing)} mode=periodic\n{_COLUMNS[g.dim]}\n"]
     # one '%' call per time slice: "t," joined before every cell is the row
     # template of that time
     for t, row in zip(u.times, u.values):
@@ -387,14 +356,17 @@ def field_from_csv(text: str) -> SpaceTimeField:
     must name a point of the header's grid, once per time.  A row of the
     wrong width, a field that is not a number, a time or coordinate that is
     not finite, a coordinate that rounds to no grid index and a repeated
-    (t, x[, y]) raise DataError naming the row.
+    (t, x[, y]) raise DataError naming the row.  Grids are periodic: a
+    header ``mode=`` other than ``periodic`` raises DataError naming it.
     """
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or not lines[0][1].startswith("# grid"):
         raise DataError("missing '# grid' header line")
     header = dict(item.split("=", 1) for item in lines[0][1][len("# grid"):].split())
-    grid = SpatialGrid(int(header["n"]), float(header["L"]), float(header["dx"]),
-                       header["mode"])  # type: ignore[arg-type]
+    mode = header.get("mode")
+    if mode != "periodic":
+        raise DataError(f"grid mode {mode!r} is not periodic, the only boundary mode of a grid")
+    grid = SpatialGrid(int(header["n"]), float(header["L"]), float(header["dx"]))
     body = lines[1:]
     if body and body[0][1].strip() == _COLUMNS[grid.dim]:
         body = body[1:]

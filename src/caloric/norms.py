@@ -67,7 +67,7 @@ class GrowthFit:
             raise ValueError("radii must be increasing")
 
 
-def classify_growth(gamma_hat: float, r2: float, fitted_log_growth: float = float("inf")) -> str:
+def classify_growth(gamma_hat: float, r2: float, fitted_log_growth: float) -> str:
     """PASS/FAIL/INCONCLUSIVE for a fitted growth exponent.
 
     Sub-Gaussian growth passes regardless of fit quality: either the slope
@@ -188,12 +188,12 @@ def tent_norm(u: SpaceTimeField, family: BallFamily) -> TentNormResult:
 
 
 def carleson_time_ladder(grid: SpatialGrid, max_time: float,
-                         extra: Sequence[float] = ()) -> NDArray[np.float64]:
+                         extra: Sequence[float]) -> NDArray[np.float64]:
     """Geometric t-ladder t_min * q^i, q = 1.3, from t_min = dx^2 up to max_time.
 
     The integrand of a Carleson box can blow up like t^{-1/2} near 0 for
     rough data; a geometric ladder integrates that accurately.  Exact box
-    heights (r^2 values) can be merged in via *extra*.
+    heights (r^2 values) are merged in from *extra*.
     """
     t_min = grid.spacing**2
     ts = [t_min]
@@ -206,7 +206,7 @@ def carleson_time_ladder(grid: SpatialGrid, max_time: float,
 
 @track("bmo_inv_norm")
 def bmo_inv_norm(datum_values: Array, grid: SpatialGrid, family: BallFamily,
-                 cfg: HeatOperatorConfig = HeatOperatorConfig()) -> TentNormResult:
+                 cfg: HeatOperatorConfig) -> TentNormResult:
     """Heat characterization ||f||_{bmo^-1} ~ ||e^{tL} f||_{T_inf}.
 
     Evolves the sampled datum over a geometric Carleson ladder and returns

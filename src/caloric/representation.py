@@ -156,17 +156,12 @@ def _check_solution_dims(u: AnalyticSolution, h: TestFunction, grid: SpatialGrid
     _check_probe_dims((h,), grid)
 
 
-def _support_quadrature(u, t: float, h: TestFunction, grid: SpatialGrid) -> float:
-    """Grid-independent quadrature of u(t) * h over supp h.
+def _support_nodes(h: TestFunction, grid: SpatialGrid) -> tuple[tuple[Array, ...], Array, float]:
+    """The fine points of supp h, h there and the fine cell volume; no u enters.
 
-    Uses a midpoint rule on an 8x (1D) or 4x (2D) refinement of the grid,
-    restricted to the support; for the smooth integrands of the corpus this
-    is exact far beyond the tolerances, so the homotopy residual measures
-    the discrete right-hand path rather than a telescoped difference.  Only
-    the fine points in the box [c - r, c + r] around the bump are visited:
-    h vanishes outside it, the values at the points kept are those of the
-    whole fine grid, and det_sum is exact, so the sum is the full-grid one
-    bit for bit (0.0 when no fine point falls inside the support).
+    The fine grid is an 8x (1D) or 4x (2D) refinement of *grid*.  Only its
+    points in the box [c - r, c + r] around the bump are visited, and of
+    those only the ones where h is nonzero are kept.
     """
     factor = 8 if grid.dim == 1 else 4
     fine = grid.refined(factor)
@@ -177,8 +172,22 @@ def _support_quadrature(u, t: float, h: TestFunction, grid: SpatialGrid) -> floa
     mesh = np.meshgrid(*axes, indexing="ij")
     h_vals = h.value(*mesh)
     mask = h_vals != 0.0
-    u_vals = u.value(t, *(m[mask] for m in mesh))
-    return det_sum(u_vals * h_vals[mask] * fine.cell_volume)
+    return tuple(m[mask] for m in mesh), h_vals[mask], fine.cell_volume
+
+
+def _support_quadrature(u, t: float, nodes: tuple) -> float:
+    """Grid-independent quadrature of u(t) * h over supp h.
+
+    A midpoint rule on the fine support nodes of :func:`_support_nodes`; for
+    the smooth integrands of the corpus this is exact far beyond the
+    tolerances, so the homotopy residual measures the discrete right-hand
+    path rather than a telescoped difference.  h vanishes outside the nodes,
+    their values are those of the whole fine grid, and det_sum is exact, so
+    the sum is the full-grid one bit for bit (0.0 when no fine point falls
+    inside the support).
+    """
+    points, h_vals, cell = nodes
+    return det_sum(u.value(t, *points) * h_vals * cell)
 
 
 @track("homotopy_residual")
@@ -196,7 +205,8 @@ def homotopy_residual(solutions: Sequence[AnalyticSolution], s: float, t: float,
     have one dimension: each is checked before any operator work (ValueError
     naming them otherwise).  The operator image e^{(t-s)L} h and its exact
     ring values below do not depend on u, so they are computed once per
-    call; per solution only u(s), the ring audit and the two sides are.
+    call, as are the fine support nodes of the left side; per solution only
+    u(s), u(t) on those nodes, the ring audit and the two sides are.
 
     The right-hand integrand must have died out inside the box: the extent
     audit requires |u(s) * e^{(t-s)L}h| < 1e-10 on the ring |x| >= 0.9 L,
@@ -218,6 +228,7 @@ def homotopy_residual(solutions: Sequence[AnalyticSolution], s: float, t: float,
     else:
         ring = np.maximum(np.abs(mesh[0]), np.abs(mesh[1])) >= 0.9 * grid.half_extent
     phi_ring = dense_evolve_at(grid, h_vals, t - s, target_mask=ring)
+    nodes = _support_nodes(h, grid)
     reports = []
     for u in solutions:
         u_s = u.value(s, *mesh)
@@ -226,7 +237,7 @@ def homotopy_residual(solutions: Sequence[AnalyticSolution], s: float, t: float,
             raise DomainTooSmallError(
                 f"homotopy rhs integrand of {u.label} is {tail:.3g} at |x| = 0.9L "
                 f"(needs < {_RHS_TAIL_TOL:g}); the box does not contain the pairing")
-        lhs = _support_quadrature(u, t, h, grid)
+        lhs = _support_quadrature(u, t, nodes)
         rhs = grid_pairing(grid, u_s, phi_s)
         reports.append(HomotopyReport(u.label, s, t, h.label, grid_level, lhs, rhs))
     return tuple(reports)

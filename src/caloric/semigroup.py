@@ -1,8 +1,10 @@
 """The heat semigroup e^{tL} (L = Laplacian) and its spatial gradient.
 
-Two interchangeable discrete realizations are provided and every
-representation-level experiment is expected to pass with both, so that a
-discretization artifact cannot masquerade as a verified identity:
+Grids are periodic (:class:`~caloric.grid.SpatialGrid`), so both
+realizations act on the torus [-L, L)^n.  Two interchangeable discrete
+realizations are provided and every representation-level experiment is
+expected to pass with both, so that a discretization artifact cannot
+masquerade as a verified identity:
 
 * ``kernel_quadrature`` - convolution with cell averages of the Gaussian
   kernel (4 pi t)^{-n/2} exp(-|x-y|^2 / 4t) (exact erf differences per cell,
@@ -25,7 +27,7 @@ discretization artifact cannot masquerade as a verified identity:
   spreads over the whole grid and is amplified wherever the evolved
   function is paired with fast-growing data.
 * ``spectral_multiplier`` - multiplication of discrete Fourier modes by
-  exp(-|xi|^2 t); requires a periodic grid.
+  exp(-|xi|^2 t).
 
 :func:`annulus_decay_check` measures the off-support decay
 ||e^{tL} h||_{L2(C_j)} ~ exp(-c d_j^2 / t) on a geometric annulus family and
@@ -62,7 +64,6 @@ class HeatOperatorConfig:
 
     method: str = "kernel_quadrature"
     truncation_radius_factor: float = 8.0
-    mass_normalization: bool = True
 
     def __post_init__(self) -> None:
         if self.method not in ("kernel_quadrature", "spectral_multiplier"):
@@ -107,7 +108,8 @@ class AnnulusScheme:
 
 
 def _kernel_1d(t: float, grid: SpatialGrid, cfg: HeatOperatorConfig) -> Array:
-    """Cell-averaged Gaussian weights w_m = int_{cell m} G_t (erf differences)."""
+    """Cell-averaged Gaussian weights w_m = int_{cell m} G_t (erf differences),
+    normalized to unit discrete mass."""
     from scipy.special import erf
 
     h = grid.spacing
@@ -115,9 +117,7 @@ def _kernel_1d(t: float, grid: SpatialGrid, cfg: HeatOperatorConfig) -> Array:
     edges = (np.arange(-m, m + 2, dtype=float) - 0.5) * h
     cdf = erf(edges / sqrt(4.0 * t))
     w = 0.5 * np.diff(cdf)
-    if cfg.mass_normalization:
-        w = w / det_sum(w)
-    return w
+    return w / det_sum(w)
 
 
 def _kernel_gradient_1d(t: float, grid: SpatialGrid, cfg: HeatOperatorConfig) -> Array:
@@ -142,8 +142,6 @@ def _check_extent(t: float, grid: SpatialGrid, cfg: HeatOperatorConfig) -> None:
             raise DomainTooSmallError(
                 f"kernel radius {reach:.3g} exceeds half of the grid half-extent "
                 f"({grid.half_extent / 2:.3g}); enlarge the grid or reduce t")
-    elif grid.boundary_mode != "periodic":
-        raise ValueError("spectral_multiplier requires a periodic grid")
 
 
 def _spectral_multipliers(t: float, grid: SpatialGrid) -> Array:
@@ -153,9 +151,6 @@ def _spectral_multipliers(t: float, grid: SpatialGrid) -> Array:
         return np.exp(-(xi**2) * t)
     xi2 = xi[:, None] ** 2 + xi[None, :] ** 2
     return np.exp(-xi2 * t)
-
-
-_CONV_MODE = {"periodic": "wrap", "zero_padded": "constant"}
 
 
 def _support_span(values: Array, axis: int, m: int) -> tuple[int, int] | None:
@@ -234,7 +229,7 @@ def _split_convolve_1d(span: Array, kernel: Array) -> Array:
     return np.concatenate([left, inner, _exterior_1d(span, kernel)])
 
 
-def _convolve(values: Array, kernel: Array, axis: int, grid: SpatialGrid) -> Array:
+def _convolve(values: Array, kernel: Array, axis: int) -> Array:
     # ndimage.convolve1d flips the kernel (true convolution); our kernels are
     # indexed by the offset x - y, so orientation matters for the gradient.
     # Each output is a fixed-order sum over its own 2m+1 neighbours, so
@@ -243,29 +238,20 @@ def _convolve(values: Array, kernel: Array, axis: int, grid: SpatialGrid) -> Arr
     # is split at the span (interior plus two exteriors, see
     # _split_convolve_1d), which depends on ndimage's loop order; the tests
     # compare both paths with the full-axis convolution bit for bit.  The
-    # linear window is taken modulo n on a periodic axis and clipped on a
-    # zero-padded one.
+    # axis is periodic, so the linear window is taken modulo n.
     from scipy import ndimage
 
     m = kernel.size // 2
     span = _support_span(values, axis, m)
     if span is None:
-        return ndimage.convolve1d(values, kernel, axis=axis,
-                                  mode=_CONV_MODE[grid.boundary_mode], cval=0.0)
+        return ndimage.convolve1d(values, kernel, axis=axis, mode="wrap")
     out = np.zeros_like(values)
     lo, hi = span
     if lo == hi:
         return out
-    n = values.shape[axis]
-    window = np.arange(lo - m, hi + m)
-    if grid.boundary_mode == "periodic":
-        keep = slice(None)
-        window %= n
-    else:
-        keep = (window >= 0) & (window < n)
-        window = window[keep]
+    window = np.arange(lo - m, hi + m) % values.shape[axis]
     if values.ndim == 1:
-        out[window] = _split_convolve_1d(values[lo:hi], kernel)[keep]
+        out[window] = _split_convolve_1d(values[lo:hi], kernel)
         return out
     put = (slice(None),) * axis + (window,)
     out[put] = ndimage.convolve1d(values[put], kernel, axis=axis, mode="constant", cval=0.0)
@@ -274,7 +260,7 @@ def _convolve(values: Array, kernel: Array, axis: int, grid: SpatialGrid) -> Arr
 
 @track("heat_evolve")
 def heat_evolve(grid: SpatialGrid, values: Array, t: float,
-                cfg: HeatOperatorConfig = HeatOperatorConfig()) -> Array:
+                cfg: HeatOperatorConfig) -> Array:
     """Apply the discrete heat semigroup at time t to a spatial slice."""
     values = np.asarray(values, dtype=float)
     _check_extent(t, grid, cfg)
@@ -284,13 +270,13 @@ def heat_evolve(grid: SpatialGrid, values: Array, t: float,
     w = _kernel_1d(t, grid, cfg)
     out = values
     for ax in range(grid.dim):
-        out = _convolve(out, w, ax, grid)
+        out = _convolve(out, w, ax)
     return out
 
 
 @track("heat_evolve_gradient")
 def heat_evolve_gradient(grid: SpatialGrid, values: Array, t: float,
-                         cfg: HeatOperatorConfig = HeatOperatorConfig()) -> Array:
+                         cfg: HeatOperatorConfig) -> Array:
     """Gradient of the evolved slice; returns shape (dim, *grid.shape)."""
     values = np.asarray(values, dtype=float)
     _check_extent(t, grid, cfg)
@@ -310,7 +296,7 @@ def heat_evolve_gradient(grid: SpatialGrid, values: Array, t: float,
     for ax in range(grid.dim):
         comp = values
         for other in range(grid.dim):
-            comp = _convolve(comp, wg if other == ax else w, other, grid)
+            comp = _convolve(comp, wg if other == ax else w, other)
         out[ax] = comp
     return out
 

@@ -366,7 +366,7 @@ def eval_solution(sol: AnalyticSolution, t: float, *axes: Array) -> Array:
 
 
 @track("tychonoff_eval")
-def tychonoff_eval(t: float, x, K: int = 40) -> tuple[float, bool]:
+def tychonoff_eval(t: float, x, K: int) -> tuple[float, bool]:
     """Flat-series partial sum at a point: (value, truncation_flag)."""
     sol = TychonoffSolution(K)
     v, flag = sol.value_with_flag(t, np.asarray(x, dtype=float).reshape(()))

@@ -1,4 +1,6 @@
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +29,6 @@ def _field_strategy(name: str, default):
     """Any value of the field's type; the pipeline is one of the real ones."""
     if name == "pipeline":
         return st.sampled_from(PIPELINES)
-    if isinstance(default, bool):
-        return st.booleans()
     if isinstance(default, int):
         return st.integers(-2**62, 2**62)
     if isinstance(default, float):
@@ -233,6 +233,29 @@ grid_levels = 2
         code = main(["homotopy", "--config", str(tmp_path / "nope.ini")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("grid", "grid_mode", "periodic"),
+        ("operator", "mass_normalization", "true"),
+    ])
+    def test_removed_keys_exit_2(self, tmp_path, capsys, section, key, value):
+        # every grid is periodic and every kernel has unit mass: neither is a setting
+        ini = tmp_path / "exp.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n")
+        code = main(["growth-fit", "--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"unknown config key {key!r} in [{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_readme_config_example_runs(self, tmp_path):
+        # the README's INI example names only keys that exist, and it runs
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        examples = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        assert len(examples) == 1
+        cfg = config_from_ini(examples[0])
+        assert cfg.pipeline == "growth-fit"
+        result = run_experiment(replace(cfg, out_dir=str(tmp_path)))
+        assert result.exit_code == 0, result.summary_lines
 
 
 class TestEmitPlots:

@@ -199,8 +199,7 @@ class TestStripSpec:
 
 class TestGradient:
     def test_linear_exact(self, grid_1d):
-        g = SpatialGrid(1, 8.0, grid_1d.spacing, "zero_padded")
-        out = gradient(g, g.axis.copy())
+        out = gradient(grid_1d, grid_1d.axis.copy())
         np.testing.assert_allclose(out[0][1:-1], 1.0, atol=1e-10)
 
     def test_constant_zero(self, grid_1d):
@@ -248,7 +247,7 @@ def _per_cell_csv(u: SpaceTimeField) -> str:
     g = u.grid
     buf = io.StringIO()
     buf.write(f"# grid n={g.dim} L={fmt_float(g.half_extent)} "
-              f"dx={fmt_float(g.spacing)} mode={g.boundary_mode}\n")
+              f"dx={fmt_float(g.spacing)} mode=periodic\n")
     buf.write("t,x,value\n" if g.dim == 1 else "t,x,y,value\n")
     for i, t in enumerate(u.times):
         for j, x in enumerate(g.axis):
@@ -288,11 +287,11 @@ class TestFieldCsv:
         assert "%.17g" % v == fmt_float(v)
 
     @given(data=st.data(), dim=st.sampled_from([1, 2]),
-           half_extent=st.floats(0.5, 1e3), mode=st.sampled_from(["periodic", "zero_padded"]))
+           half_extent=st.floats(0.5, 1e3))
     @settings(max_examples=40, deadline=None)
-    def test_bytes_equal_per_cell_writer(self, data, dim, half_extent, mode):
+    def test_bytes_equal_per_cell_writer(self, data, dim, half_extent):
         points = data.draw(st.integers(9, 40 if dim == 1 else 12), label="points")
-        grid = SpatialGrid.make(dim, half_extent, points, mode)
+        grid = SpatialGrid.make(dim, half_extent, points)
         times = data.draw(st.lists(st.one_of(st.sampled_from([1 / 3, 5e-324, 1e300]),
                                              st.floats(1e-300, 1e300)),
                                    min_size=1, max_size=3, unique=True), label="times")
@@ -308,11 +307,11 @@ class TestFieldCsv:
 
 
     @given(data=st.data(), dim=st.sampled_from([1, 2]),
-           half_extent=st.floats(0.5, 1e3), mode=st.sampled_from(["periodic", "zero_padded"]))
+           half_extent=st.floats(0.5, 1e3))
     @settings(max_examples=40, deadline=None)
-    def test_round_trip_bit_exact(self, data, dim, half_extent, mode):
+    def test_round_trip_bit_exact(self, data, dim, half_extent):
         points = data.draw(st.integers(9, 40 if dim == 1 else 12), label="points")
-        grid = SpatialGrid.make(dim, half_extent, points, mode)
+        grid = SpatialGrid.make(dim, half_extent, points)
         times = data.draw(st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=3,
                                    unique=True), label="times")
         times = sorted(times)
@@ -324,6 +323,13 @@ class TestFieldCsv:
         assert back.grid == grid
         assert back.times.tobytes() == u.times.tobytes()
         assert back.values.tobytes() == u.values.tobytes()  # signed zeros included
+
+    @pytest.mark.parametrize("mode", ["zero_padded", "reflecting", ""])
+    def test_non_periodic_mode_rejected(self, mode):
+        text = field_to_csv(constant_field(SpatialGrid.make(1, 8.0, 16), [0.25]))
+        text = text.replace("mode=periodic", f"mode={mode}", 1)
+        with pytest.raises(DataError, match=f"grid mode '{mode}' is not periodic"):
+            field_from_csv(text)
 
     @pytest.mark.parametrize("edit,row,message", [
         (lambda rows: rows + ["0.25,-8.0625,1"], 259, "coordinate off the grid"),

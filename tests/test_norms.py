@@ -88,11 +88,11 @@ class TestStripGrowthFit:
             strip_growth_fit(u, StripSpec(1.0, 2.0), [2, 3, 4, 5, 13])
 
     def test_borderline_is_inconclusive(self):
-        assert classify_growth(0.25, 0.99) == "INCONCLUSIVE"
-        assert classify_growth(0.24, 0.99) == "INCONCLUSIVE"
-        assert classify_growth(0.3, 0.99) == "FAIL"
-        assert classify_growth(0.3, 0.5) == "INCONCLUSIVE"
-        assert classify_growth(-0.01, 0.1) == "PASS"
+        assert classify_growth(0.25, 0.99, math.inf) == "INCONCLUSIVE"
+        assert classify_growth(0.24, 0.99, math.inf) == "INCONCLUSIVE"
+        assert classify_growth(0.3, 0.99, math.inf) == "FAIL"
+        assert classify_growth(0.3, 0.5, math.inf) == "INCONCLUSIVE"
+        assert classify_growth(-0.01, 0.1, math.inf) == "PASS"
 
 
 def phi_field(grid, radii):

@@ -7,7 +7,9 @@ or in ``bench/*.py``, outside its own definition.  Tests do not count either:
 a helper only the tests call is dead weight in the package.  The same holds
 for the public methods of public classes, and for every parameter with a
 default: some call in the package or in ``bench/*.py`` must pass it, or its
-single value in use is a constant, not a setting.
+single value in use is a constant, not a setting; and some call there must
+omit it, or the default value serves the tests at most and the parameter
+should be required.
 """
 
 import ast
@@ -161,6 +163,19 @@ def test_every_defaulted_parameter_is_passed():
             unpassed.append(f"{qualname}({name})")
     assert not unpassed, ("defaulted parameters no call in the package or bench/ passes "
                           "(make each a constant): " + ", ".join(unpassed))
+
+
+def test_every_default_is_relied_on():
+    calls = _calls([*_modules().values(), *_bench()])
+    overridden = []
+    for qualname, name, pos in defaulted_parameters():
+        if f"{qualname}({name})" in _ALLOWED_PARAMETERS:
+            continue
+        if not any(name not in keywords and "*" not in keywords and (pos is None or n_pos <= pos)
+                   for n_pos, keywords in calls.get(qualname.rsplit(".", 1)[-1], [])):
+            overridden.append(f"{qualname}({name})")
+    assert not overridden, ("defaults every call in the package or bench/ overrides "
+                            "(make each parameter required): " + ", ".join(overridden))
 
 
 def test_allow_list_names_exist():

@@ -218,6 +218,25 @@ class TestHomotopyResidual:
                               grid_level=0)
             assert calls == {"heat_evolve": 1, "dense_evolve_at": 1}
 
+    @pytest.mark.parametrize("case", ["1d-kernel", "2d-spectral"])
+    def test_bump_evaluated_twice_per_call(self, monkeypatch, case):
+        # once on the grid for the operator image, once on the fine support
+        # nodes of the left side, however many solutions the call pairs
+        calls = []
+        value = TestFunction.value
+
+        def counted(self, *axes):
+            calls.append(self)
+            return value(self, *axes)
+
+        monkeypatch.setattr(TestFunction, "value", counted)
+        solutions, h, cfg, grid = _BATCH_CASES[case]
+        for n_solutions in (1, 3):
+            calls.clear()
+            homotopy_residual(solutions[:n_solutions], 0.2, 0.4, h, cfg, grid=grid,
+                              grid_level=0)
+            assert calls == [h, h]
+
     def test_checks_every_solution_before_operator_work(self, monkeypatch):
         def no_operator(*args, **kwargs):
             raise AssertionError("operator applied before every solution was checked")
@@ -274,7 +293,7 @@ class TestSupportQuadrature:
     @pytest.mark.parametrize("case", list(_SUPPORT_CASES))
     def test_bitwise_equal_to_full_fine_grid(self, case):
         u, h, grid = _SUPPORT_CASES[case]
-        got = representation._support_quadrature(u, 0.7, h, grid)
+        got = representation._support_quadrature(u, 0.7, representation._support_nodes(h, grid))
         want = _full_fine_grid_quadrature(u, 0.7, h, grid)
         assert got.hex() == want.hex()
         if case == "1d-radius-below-fine-spacing":

@@ -31,11 +31,6 @@ class TestConfigs:
         with pytest.raises(ValueError, match=">= 6"):
             HeatOperatorConfig("kernel_quadrature", truncation_radius_factor=4.0)
 
-    def test_spectral_needs_periodic(self):
-        g = SpatialGrid(1, 8.0, 8.0 / 256, "zero_padded")
-        with pytest.raises(ValueError, match="periodic"):
-            heat_evolve(g, np.ones(g.shape), 0.1, SPECTRAL)
-
     def test_kernel_extent_guard(self, periodic_pi_grid):
         with pytest.raises(DomainTooSmallError):
             heat_evolve(periodic_pi_grid, np.ones(256), 4.0, KERNEL)
@@ -140,8 +135,7 @@ class TestHeatEvolveGradient:
 
 
 def _full_axis_convolution(grid, values, t, gradient, cfg=KERNEL):
-    """Oracle: ndimage.convolve1d over every full axis with the boundary mode."""
-    mode = {"periodic": "wrap", "zero_padded": "constant"}[grid.boundary_mode]
+    """Oracle: ndimage.convolve1d over every full periodic axis."""
     w = _kernel_1d(t, grid, cfg)
     wg = _kernel_gradient_1d(t, grid, cfg)
     comps = []
@@ -149,7 +143,7 @@ def _full_axis_convolution(grid, values, t, gradient, cfg=KERNEL):
         comp = values
         for other in range(grid.dim):
             comp = ndimage.convolve1d(comp, wg if other == ax else w, axis=other,
-                                      mode=mode, cval=0.0)
+                                      mode="wrap")
         comps.append(comp)
     return np.stack(comps) if gradient else comps[0]
 
@@ -182,56 +176,54 @@ def _spikes(grid, indices):
     return values
 
 
-# (dim, boundary mode, field, t); L = 15 with 256 points per axis in 1D and
-# 64 in 2D.  In 1D the kernel half-width m is 38 taps at t = 0.3 and 62 at
-# t = 0.8.  Spikes spanning 180 (181) points give a window of exactly n
-# (n + 1) points: the widest windowed case and the narrowest fallback.  The
-# edge bumps are cut at x = L, so their windows wrap round the axis; spikes
-# on both sides of the seam span nearly the whole axis and take the fallback.
+# (dim, field, t) on the periodic box L = 15 with 256 points per axis in 1D
+# and 64 in 2D.  In 1D the kernel half-width m is 38 taps at t = 0.3, 49 at
+# t = 0.5 and 62 at t = 0.8.  Spikes spanning 180 (181) points give a window
+# of exactly n (n + 1) points: the widest windowed case and the narrowest
+# fallback.  The edge bumps are cut at x = L, so their windows wrap round the
+# axis; spikes on both sides of the seam span nearly the whole axis and take
+# the fallback.
 _WINDOW_CASES = {
-    "1d-periodic-interior": (1, "periodic", lambda g: _bump_field(g, (0.5,), 1.0), 0.3),
-    "1d-periodic-wraps-edge": (1, "periodic", lambda g: _bump_field(g, (14.5,), 1.0), 0.3),
-    "1d-periodic-window-wraps": (1, "periodic", lambda g: _bump_field(g, (12.0,), 1.0), 0.5),
-    "1d-zero-padded-clipped": (1, "zero_padded", lambda g: _bump_field(g, (-14.0,), 0.8), 0.5),
-    "1d-two-bumps-mixed-signs": (1, "zero_padded",
-                                 lambda g: _bump_field(g, (-6.0,), 1.0)
+    "1d-interior": (1, lambda g: _bump_field(g, (0.5,), 1.0), 0.3),
+    "1d-wraps-edge": (1, lambda g: _bump_field(g, (14.5,), 1.0), 0.3),
+    "1d-window-wraps-right": (1, lambda g: _bump_field(g, (12.0,), 1.0), 0.5),
+    "1d-window-wraps-left": (1, lambda g: _bump_field(g, (-14.0,), 0.8), 0.5),
+    "1d-two-bumps-mixed-signs": (1, lambda g: _bump_field(g, (-6.0,), 1.0)
                                  - 2.0 * _bump_field(g, (5.0,), 0.5), 0.2),
-    "1d-signed-zeros-off-support": (1, "periodic",
-                                    lambda g: np.where((g.axis > -3.0) & (g.axis < 8.0), -0.0,
-                                                       _bump_field(g, (-12.0,), 0.5)), 0.2),
-    "1d-periodic-straddles-seam": (1, "periodic", lambda g: _spikes(g, (3, 250)), 0.3),
-    "1d-window-fills-axis": (1, "periodic", lambda g: _spikes(g, (0, 90, 179)), 0.3),
-    "1d-window-one-past-axis": (1, "periodic", lambda g: _spikes(g, (0, 90, 180)), 0.3),
-    "1d-window-too-wide": (1, "periodic", lambda g: _bump_field(g, (0.0,), 10.0), 0.8),
-    "1d-zero-padded-too-wide": (1, "zero_padded", lambda g: _bump_field(g, (0.0,), 10.0), 0.8),
-    "1d-all-zero": (1, "periodic", lambda g: np.zeros(g.shape), 0.3),
-    "1d-all-negative-zero": (1, "zero_padded", lambda g: -np.zeros(g.shape), 0.3),
-    "2d-periodic-interior": (2, "periodic", lambda g: _bump_field(g, (1.0, -2.0), 1.5), 0.3),
-    "2d-periodic-wraps-edge": (2, "periodic", lambda g: _bump_field(g, (14.5, 0.5), 1.5), 0.3),
-    "2d-zero-padded-corner": (2, "zero_padded", lambda g: _bump_field(g, (-13.5, 13.0), 2.0), 0.5),
-    "2d-window-too-wide": (2, "zero_padded", lambda g: _bump_field(g, (0.0, 3.0), 10.0), 0.8),
-    "2d-all-zero": (2, "periodic", lambda g: np.zeros(g.shape), 0.3),
+    "1d-signed-zeros-off-support": (1, lambda g: np.where((g.axis > -3.0) & (g.axis < 8.0), -0.0,
+                                                          _bump_field(g, (-12.0,), 0.5)), 0.2),
+    "1d-straddles-seam": (1, lambda g: _spikes(g, (3, 250)), 0.3),
+    "1d-window-fills-axis": (1, lambda g: _spikes(g, (0, 90, 179)), 0.3),
+    "1d-window-one-past-axis": (1, lambda g: _spikes(g, (0, 90, 180)), 0.3),
+    "1d-window-too-wide": (1, lambda g: _bump_field(g, (0.0,), 10.0), 0.8),
+    "1d-all-zero": (1, lambda g: np.zeros(g.shape), 0.3),
+    "1d-all-negative-zero": (1, lambda g: -np.zeros(g.shape), 0.3),
+    "2d-interior": (2, lambda g: _bump_field(g, (1.0, -2.0), 1.5), 0.3),
+    "2d-wraps-edge": (2, lambda g: _bump_field(g, (14.5, 0.5), 1.5), 0.3),
+    "2d-window-wraps-corner": (2, lambda g: _bump_field(g, (-13.5, 13.0), 2.0), 0.5),
+    "2d-window-too-wide": (2, lambda g: _bump_field(g, (0.0, 3.0), 10.0), 0.8),
+    "2d-all-zero": (2, lambda g: np.zeros(g.shape), 0.3),
 }
 # A 1-D slice is split at its support span.  Spans of S random values with
 # -0.0 and subnormals inside, at t = 0.3 (m = 38): shorter than, equal to
-# and longer than m, odd and even, at both ends of a zero-padded axis and
-# close enough to the ends of a periodic axis that the window wraps.
+# and longer than m, odd and even, starting at the first or ending at the
+# last point of the axis, and close enough to its ends that the window wraps.
 _M = _kernel_1d(0.3, SpatialGrid.make(1, 15.0, 256), KERNEL).size // 2
-_WINDOW_CASES.update({f"1d-span-{name}": (1, mode, _signed_span(lo, size), 0.3)
-                      for name, (size, lo, mode) in {
-    "S=1": (1, 120, "zero_padded"),
-    "S=2": (2, 120, "periodic"),
-    "S=m-1": (_M - 1, 100, "zero_padded"),
-    "S=m": (_M, 100, "periodic"),
-    "S=m+1": (_M + 1, 100, "zero_padded"),
-    "S-even": (20, 90, "periodic"),
-    "S-odd": (21, 90, "zero_padded"),
-    "S-much-longer-than-m": (150, 50, "zero_padded"),
-    "zero-padded-left-end": (30, 0, "zero_padded"),
-    "zero-padded-right-end": (30, 226, "zero_padded"),
-    "window-fills-zero-padded-axis": (180, 38, "zero_padded"),
-    "periodic-wraps-left": (30, 5, "periodic"),
-    "periodic-wraps-right": (45, 205, "periodic"),
+_WINDOW_CASES.update({f"1d-span-{name}": (1, _signed_span(lo, size), 0.3)
+                      for name, (size, lo) in {
+    "S=1": (1, 120),
+    "S=2": (2, 120),
+    "S=m-1": (_M - 1, 100),
+    "S=m": (_M, 100),
+    "S=m+1": (_M + 1, 100),
+    "S-even": (20, 90),
+    "S-odd": (21, 90),
+    "S-much-longer-than-m": (150, 50),
+    "at-left-end": (30, 0),
+    "at-right-end": (30, 226),
+    "window-fills-axis": (180, 38),
+    "window-wraps-left": (30, 5),
+    "window-wraps-right": (45, 205),
 }.items()})
 
 
@@ -243,8 +235,8 @@ class TestSupportWindowConvolution:
     @pytest.mark.parametrize("case", list(_WINDOW_CASES))
     @pytest.mark.parametrize("gradient", [False, True], ids=["evolve", "gradient"])
     def test_bitwise_equal_to_full_axis(self, case, gradient):
-        dim, mode, field, t = _WINDOW_CASES[case]
-        grid = SpatialGrid.make(dim, 15.0, 256 if dim == 1 else 64, mode)
+        dim, field, t = _WINDOW_CASES[case]
+        grid = SpatialGrid.make(dim, 15.0, 256 if dim == 1 else 64)
         values = field(grid)
         op = heat_evolve_gradient if gradient else heat_evolve
         got = op(grid, values, t, KERNEL)
@@ -272,7 +264,7 @@ class TestSupportWindowConvolution:
         # At factor 60 the outer gradient taps underflow to +0.0 while the
         # inner ones keep their sign; those dropped taps decide the sign of
         # an output that sums to zero.
-        grid = SpatialGrid.make(1, 64.0, 4096, "zero_padded")
+        grid = SpatialGrid.make(1, 64.0, 4096)
         cfg = HeatOperatorConfig("kernel_quadrature", truncation_radius_factor=factor)
         for value in (-0.0, -5.0):
             values = np.zeros(grid.shape)
@@ -335,7 +327,7 @@ class TestDenseEvolveAt:
     @pytest.mark.parametrize("field", ["bump", "mixed-signs", "scattered", "all-zero"])
     @pytest.mark.parametrize("ring", [False, True], ids=["full-grid", "ring"])
     def test_matches_pairwise_formula(self, dim, field, ring):
-        grid = SpatialGrid.make(dim, 6.0, 128 if dim == 1 else 40, "zero_padded")
+        grid = SpatialGrid.make(dim, 6.0, 128 if dim == 1 else 40)
         bump = _bump_field(grid, (0.5,) * dim, 1.0)
         values = {"bump": bump,
                   "mixed-signs": bump - 1.5 * _bump_field(grid, (-2.0,) * dim, 0.7),
