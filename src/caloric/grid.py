@@ -348,6 +348,23 @@ def field_to_csv(u: SpaceTimeField) -> str:
     return "".join(parts)
 
 
+def _header_grid(line: str) -> SpatialGrid:
+    """The grid of a ``# grid n=.. L=.. dx=.. mode=periodic`` header line."""
+    items = line[len("# grid"):].split()
+    if not all("=" in item for item in items):
+        raise DataError(f"grid header {line!r}: every item must be key=value")
+    header = dict(item.split("=", 1) for item in items)
+    mode = header.get("mode")
+    if mode != "periodic":
+        raise DataError(f"grid mode {mode!r} is not periodic, the only boundary mode of a grid")
+    try:
+        return SpatialGrid(int(header["n"]), float(header["L"]), float(header["dx"]))
+    except KeyError as exc:
+        raise DataError(f"grid header {line!r}: missing {exc.args[0]}=") from None
+    except ValueError as exc:
+        raise DataError(f"grid header {line!r}: {exc}") from None
+
+
 def field_from_csv(text: str) -> SpaceTimeField:
     """Parse the output of :func:`field_to_csv`.
 
@@ -357,16 +374,15 @@ def field_from_csv(text: str) -> SpaceTimeField:
     wrong width, a field that is not a number, a time or coordinate that is
     not finite, a coordinate that rounds to no grid index and a repeated
     (t, x[, y]) raise DataError naming the row.  Grids are periodic: a
-    header ``mode=`` other than ``periodic`` raises DataError naming it.
+    header ``mode=`` other than ``periodic`` raises DataError naming it.  A
+    header item without ``=``, a missing ``n``, ``L`` or ``dx``, a value that
+    is not a number and a grid that breaks an invariant of
+    :class:`SpatialGrid` raise DataError naming the header line.
     """
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or not lines[0][1].startswith("# grid"):
         raise DataError("missing '# grid' header line")
-    header = dict(item.split("=", 1) for item in lines[0][1][len("# grid"):].split())
-    mode = header.get("mode")
-    if mode != "periodic":
-        raise DataError(f"grid mode {mode!r} is not periodic, the only boundary mode of a grid")
-    grid = SpatialGrid(int(header["n"]), float(header["L"]), float(header["dx"]))
+    grid = _header_grid(lines[0][1])
     body = lines[1:]
     if body and body[0][1].strip() == _COLUMNS[grid.dim]:
         body = body[1:]

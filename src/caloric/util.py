@@ -1,4 +1,59 @@
-"""Small shared helpers: exact summation, thread caps, float formatting."""
+"""Small shared helpers: exact summation, thread caps, float formatting.
+
+Exact summation by extraction
+-----------------------------
+``det_sum`` sums large stacks of finite terms by the extraction of Rump,
+Ogita and Oishi ("Accurate floating-point summation, Part I: faithful
+rounding", SIAM J. Sci. Comput. 31 (2008), ExtractVector and AccSum), and
+accepts a row's result only under the certificate below.  Here u = 2^-53,
+fl() is one double operation rounded to nearest, a row has n terms, and m is
+the smallest integer with 2^m >= n + 2 (so n < 2^m and m <= 53).
+
+Lemma (one pass).  Let sigma = 2^k with 2^-969 <= sigma <= 2^1023, so that
+u sigma is a normal double and sigma + x cannot overflow, and let the
+double x satisfy |x| <= 2^-m sigma.  Put q = fl(fl(sigma + x) - sigma) and
+x' = fl(x - q).  Then (a) q = fl(sigma + x) - sigma and x' = x - q exactly;
+(b) q is a multiple of u sigma and |q| <= 2^-m sigma; (c) |x'| <= u sigma.
+
+Proof.  sigma - 2^-m sigma and sigma + 2^-m sigma are doubles because
+m <= 53, so by monotone rounding fl(sigma + x) lies between them, inside
+[sigma/2, 2 sigma].  Sterbenz's lemma then makes the subtraction of sigma
+exact, which proves (a) for q and, with the first remark, |q| <= 2^-m sigma.
+x - q = (sigma + x) - fl(sigma + x) is the rounding error of one addition,
+which is a double, so x' is exact.  The doubles in [sigma/2, 2 sigma] are
+multiples of u sigma (their spacing is u sigma below sigma and 2u sigma
+from sigma on), and so is sigma, which proves (b).  The rounding error is at
+most half that spacing, which proves (c).
+
+Exact pass totals.  The q of one row are multiples of u sigma whose
+magnitudes add up to at most n 2^-m sigma < sigma = 2^53 u sigma.  Every
+partial sum, in any order or grouping, is then a multiple of u sigma of
+magnitude below 2^53 u sigma, hence a double, so tau = sum(q), computed any
+way, is exact.  The row total is now exactly tau plus the sum of the x',
+and |x'| <= u sigma = 2^-m sigma' with sigma' = 2^m u sigma: the next pass
+may run with sigma', and the sum of the x' has magnitude at most
+n u sigma < sigma'.  The first pass starts at sigma_1 = 2^(e + m), where
+max|x| < 2^e.
+
+Certificate.  After pass j the exact total is T = tau_1 + ... + tau_j + R_j
+with |R_j| < sigma_(j+1).  The taus are added by Knuth's TwoSum:
+s_j = fl(s_(j-1) + tau_j) with the error e_j = s_(j-1) + tau_j - s_j, which
+TwoSum returns exactly.  B_j >= |e_1| + ... + |e_j| is accumulated with
+each addition rounded up (np.nextafter towards +inf), so
+|T - s_j| < B_j + sigma_(j+1).  Let h be half the smaller gap between s_j
+and its neighbouring doubles, that is, half of |s_j| minus the next double
+towards zero.  If B_j + sigma_(j+1), rounded up, is below h, then T lies
+strictly closer to s_j than to any other double, so T is no tie and s_j is
+the correctly rounded sum: the same double as ``math.fsum`` returns.  For
+s_j = 0 the gap term is 0 and nothing is certified.  The first pass is
+never checked: its remainder bound sigma_2 = 2^(2m) u 2^e exceeds half of
+any gap next to a sum of magnitude at most n max|x| < 2^(m + e).
+
+A row that the certificate does not settle within _EXTRACT_PASSES passes,
+whose next sigma would fall below 2^-969, or whose first sigma would exceed
+2^1023 is summed by the exact integer limbs instead; an all-zero row sums
+to +0.0.
+"""
 
 from __future__ import annotations
 
@@ -23,9 +78,10 @@ def det_sum(values, axis=None) -> float | np.ndarray:
     +inf with -inf raises ValueError.  A finite total beyond the float
     range raises OverflowError; unlike ``math.fsum``, an intermediate
     overflow does not.  Stacks of at most ``_FSUM_MAX_TERMS`` terms are
-    summed row by row with ``math.fsum`` (faster there, same result),
-    larger ones, and any stack on which ``math.fsum`` meets an intermediate
-    overflow, by exact integer limbs.
+    summed row by row with ``math.fsum`` (faster there, same result).
+    Larger ones, and any stack on which ``math.fsum`` meets an intermediate
+    overflow, are summed by certified extraction (module docstring), with
+    exact integer limbs for the rows the certificate does not settle.
     """
     arr = np.asarray(values, dtype=float)
     if axis is None:
@@ -36,7 +92,9 @@ def det_sum(values, axis=None) -> float | np.ndarray:
     return _row_sums(arr.reshape(math.prod(lead), arr.shape[-1])).reshape(lead)
 
 
-# Exact summation.  A finite double x = frac * 2^e (np.frexp) has its lowest
+# Exact summation by limbs.
+#
+# A finite double x = frac * 2^e (np.frexp) has its lowest
 # mantissa bit at position p = e + 1073, with 0 <= p <= 2097 (p = 0 for
 # 2^-1074, the smallest subnormal).  So x = y * 2^(32k - _BIAS) with the limb
 # index k = p // 32 and y = frac * 2^(53 + p % 32), an integer below 2^84
@@ -56,26 +114,105 @@ _MAX_TERMS = _BLOCK << 15
 _SCALE = 1 << _BIAS
 _DIGIT_OFFSETS = np.arange(3).reshape(3, 1, 1)
 # Stacks of up to this many terms in all go to math.fsum, one row at a time.
-# The limb path costs about 25 us plus 3 us per row whatever the size; fsum
-# costs about 1 us per row plus 0.02-0.15 us per term, rising with the spread
-# of the terms' exponents.  Timed on the arrays the gate and measure-sweep
-# benchmark passes reduce (CHANGES.md has the table), the summed cost of a
-# pass is flat for thresholds from 1280 to 3584 terms and worse outside.
-_FSUM_MAX_TERMS = 2560
+# The extraction path costs about 70 us per stack plus about 4 ns per term
+# when its rows certify in two passes; fsum costs about 1 us per row plus
+# 0.02-0.15 us per term, rising with the spread of the terms' exponents.
+# Timed on the arrays the gate and measure-sweep benchmark passes reduce
+# (CHANGES.md has the table), the summed cost of a pass is within 2 % of its
+# minimum for thresholds from 1024 to 3072 terms, lowest at 1280-1536 terms,
+# and rises from 4096.
+_FSUM_MAX_TERMS = 1536
+# Extraction (module docstring): sigma stays within [2^_SIGMA_EXP_MIN,
+# 2^_SIGMA_EXP_MAX].  Rows uncertified after _EXTRACT_PASSES passes (exact
+# totals of 0.0 and ties, in practice) go to the limbs.
+_SIGMA_EXP_MIN = -1022 + 53
+_SIGMA_MIN = 2.0**_SIGMA_EXP_MIN
+_SIGMA_EXP_MAX = 1023
+_EXTRACT_PASSES = 8
 
 
 def _row_sums(rows: np.ndarray) -> np.ndarray:
     """Correctly rounded sum of each row of a 2-D float array."""
-    n_rows, n_terms = rows.shape
     if rows.size <= _FSUM_MAX_TERMS:
         try:
             return np.array([math.fsum(row.tolist()) for row in rows], dtype=float)
         except OverflowError:
-            pass  # an intermediate overflow in fsum; the limb path has none
-    if not np.isfinite(rows).all():
+            pass  # an intermediate overflow in fsum; the exact paths have none
+    magnitudes = np.abs(rows).max(axis=1)  # nan or inf exactly for a non-finite row
+    if not np.isfinite(magnitudes).all():
         return np.array([math.fsum(row) for row in rows.tolist()], dtype=float)
-    if n_terms > _MAX_TERMS:
-        raise ValueError(f"det_sum rows are limited to {_MAX_TERMS} terms, got {n_terms}")
+    if rows.shape[1] > _MAX_TERMS:
+        raise ValueError(f"det_sum rows are limited to {_MAX_TERMS} terms, got {rows.shape[1]}")
+    return _extracted_sums(rows, magnitudes)
+
+
+def _extracted_sums(rows: np.ndarray, magnitudes: np.ndarray) -> np.ndarray:
+    """Row sums by certified extraction; the module docstring has the proof.
+
+    ``magnitudes`` holds max|x| of each row.  All-zero rows sum to +0.0.
+    Rows whose sigma would leave [_SIGMA_MIN, 2^_SIGMA_EXP_MAX] and rows not
+    certified within _EXTRACT_PASSES passes are summed by ``_limb_sums``.
+    """
+    n_rows, n_terms = rows.shape
+    m = (n_terms + 1).bit_length()  # the smallest m with 2^m >= n_terms + 2
+    shrink = 2.0 ** (m - 53)  # 2^m u
+    exps = np.frexp(magnitudes)[1] + m  # sigma_1 = 2^exps >= 2^m max|x|
+    sums = np.zeros(n_rows)
+    pending = magnitudes > 0.0  # rows still without a certified sum
+    in_range = (exps <= _SIGMA_EXP_MAX) & (exps + (m - 53) >= _SIGMA_EXP_MIN)  # passes 1 and 2
+    todo = (pending & in_range).nonzero()[0]
+    sigma = np.ldexp(1.0, exps[todo])
+    # numpy broadcasts one (1, 1) sigma several times faster than a column
+    same_sigma = todo.size > 1 and sigma.min() == sigma.max()
+    rest = rows[todo]  # a copy; the passes extract from it in place
+    high = np.empty_like(rest)
+    # pass 1 never certifies: its remainder bound is too wide
+    total = _extract(rest, high, sigma[:1] if same_sigma else sigma)
+    bound = np.zeros(todo.size)  # >= |sum of the taus - total|
+    for _ in range(_EXTRACT_PASSES - 1):
+        sigma *= shrink
+        tau = _extract(rest, high, sigma[:1] if same_sigma else sigma)
+        # TwoSum: new + error == total + tau exactly; the bound is rounded up
+        new = total + tau
+        back = new - total
+        bound += np.abs((total - (new - back)) + (tau - back))
+        np.nextafter(bound, np.inf, out=bound)
+        total = new
+        remainder = sigma * shrink  # > |sum of rest|, and the next pass's sigma
+        mag = np.abs(total)
+        certified = (np.nextafter(bound + remainder, np.inf)
+                     < 0.5 * (mag - np.nextafter(mag, 0.0)))
+        done = todo[certified]
+        sums[done] = total[certified]
+        pending[done] = False
+        live = ~certified & (remainder >= _SIGMA_MIN)
+        if not live.any():
+            break
+        if not live.all():
+            todo, rest, sigma, total, bound = (a[live] for a in (todo, rest, sigma, total, bound))
+            high = high[:todo.size]
+    fallback = pending.nonzero()[0]
+    if fallback.size:
+        sums[fallback] = _limb_sums(rows[fallback])
+    return sums
+
+
+def _extract(rest: np.ndarray, high: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """One extraction pass: splits each row of ``rest`` at its sigma, in place.
+
+    ``sigma`` holds one value per row, or one value for all rows.  ``high``
+    receives fl(fl(sigma + x) - sigma) of each term x, ``rest`` keeps x minus
+    that, and the exact row totals of ``high`` are returned.
+    """
+    np.add(rest, sigma[:, None], out=high)
+    high -= sigma[:, None]
+    rest -= high
+    return high.sum(axis=1)
+
+
+def _limb_sums(rows: np.ndarray) -> np.ndarray:
+    """Correctly rounded sum of each row of finite terms, by exact integer limbs."""
+    n_rows, n_terms = rows.shape
     limbs = np.zeros((n_rows, _N_LIMBS), dtype=np.int64)
     row_step = max(1, _BLOCK // max(1, n_terms))
     term_step = max(1, min(n_terms, _BLOCK))

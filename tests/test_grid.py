@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -330,6 +331,17 @@ class TestFieldCsv:
         text = text.replace("mode=periodic", f"mode={mode}", 1)
         with pytest.raises(DataError, match=f"grid mode '{mode}' is not periodic"):
             field_from_csv(text)
+
+    @pytest.mark.parametrize("header,message", [
+        ("# grid n=1 L=8 mode=periodic", "missing dx="),
+        ("# grid n=1 L=8 dx=0.0625 periodic", "every item must be key=value"),
+        ("# grid n=x L=8 dx=0.0625 mode=periodic", "invalid literal for int"),
+        ("# grid n=3 L=8 dx=0.0625 mode=periodic", "SpatialGrid invariant violated: dim"),
+    ], ids=["no-dx", "item-without-equals", "n-not-a-number", "n-out-of-range"])
+    def test_malformed_grid_header_names_the_header(self, header, message):
+        _, *rows = field_to_csv(constant_field(SpatialGrid.make(1, 8.0, 256), [0.25])).splitlines()
+        with pytest.raises(DataError, match=rf"grid header '{re.escape(header)}': {message}"):
+            field_from_csv("\n".join([header, *rows]))
 
     @pytest.mark.parametrize("edit,row,message", [
         (lambda rows: rows + ["0.25,-8.0625,1"], 259, "coordinate off the grid"),

@@ -199,20 +199,28 @@ class TestFsumCrossover:
         assert_same(det_sum(stack), fsum_oracle(stack))
 
     def test_dispatch_at_the_crossover(self, monkeypatch):
-        limb_blocks = []
-        limb_totals = util._limb_totals
+        # fsum up to the crossover, extraction above it, limbs for the rows
+        # extraction cannot certify (here the tie 1 + 2^-53)
+        paths = []
+        for name in ("_extracted_sums", "_limb_sums"):
+            def counted(rows, *rest, _name=name, _path=getattr(util, name)):
+                paths.append(_name)
+                return _path(rows, *rest)
 
-        def counted(block):
-            limb_blocks.append(block.shape)
-            return limb_totals(block)
-
-        monkeypatch.setattr(util, "_limb_totals", counted)
+            monkeypatch.setattr(util, name, counted)
         c = _FSUM_MAX_TERMS
-        for shape, limbs in [((c,), False), ((2, c // 2), False),
-                             ((c + 1,), True), ((2, c // 2 + 1), True)]:
-            limb_blocks.clear()
-            assert_same(det_sum(np.ones(shape), axis=-1), np.full(shape[:-1], float(shape[-1])))
-            assert bool(limb_blocks) == limbs, shape
+        tie = [1.0, 2.0**-53]
+        for shape, row, want in [
+            ((c,), [], []), ((2, c // 2), [], []),
+            ((c + 1,), [], ["_extracted_sums"]), ((2, c // 2 + 1), [], ["_extracted_sums"]),
+            ((c,), tie, []),
+            ((c + 1,), tie, ["_extracted_sums", "_limb_sums"]),
+        ]:
+            stack = np.zeros(shape) if row else np.ones(shape)
+            stack[..., :len(row)] = row
+            paths.clear()
+            assert_same(det_sum(stack, axis=-1), rowwise_oracle(stack))
+            assert paths == want, (shape, row)
 
     def test_intermediate_overflow_falls_back_to_limbs(self):
         assert det_sum([1e308, 1e308, -1e308]) == 1e308
@@ -222,9 +230,119 @@ class TestFsumCrossover:
     @settings(max_examples=200, deadline=None)
     @given(cancelling_terms())
     def test_limb_path_equals_fsum(self, terms):
-        # zeros past the crossover change no sum but force the limb path
+        rows = np.asarray(terms, dtype=float).reshape(1, -1)
+        assert_same(util._limb_sums(rows), [fsum_oracle(terms)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(cancelling_terms())
+    def test_extraction_path_equals_fsum(self, terms):
+        # zeros past the crossover change no sum but force the extraction
+        # path, and its limb fallback where the certificate fails
         padded = np.concatenate([terms, np.zeros(_FSUM_MAX_TERMS + 1)])
         assert_same(det_sum(padded), fsum_oracle(terms))
+
+
+def padded_rows(*rows) -> np.ndarray:
+    """Rows of terms, each zero-padded to one length past the crossover."""
+    width = max(_FSUM_MAX_TERMS + 1, *(len(r) for r in rows))
+    stack = np.zeros((len(rows), width))
+    for i, r in enumerate(rows):
+        stack[i, :len(r)] = r
+    return stack
+
+
+def odd_row(tail: float) -> np.ndarray:
+    """x exp(-x^2) on a symmetric axis: pairs cancel exactly, down to ``tail``."""
+    x = np.linspace(0.0, math.sqrt(-math.log(tail)), 1024)[1:]
+    half = x * np.exp(-x * x)
+    return np.concatenate([-half[::-1], [0.0], half])
+
+
+class TestExtraction:
+    """Rows that stress the certificate, each against row-wise fsum."""
+
+    @pytest.fixture
+    def limb_rows(self, monkeypatch):
+        """Number of rows the extraction hands to the limb fallback."""
+        seen = []
+        limb_sums = util._limb_sums
+
+        def counted(rows):
+            seen.append(rows.shape[0])
+            return limb_sums(rows)
+
+        monkeypatch.setattr(util, "_limb_sums", counted)
+        return lambda: sum(seen)
+
+    def check(self, stack):
+        with np.errstate(over="raise", invalid="raise"):  # sigma never leaves the range
+            assert_same(det_sum(stack, axis=-1), rowwise_oracle(stack))
+            for row in stack:
+                assert_same(det_sum(row), fsum_oracle(row))
+
+    def test_ties_go_to_even(self):
+        u = 2.0**-53
+        # 1 + u is halfway between 1 and 1 + 2u; 2^-300 breaks the tie
+        self.check(padded_rows([1.0, u], [1.0 + 2 * u, u], [-1.0, -u],
+                               [1.0, u, 2.0**-300], [1.0, u, -(2.0**-300)],
+                               [1.0, *[u] * 2999]))
+
+    def test_sums_next_to_a_power_of_two(self):
+        # below 2^k the gap is half the gap above, so the certificate must
+        # use the smaller one
+        u = 2.0**-53
+        # (2^-100 lies below the second pass's grid, so a wrong gap would
+        # certify the tie-rounded 1.0 of that pass)
+        self.check(padded_rows([1.0, -u / 4], [1.0, -u / 2], [1.0, -u / 2, -(2.0**-100)],
+                               [1.0, -u / 2, 2.0**-100], [1.0, -u / 2, -(2.0**-80)],
+                               [2.0, -u], [0.5, 0.5, -u / 4], [4.0, -u, -u, -u], [-1.0, u / 4],
+                               [-1.0, u / 2, 2.0**-100]))
+
+    def test_long_rows_of_one_sign(self):
+        # every pass total is near n max|x|, which only 2^m >= n + 2 keeps exact
+        rng = np.random.default_rng(10)
+        for n in (2046, 2047, 4094, 5000):  # 2^m = n + 2 at 2046 and 4094
+            self.check(np.stack([rng.uniform(0.5, 1.0, n), -rng.uniform(0.5, 1.0, n)]))
+
+    def test_subnormal_totals(self):
+        tiny = 2.0**-1074
+        self.check(padded_rows([1.0, -1.0, tiny], [1e-300, -1e-300, 3 * tiny, -tiny],
+                               [2.0**-1022, -(2.0**-1022) + tiny, 3 * tiny],
+                               np.full(2000, tiny), [1e300, tiny, -1e300]))
+
+    def test_exact_zero_totals_over_a_wide_exponent_range(self, limb_rows):
+        rows = [odd_row(tail) for tail in (1e-20, 1e-100, 1e-300)]
+        stack = padded_rows(*rows, odd_row(1e-300)[1:], [3.0, -1.0, -2.0])
+        self.check(stack)
+        assert limb_rows() > 0
+
+    def test_rows_near_overflow(self):
+        rng = np.random.default_rng(11)
+        self.check(np.stack([rng.standard_normal(2000) * 2.0**k
+                             for k in (1000, 1010, 1011, 1012, 1013, 1015)]))
+        self.check(padded_rows([1e308, -1e308, 1e300], [1.7e308, -1.6e308, 1.0],
+                               [8.98e307, 8.98e307, -1e307]))
+
+    def test_rows_near_the_smallest_normal(self):
+        rng = np.random.default_rng(12)
+        stack = np.stack([rng.standard_normal(2000) * 2.0**k
+                          for k in (-1074, -1060, -1022, -980, -930, -928, -927, -926, -900)])
+        stack[:, 1::2] = -stack[:, ::2]  # cancel in pairs, except the last
+        stack[:, -1] = 2.0**-1022
+        self.check(stack)
+
+    def test_limb_fallback_fires_on_adversarial_rows_only(self, limb_rows):
+        x = np.linspace(-8.0, 8.0, 4096, endpoint=False)
+        probe = default_schwartz_panel()[2]  # He2(s=1), even
+        smooth = np.exp(-(x - 0.3) ** 2 / 0.4) * probe.value(x) * (x[1] - x[0])
+        self.check(np.stack([smooth, np.zeros(4096), np.full(4096, -0.0)]))
+        assert limb_rows() == 0
+        u = 2.0**-53
+        adversarial = padded_rows([1.0, u], odd_row(1e-300), [1.7e308, -1.6e308, 1.0],
+                                  [2.0**-1022, 2.0**-1074])
+        self.check(adversarial)
+        # four rows in the stack, then each again on its own
+        assert limb_rows() == 8
 
 
 # -- the batched reductions against per-slice fsum loops ---------------------

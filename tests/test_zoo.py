@@ -183,6 +183,15 @@ def test_contour_means_match_per_k_loop_bit_for_bit(k_max):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_contour_means_equal_np_mean_in_hex():
+    # np.add.reduce and one complex division by the count are what np.mean does
+    unit, twiddle, offsets = zoo._contour_nodes(40)
+    for t in (1.0 - np.random.default_rng(50).random(50)).tolist():  # in (0, 1]
+        integrand = np.exp(-1.0 / (t + 0.5 * t * unit)) * twiddle
+        want = [float(np.mean(integrand[a:b]).real).hex() for a, b in zip(offsets, offsets[1:])]
+        assert [m.hex() for m in zoo._contour_means(t, 40)] == want
+
+
 class TestHeatResidual:
     @pytest.mark.parametrize("sol,region,bound", [
         (Eigenmode((1.0,)), ResidualProbeRegion((0.2, 1.0), 2.0), 1e-5),
