@@ -48,7 +48,6 @@ from .probes import (
     hermite_probe,
 )
 from .representation import (
-    FluxConfig,
     FluxResult,
     HomotopyReport,
     RecoveryResult,

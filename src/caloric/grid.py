@@ -178,16 +178,24 @@ class SpaceTimeField:
     def n_times(self) -> int:
         return int(self.times.size)
 
-    def slice_at(self, t: float) -> NDArray[np.float64]:
-        """The stored sample at sample time t (within SAMPLE_TIME_TOL).
+    def slices_at(self, times) -> NDArray[np.float64]:
+        """The stored samples at sample times *times* (each within SAMPLE_TIME_TOL).
 
-        A field is never interpolated in time: any other t raises CoverageError.
+        Returns one slice per time, stacked in the order given.  A field is
+        never interpolated in time: any other time raises CoverageError.
         """
-        idx = int(np.abs(self.times - t).argmin())
-        if not abs(self.times[idx] - t) <= SAMPLE_TIME_TOL:  # NaN is no sample time
-            raise CoverageError(f"time {t} is not a sample time of the field (nearest "
-                                f"{self.times[idx]}); sampled fields are never interpolated")
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        idx = np.abs(self.times[None, :] - times[:, None]).argmin(axis=1)
+        off = ~(np.abs(self.times[idx] - times) <= SAMPLE_TIME_TOL)  # NaN is no sample time
+        if off.any():
+            k = int(off.argmax())
+            raise CoverageError(f"time {times[k]} is not a sample time of the field (nearest "
+                                f"{self.times[idx[k]]}); sampled fields are never interpolated")
         return self.values[idx]
+
+    def slice_at(self, t: float) -> NDArray[np.float64]:
+        """The stored sample at sample time t; see :meth:`slices_at`."""
+        return self.slices_at(t)[0]
 
 
 def ball_weights(grid: SpatialGrid, center, radius: float) -> NDArray[np.float64]:

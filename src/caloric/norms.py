@@ -296,28 +296,27 @@ def tent_to_strip_bound(u: SpaceTimeField, strip: StripSpec,
 
 @dataclass(frozen=True)
 class SpaceTimeRegion:
-    """Time interval x radial region (ball when r_lo = 0, else annulus)."""
+    """Time interval (t0, t1) x the ball |x| <= r_hi about the origin.
+
+    The ball has the dimension of the field it is applied to.
+    """
 
     t0: float
     t1: float
     r_hi: float
-    r_lo: float = 0.0
-    center: tuple[float, ...] = (0.0,)
 
     def __post_init__(self) -> None:
         if not 0 < self.t0 < self.t1:
             raise ValueError("need 0 < t0 < t1")
-        if not 0 <= self.r_lo < self.r_hi:
-            raise ValueError("need 0 <= r_lo < r_hi")
+        if not 0 < self.r_hi:
+            raise ValueError("need r_hi > 0")
 
     def contains(self, other: "SpaceTimeRegion") -> bool:
-        return (self.t0 < other.t0 and self.t1 >= other.t1
-                and self.r_hi > other.r_hi and self.r_lo <= other.r_lo)
+        return self.t0 < other.t0 and self.t1 >= other.t1 and self.r_hi > other.r_hi
 
 
 def _region_mask(grid: SpatialGrid, region: SpaceTimeRegion) -> Array:
-    r = grid.distance_to(region.center)
-    return (r >= region.r_lo) & (r <= region.r_hi)
+    return grid.distance_to((0.0,) * grid.dim) <= region.r_hi
 
 
 def _spacetime_integral(u: SpaceTimeField, slices: Array, region: SpaceTimeRegion) -> float:
@@ -334,7 +333,7 @@ def caccioppoli_ratio(u: SpaceTimeField, inner: SpaceTimeRegion,
     """Interior energy over the Caccioppoli bound's right-hand side.
 
     ratio = int_inner |grad u|^2 / [(1/r^2 + 1/(s-a)) int_enlarged |u|^2]
-    with r the outer radius of the inner region and s-a the time margin.
+    with r the radius of the inner ball and s-a the time margin.
     The corpus-wide max of this ratio is the empirical Caccioppoli constant.
     """
     if not enlarged.contains(inner):

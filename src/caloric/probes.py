@@ -37,16 +37,17 @@ class TestFunction:
 
     __test__ = False  # keep pytest from collecting this as a test class
 
-    center: tuple[float, ...] = (0.0,)
-    radius: float = 1.0
-    label: str = ""
+    center: tuple[float, ...]
+    radius: float
 
     def __post_init__(self) -> None:
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        if not self.label:
-            c = ",".join(f"{ci:g}" for ci in self.center)
-            object.__setattr__(self, "label", f"bump(c={c},r={self.radius:g})")
+
+    @property
+    def label(self) -> str:
+        c = ",".join(f"{ci:g}" for ci in self.center)
+        return f"bump(c={c},r={self.radius:g})"
 
     @property
     def dim(self) -> int:
@@ -138,8 +139,8 @@ _BUMP_NUMERATORS = _bump_numerator_table(12)
 class SchwartzProbe:
     """phi(x) = p(x) exp(-x^2 / 2 sigma^2) with exact derivatives to order 12."""
 
-    coeffs: tuple[float, ...] = (1.0,)
-    sigma: float = 1.0
+    coeffs: tuple[float, ...]
+    sigma: float
     label: str = ""
 
     def __post_init__(self) -> None:

@@ -12,7 +12,10 @@ their sample times.  On top of the identity sit:
 
 * the annulus-averaged flux functional Phi(R) = Phi_1 + Phi_2 from the
   identity's proof, bounded (with a decreasing tail) exactly when the
-  measured growth exponent is admissible, gamma_hat < c lambda^2 / kappa^2;
+  measured growth exponent is admissible, gamma_hat < c lambda^2 / kappa^2.
+  The annuli and the threshold are fixed: lambda = _FLUX_LAMBDA = 0.9,
+  kappa = _FLUX_KAPPA = 1.1, c = _FLUX_C = 0.24, the radii _FLUX_RADII =
+  2..8, and _FLUX_GAMMA_THRESHOLD = c lambda^2 / kappa^2;
 * recovery of the initial datum as a tempered-distribution functional: the
   pairings <u(t_k), phi> along a geometric ladder are Cauchy, and Richardson
   extrapolation (the bias is O(t) with smooth higher corrections; three
@@ -35,7 +38,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainTooSmallError, InvariantViolationError
-from .grid import SAMPLE_TIME_TOL, SpaceTimeField, SpatialGrid, StripSpec, integrate_ball
+from .grid import SpaceTimeField, SpatialGrid, StripSpec, integrate_ball
 from .norms import BallFamily, GrowthFit, schwartz_seminorm, strip_growth_fit, tent_norm
 from .optrack import track
 from .probes import SchwartzProbe, TestFunction
@@ -58,6 +61,14 @@ _SLICE_TOL = 1e-6
 _DIVERGENCE_FACTOR = 10.0
 # The pairing bound takes the sup over the sample times below this cap.
 _PAIRING_T_CAP = 0.5
+# Flux functional: annuli lam R < |x| < R at the radii R; a measured growth
+# exponent is admissible below c lam^2 / kappa^2 (the proof's smallness
+# condition, with lam in (0, 1), kappa > 1 and c in (0, 1/4)).
+_FLUX_LAMBDA = 0.9
+_FLUX_KAPPA = 1.1
+_FLUX_C = 0.24
+_FLUX_RADII = (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+_FLUX_GAMMA_THRESHOLD = _FLUX_C * _FLUX_LAMBDA**2 / _FLUX_KAPPA**2
 
 
 @dataclass(frozen=True)
@@ -131,21 +142,6 @@ def _check_probe_dims(panel, grid: SpatialGrid) -> None:
         if probe.dim != grid.dim:
             raise ValueError(f"probe {probe.label} is {probe.dim}-D but the field is "
                              f"{grid.dim}-D; a pairing needs probes of the field's dimension")
-
-
-def _ladder_slices(u: SpaceTimeField, times: Array) -> Array:
-    """Stack of the samples of u at the ladder times, in ladder order.
-
-    Every ladder time must be a sample time (within SAMPLE_TIME_TOL, as in
-    ``SpaceTimeField.slice_at``): interpolating in time would break the
-    polynomial-in-t bias model the extrapolation relies on.
-    """
-    idx = np.abs(u.times[None, :] - times[:, None]).argmin(axis=1)
-    off = np.abs(u.times[idx] - times) > SAMPLE_TIME_TOL
-    if off.any():
-        raise ValueError(f"ladder time {float(times[off][0])!r} is not a sample time "
-                         "of the field; ladder pairings are never interpolated")
-    return u.values[idx]
 
 
 def _check_solution_dims(u: AnalyticSolution, h: TestFunction, grid: SpatialGrid) -> None:
@@ -244,34 +240,6 @@ def homotopy_residual(solutions: Sequence[AnalyticSolution], s: float, t: float,
 
 
 @dataclass(frozen=True)
-class FluxConfig:
-    """Annulus-averaging parameters for the flux functional.
-
-    Admissibility against a measured growth exponent requires
-    gamma_hat < c * lam^2 / kappa^2 (the proof's smallness condition).
-    """
-
-    lam: float = 0.9
-    kappa: float = 1.1
-    c: float = 0.24
-    r_values: tuple[float, ...] = (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError("need lambda in (0, 1)")
-        if self.kappa <= 1.0:
-            raise ValueError("need kappa > 1")
-        if not 0.0 < self.c < 0.25:
-            raise ValueError("need c in (0, 1/4)")
-        if any(b <= a for a, b in zip(self.r_values, self.r_values[1:])):
-            raise ValueError("r_values must be strictly increasing")
-
-    @property
-    def gamma_threshold(self) -> float:
-        return self.c * self.lam**2 / self.kappa**2
-
-
-@dataclass(frozen=True)
 class FluxRow:
     R: float
     phi1: float
@@ -294,26 +262,27 @@ class FluxResult:
 
 @track("flux_functional")
 def flux_functional(u: AnalyticSolution, s: float, t: float, h: TestFunction,
-                    fluxcfg: FluxConfig, gamma_hat: float, cfg: HeatOperatorConfig, *,
+                    gamma_hat: float, cfg: HeatOperatorConfig, *,
                     grid: SpatialGrid) -> FluxResult:
     """Annulus-averaged boundary fluxes Phi_1(R), Phi_2(R) of the identity proof.
 
     Phi_1 = int_s^t int_{lam R<|x|<R} |phi grad u|, Phi_2 = same with
     |u grad phi|, phi(tau) = e^{(t-tau)L} h, with u and grad u evaluated in
-    closed form at each tau node.  When the measured growth is admissible
-    (gamma_hat < c lam^2/kappa^2) the maximum over R is finite and the
-    large-R tail decreases; an inadmissible configuration returns a
+    closed form at each tau node, for R in _FLUX_RADII and lam = _FLUX_LAMBDA.
+    When the measured growth is admissible (gamma_hat below
+    _FLUX_GAMMA_THRESHOLD = c lam^2/kappa^2) the maximum over R is finite
+    and the large-R tail decreases; an inadmissible configuration returns a
     precondition-violation report rather than raising.  u, h and the grid
     must have one dimension (ValueError naming them otherwise).
     """
     _check_solution_dims(u, h, grid)
     if not 0 < s < t:
         raise ValueError("need 0 < s < t")
-    if fluxcfg.r_values[-1] > 0.8 * grid.half_extent + 1e-12:
+    if _FLUX_RADII[-1] > 0.8 * grid.half_extent + 1e-12:
         raise DomainTooSmallError("largest flux radius exceeds 0.8*L")
-    if fluxcfg.lam * fluxcfg.r_values[0] <= h.radius + 2 * grid.spacing:
+    if _FLUX_LAMBDA * _FLUX_RADII[0] <= h.radius + 2 * grid.spacing:
         raise ValueError("smallest annulus must clear the test-function support")
-    admissible = gamma_hat < fluxcfg.gamma_threshold
+    admissible = gamma_hat < _FLUX_GAMMA_THRESHOLD
     mesh = grid.meshgrid()
     radial = grid.distance_to((0.0,) * grid.dim)
     taus = np.linspace(s, t, _N_TAU)
@@ -338,18 +307,18 @@ def flux_functional(u: AnalyticSolution, s: float, t: float, h: TestFunction,
     w = np.full(_N_TAU, dt)
     w[0] = w[-1] = dt / 2.0
     # time profiles of the Phi_1 and Phi_2 integrands on each annulus
-    profiles = np.empty((len(fluxcfg.r_values), 2, _N_TAU))
-    for j, R in enumerate(fluxcfg.r_values):
-        mask = (radial > fluxcfg.lam * R) & (radial < R)
+    profiles = np.empty((len(_FLUX_RADII), 2, _N_TAU))
+    for j, R in enumerate(_FLUX_RADII):
+        mask = (radial > _FLUX_LAMBDA * R) & (radial < R)
         terms = np.stack([np.abs(phi_slices[:, mask]) * abs_gu[:, mask],
                           np.abs(u_slices[:, mask]) * abs_gphi[:, mask]])
         profiles[j] = det_sum(terms * cell, axis=-1)
     phis = det_sum(profiles * w, axis=-1)
-    rows = [FluxRow(R, phi1, phi2) for R, (phi1, phi2) in zip(fluxcfg.r_values, phis.tolist())]
+    rows = [FluxRow(R, phi1, phi2) for R, (phi1, phi2) in zip(_FLUX_RADII, phis.tolist())]
     totals = [r.total for r in rows]
     tail = totals[len(totals) // 2:]
     monotone = all(b <= a * (1 + 1e-9) + 1e-300 for a, b in zip(tail, tail[1:]))
-    return FluxResult(tuple(rows), admissible, gamma_hat, fluxcfg.gamma_threshold,
+    return FluxResult(tuple(rows), admissible, gamma_hat, _FLUX_GAMMA_THRESHOLD,
                       max(totals), monotone)
 
 
@@ -432,8 +401,10 @@ def recover_initial_data(u: SpaceTimeField, ladder: SnapshotLadder,
     probe's ``decay_window``, panels doubled from 8 until two values agree)
     reduced by det_sum, never from the closed-form evolution.  A probe whose
     increments grow over 3 consecutive steps is flagged NOT-RECOVERABLE
-    instead of extrapolated.  Every ladder time must be a sample time of u,
-    and every probe must have u's dimension (ValueError otherwise).
+    instead of extrapolated.  Every ladder time must be a sample time of u
+    (CoverageError otherwise: interpolating in time would break the
+    polynomial-in-t bias model the extrapolation relies on), and every probe
+    must have u's dimension (ValueError otherwise).
     """
     g = u.grid
     _check_probe_dims(panel, g)
@@ -441,7 +412,7 @@ def recover_initial_data(u: SpaceTimeField, ladder: SnapshotLadder,
     if times[0] > u.times[-1] * (1 + 1e-9) or times[-1] < u.times[0] * (1 - 1e-9):
         raise ValueError("ladder not covered by the sampled field")
     ladder.validate_floor(g)
-    stack = _ladder_slices(u, times)
+    stack = u.slices_at(times)
     per = []
     for probe in panel:
         ps = grid_pairing(g, stack, probe.value(g.axis))
@@ -472,13 +443,13 @@ def snapshot_boundedness_probe(u: SpaceTimeField, ladder: SnapshotLadder,
                                panel: Sequence[SchwartzProbe]) -> BoundednessReport:
     """sup_k |<u(t_k), phi>| per probe; bounded iff no probe's tail diverges.
 
-    Every ladder time must be a sample time of u, and every probe must have
-    u's dimension (ValueError otherwise).
+    Every ladder time must be a sample time of u (CoverageError otherwise),
+    and every probe must have u's dimension (ValueError otherwise).
     """
     g = u.grid
     _check_probe_dims(panel, g)
     times = ladder.times
-    stack = _ladder_slices(u, times)
+    stack = u.slices_at(times)
     sups = []
     ok = True
     for probe in panel:

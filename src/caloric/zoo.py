@@ -62,7 +62,7 @@ def _phase(axes, coeffs) -> Array:
 class GaussianKernelSolution:
     """u(t, x) = Phi(t0 + t, x - x0): the fundamental solution started at -t0."""
 
-    t0: float = 1.0
+    t0: float
     x0: tuple[float, ...] = (0.0,)
 
     kind = "gaussian_kernel"
@@ -144,7 +144,7 @@ class CaloricPolynomial:
 class ExponentialSolution:
     """u(t, x) = exp(mu.x + |mu|^2 t): caloric with exponential spatial growth."""
 
-    mu: tuple[float, ...] = (1.0,)
+    mu: tuple[float, ...]
 
     kind = "exponential"
 
@@ -172,7 +172,7 @@ class ExponentialSolution:
 class Eigenmode:
     """u(t, x) = A exp(-|w|^2 t) sin(w.x): bounded decaying eigenfunction."""
 
-    omega: tuple[float, ...] = (1.0,)
+    omega: tuple[float, ...]
     amplitude: float = 1.0
 
     kind = "eigenmode"
@@ -296,7 +296,7 @@ class TychonoffSolution:
     module docstring for the domain-of-validity notes.
     """
 
-    K: int = 40
+    K: int
 
     kind = "tychonoff"
     dim = 1
@@ -386,14 +386,22 @@ def sample_solution(sol: AnalyticSolution, grid: SpatialGrid,
     return SpaceTimeField(grid, times_arr, values, sol.label)
 
 
+# The heat-residual probe lattice: this many times across the time range,
+# and this many points per axis across [-x_extent, x_extent].
+_RESIDUAL_TIMES = 7
+_RESIDUAL_POINTS = 41
+
+
 @dataclass(frozen=True)
 class ResidualProbeRegion:
-    """Interior probe lattice and FD steps for the heat-residual check."""
+    """FD steps and the ranges of the heat-residual probe lattice.
+
+    The lattice has _RESIDUAL_TIMES times spanning *t_range* and
+    _RESIDUAL_POINTS points per axis spanning [-x_extent, x_extent].
+    """
 
     t_range: tuple[float, float]
     x_extent: float
-    n_t: int = 7
-    n_x: int = 41
     dt: float = 1e-3
     dx: float = 1e-3
     stencil_order: int = 2
@@ -413,8 +421,8 @@ def heat_residual(sol: AnalyticSolution, region: ResidualProbeRegion) -> float:
     The stencil order is configurable: order 2 is the default; order 4 makes
     the check exact (up to round-off) for heat polynomials of degree <= 5.
     """
-    ts = np.linspace(region.t_range[0], region.t_range[1], region.n_t)
-    xs = np.linspace(-region.x_extent, region.x_extent, region.n_x)
+    ts = np.linspace(region.t_range[0], region.t_range[1], _RESIDUAL_TIMES)
+    xs = np.linspace(-region.x_extent, region.x_extent, _RESIDUAL_POINTS)
     axes = (xs,) if sol.dim == 1 else (xs, xs)
     mesh = np.meshgrid(*axes, indexing="ij") if sol.dim == 2 else (xs,)
     dt, dx = region.dt, region.dx
@@ -453,8 +461,8 @@ def _axis_second_difference(sol, t, mesh, ax, dx, order):
 class SchwartzGaussPolyDatum:
     """u0(x) = p(x) e^{-x^2/2 sigma^2}; evolution stays in closed form."""
 
-    coeffs: tuple[float, ...] = (1.0,)
-    sigma: float = 1.0
+    coeffs: tuple[float, ...]
+    sigma: float
 
     kind = "gauss_poly"
     dim = 1
@@ -498,7 +506,7 @@ class SignDatum:
 class DiracDatum:
     """Unit point mass at x0; evolution is the heat kernel centered there."""
 
-    x0: float = 0.0
+    x0: float
 
     kind = "dirac"
     dim = 1
@@ -528,8 +536,8 @@ class OscillatorDatum:
     an L^inf (hence BMO) field; its heat extension has finite tent norm.
     """
 
-    omega: float = 1.0
-    amplitude: float = 1.0
+    omega: float
+    amplitude: float
 
     kind = "oscillator"
     dim = 1
@@ -604,46 +612,60 @@ def exact_pairing(datum: InitialDatum, probe) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _parse_params(spec: str) -> dict[str, str]:
-    if not spec:
-        return {}
-    return dict(item.split("=", 1) for item in spec.split(","))
+# Per id name: the accepted parameters with their defaults (as id text), and
+# the builder of the member from the full parameter dict.
+_SOLUTION_IDS = {
+    "gaussian_kernel": (dict(t0="1", x0="0", dim="1"), lambda p: GaussianKernelSolution(
+        float(p["t0"]), (float(p["x0"]),) * int(p["dim"]))),
+    "caloric_polynomial": (dict(m="2"), lambda p: CaloricPolynomial(int(p["m"]))),
+    "exponential": (dict(mu="1", dim="1"),
+                    lambda p: ExponentialSolution((float(p["mu"]),) * int(p["dim"]))),
+    "eigenmode": (dict(omega="1", dim="1", amp="1"), lambda p: Eigenmode(
+        (float(p["omega"]),) * int(p["dim"]), float(p["amp"]))),
+    "erf_front": ({}, lambda p: ErfFront()),
+    "tychonoff": (dict(K="40"), lambda p: TychonoffSolution(int(p["K"]))),
+}
+_DATUM_IDS = {
+    "sign": ({}, lambda p: SignDatum()),
+    "dirac": (dict(x0="0"), lambda p: DiracDatum(float(p["x0"]))),
+    "oscillator": (dict(omega="1", amp="1"),
+                   lambda p: OscillatorDatum(float(p["omega"]), float(p["amp"]))),
+    "gauss_poly": (dict(coeffs="1", sigma="1"), lambda p: SchwartzGaussPolyDatum(
+        tuple(float(c) for c in p["coeffs"].split("|")), float(p["sigma"]))),
+}
+
+
+def _from_id(ident: str, kind: str, registry: dict):
+    """Build the registry member an id ``name:key=value,...`` names.
+
+    Raises ValueError naming the id for an unknown name, and naming the id,
+    the item and the accepted keys for an item that is not ``key=value``
+    with an accepted key; a value the member rejects raises ValueError
+    naming the id as well.
+    """
+    name, _, params_txt = ident.partition(":")
+    name = name.strip()
+    if name not in registry:
+        raise ValueError(f"unknown {kind} id {ident!r}")
+    defaults, build = registry[name]
+    params = dict(defaults)
+    for item in params_txt.split(",") if params_txt else ():
+        key, eq, value = item.partition("=")
+        if not eq or key.strip() not in defaults:
+            raise ValueError(f"{kind} id {ident!r}: bad parameter {item!r}; accepted keys: "
+                             f"{', '.join(defaults) or 'none'}")
+        params[key.strip()] = value
+    try:
+        return build(params)
+    except ValueError as exc:  # a value that does not parse or breaks the member's invariant
+        raise ValueError(f"{kind} id {ident!r}: {exc}") from None
 
 
 def solution_from_id(ident: str) -> AnalyticSolution:
     """Build a zoo member from an id like ``tychonoff:K=40``."""
-    name, _, params_txt = ident.partition(":")
-    p = _parse_params(params_txt)
-    name = name.strip()
-    if name == "gaussian_kernel":
-        return GaussianKernelSolution(t0=float(p.get("t0", 1.0)),
-                                      x0=(float(p.get("x0", 0.0)),) * int(p.get("dim", 1)))
-    if name == "caloric_polynomial":
-        return CaloricPolynomial(int(p.get("m", 2)))
-    if name == "exponential":
-        return ExponentialSolution((float(p.get("mu", 1.0)),) * int(p.get("dim", 1)))
-    if name == "eigenmode":
-        return Eigenmode((float(p.get("omega", 1.0)),) * int(p.get("dim", 1)),
-                         float(p.get("amp", 1.0)))
-    if name == "erf_front":
-        return ErfFront()
-    if name == "tychonoff":
-        return TychonoffSolution(int(p.get("K", 40)))
-    raise ValueError(f"unknown solution id {ident!r}")
+    return _from_id(ident, "solution", _SOLUTION_IDS)
 
 
 def datum_from_id(ident: str) -> InitialDatum:
     """Build an initial datum from an id like ``oscillator:omega=1,amp=1``."""
-    name, _, params_txt = ident.partition(":")
-    p = _parse_params(params_txt)
-    name = name.strip()
-    if name == "sign":
-        return SignDatum()
-    if name == "dirac":
-        return DiracDatum(float(p.get("x0", 0.0)))
-    if name == "oscillator":
-        return OscillatorDatum(float(p.get("omega", 1.0)), float(p.get("amp", 1.0)))
-    if name == "gauss_poly":
-        coeffs = tuple(float(c) for c in p.get("coeffs", "1").split("|"))
-        return SchwartzGaussPolyDatum(coeffs, float(p.get("sigma", 1.0)))
-    raise ValueError(f"unknown datum id {ident!r}")
+    return _from_id(ident, "datum", _DATUM_IDS)

@@ -160,6 +160,14 @@ class TestRunExperiment:
         assert f"{pipeline} evolves a 1-D initial datum, so grid_dim must be 1, got 2" in summary
         assert not (tmp_path / output).exists()
 
+    def test_misspelled_id_parameter_exits_2(self, tmp_path):
+        cfg = ExperimentConfig(pipeline="growth-fit", solution_id="eigenmode:omgea=2",
+                               out_dir=str(tmp_path))
+        assert run_experiment(cfg).exit_code == 2
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "bad parameter 'omgea=2'; accepted keys: omega, dim, amp" in summary
+        assert not (tmp_path / "growth_fit.csv").exists()
+
     @pytest.mark.parametrize("pipeline,solution_id,grid_dim,output", [
         ("growth-fit", "gaussian_kernel:t0=1,dim=2", 1, "growth_fit.csv"),
         ("homotopy", "gaussian_kernel:t0=1,dim=2", 1, "homotopy.csv"),

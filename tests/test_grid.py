@@ -83,6 +83,14 @@ class TestSpaceTimeField:
             with pytest.raises(CoverageError, match="not a sample time"):
                 u.slice_at(t)
 
+    def test_slices_at_stacks_samples_in_the_order_given(self, grid_1d):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((3, 512))
+        u = SpaceTimeField(grid_1d, [1.0, 2.0, 3.0], values)
+        assert u.slices_at([3.0, 1.0 + 5e-10, 3.0]).tobytes() == values[[2, 0, 2]].tobytes()
+        with pytest.raises(CoverageError, match="time 2.5 is not a sample time of the field"):
+            u.slices_at([1.0, 2.5, 3.0])
+
 
 class TestIntegrateBall:
     def test_constant_interval_measure(self, grid_1d):

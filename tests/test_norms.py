@@ -11,6 +11,7 @@ from caloric import (
     CoverageError,
     DataError,
     Eigenmode,
+    GaussianKernelSolution,
     HeatOperatorConfig,
     SpaceTimeField,
     SpaceTimeRegion,
@@ -247,6 +248,16 @@ class TestCaccioppoli:
         exact = energy / ((1.0 + 2.0) * mass)
         assert ratio == pytest.approx(exact, rel=5e-3)
         assert ratio <= 1.0
+
+    def test_2d_fields(self, grid_2d):
+        # regions are balls about the origin in the field's dimension
+        times = np.linspace(0.4, 2.1, 9)
+        inner, outer = SpaceTimeRegion(1.0, 2.0, 1.0), SpaceTimeRegion(0.5, 2.0, 2.0)
+        const = constant_field(grid_2d, times, value=3.0)
+        assert caccioppoli_ratio(const, inner, outer) == 0.0
+        gauss = sample_solution(GaussianKernelSolution(1.0, (0.0, 0.0)), grid_2d, times)
+        ratio = caccioppoli_ratio(gauss, inner, outer)
+        assert math.isfinite(ratio) and ratio > 0.0
 
     def test_region_containment_enforced(self, grid_1d):
         u = constant_field(grid_1d, np.linspace(0.4, 2.1, 9))

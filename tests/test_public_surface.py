@@ -9,7 +9,9 @@ for the public methods of public classes, and for every parameter with a
 default: some call in the package or in ``bench/*.py`` must pass it, or its
 single value in use is a constant, not a setting; and some call there must
 omit it, or the default value serves the tests at most and the parameter
-should be required.
+should be required.  A defaulted field of a dataclass is a defaulted
+parameter of its constructor, and a call of the class counts like a call of
+a function.
 """
 
 import ast
@@ -79,6 +81,24 @@ def defaulted_parameters() -> list[tuple[str, str, int | None]]:
     return [(qualname, name, pos) for tree in _modules().values()
             for qualname, fn, skip in _public_functions(tree)
             for name, pos in _defaulted_parameters(fn, skip)]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def defaulted_fields() -> list[tuple[str, str, int]]:
+    """(class name, field, call position) of every defaulted dataclass field."""
+    found = []
+    for tree in _modules().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields = [item for item in node.body if isinstance(item, ast.AnnAssign)]
+                found += [(node.name, f.target.id, pos) for pos, f in enumerate(fields)
+                          if f.value is not None]
+    return found
 
 
 def _calls(trees) -> dict[str, list[tuple[int, set[str]]]]:
@@ -155,27 +175,27 @@ def test_every_public_method_has_a_caller():
 def test_every_defaulted_parameter_is_passed():
     calls = _calls([*_modules().values(), *_bench()])
     unpassed = []
-    for qualname, name, pos in defaulted_parameters():
+    for qualname, name, pos in defaulted_parameters() + defaulted_fields():
         if f"{qualname}({name})" in _ALLOWED_PARAMETERS:
             continue
         if not any(name in keywords or "*" in keywords or (pos is not None and n_pos > pos)
                    for n_pos, keywords in calls.get(qualname.rsplit(".", 1)[-1], [])):
             unpassed.append(f"{qualname}({name})")
-    assert not unpassed, ("defaulted parameters no call in the package or bench/ passes "
-                          "(make each a constant): " + ", ".join(unpassed))
+    assert not unpassed, ("defaulted parameters and fields no call in the package or bench/ "
+                          "passes (make each a constant): " + ", ".join(unpassed))
 
 
 def test_every_default_is_relied_on():
     calls = _calls([*_modules().values(), *_bench()])
     overridden = []
-    for qualname, name, pos in defaulted_parameters():
+    for qualname, name, pos in defaulted_parameters() + defaulted_fields():
         if f"{qualname}({name})" in _ALLOWED_PARAMETERS:
             continue
         if not any(name not in keywords and "*" not in keywords and (pos is None or n_pos <= pos)
                    for n_pos, keywords in calls.get(qualname.rsplit(".", 1)[-1], [])):
             overridden.append(f"{qualname}({name})")
     assert not overridden, ("defaults every call in the package or bench/ overrides "
-                            "(make each parameter required): " + ", ".join(overridden))
+                            "(make each parameter or field required): " + ", ".join(overridden))
 
 
 def test_allow_list_names_exist():

@@ -8,11 +8,11 @@ from scipy.integrate import quad
 from caloric import (
     BallFamily,
     CaloricPolynomial,
+    CoverageError,
     DiracDatum,
     DomainTooSmallError,
     Eigenmode,
     ExponentialSolution,
-    FluxConfig,
     GaussianKernelSolution,
     HeatOperatorConfig,
     OscillatorDatum,
@@ -306,7 +306,7 @@ class TestFluxFunctional:
     def test_zero_field_gives_zero(self):
         g = SpatialGrid.make(1, 12.0, 512)
         res = flux_functional(Eigenmode((1.0,), 0.0), 0.5, 1.0, TestFunction((0.0,), 1.0),
-                              FluxConfig(), gamma_hat=0.0,
+                              gamma_hat=0.0,
                               cfg=HeatOperatorConfig("kernel_quadrature", 6.0), grid=g)
         assert res.max_total == 0.0
         assert res.admissible
@@ -316,15 +316,13 @@ class TestFluxFunctional:
         sol, h, message = _DIM_MISMATCHES[case]
         g = SpatialGrid.make(1, 12.0, 512)
         with pytest.raises(ValueError, match=re.escape(message)):
-            flux_functional(sol, 0.5, 1.0, h, FluxConfig(), gamma_hat=0.0,
+            flux_functional(sol, 0.5, 1.0, h, gamma_hat=0.0,
                             cfg=HeatOperatorConfig("kernel_quadrature", 6.0), grid=g)
 
     def test_gaussian_tail_decreasing_and_small(self):
         g = SpatialGrid.make(1, 12.0, 1024)
         res = flux_functional(GaussianKernelSolution(1.0), 0.5, 1.0,
-                              TestFunction((0.0,), 1.0),
-                              FluxConfig(0.9, 1.1, 0.24, (2, 3, 4, 5, 6, 7, 8)),
-                              gamma_hat=0.001,
+                              TestFunction((0.0,), 1.0), gamma_hat=0.001,
                               cfg=HeatOperatorConfig("kernel_quadrature", 6.0), grid=g)
         assert res.admissible
         assert res.tail_monotone_decreasing
@@ -333,16 +331,21 @@ class TestFluxFunctional:
     def test_inadmissible_is_reported_not_raised(self):
         g = SpatialGrid.make(1, 12.0, 512)
         res = flux_functional(Eigenmode((1.0,)), 0.5, 1.0, TestFunction((0.0,), 1.0),
-                              FluxConfig(), gamma_hat=0.3,
+                              gamma_hat=0.3,
                               cfg=HeatOperatorConfig("kernel_quadrature", 6.0), grid=g)
         assert not res.admissible
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="lambda"):
-            FluxConfig(lam=1.5)
-        with pytest.raises(ValueError, match="1/4"):
-            FluxConfig(c=0.3)
-        assert FluxConfig().gamma_threshold == pytest.approx(0.24 * 0.81 / 1.21)
+    def test_admissibility_threshold(self):
+        # gamma_hat < c lam^2 / kappa^2 with c = 0.24, lam = 0.9, kappa = 1.1
+        threshold = 0.24 * 0.9**2 / 1.1**2
+        g = SpatialGrid.make(1, 12.0, 512)
+        for gamma_hat, admissible in ((math.nextafter(threshold, 0.0), True),
+                                      (threshold, False)):
+            res = flux_functional(Eigenmode((1.0,)), 0.5, 1.0, TestFunction((0.0,), 1.0),
+                                  gamma_hat=gamma_hat,
+                                  cfg=HeatOperatorConfig("kernel_quadrature", 6.0), grid=g)
+            assert res.gamma_threshold == threshold
+            assert res.admissible is admissible
 
 
 @pytest.fixture(scope="module")
@@ -398,9 +401,9 @@ class TestRecoverInitialData:
         # 0.05 lies between the samples 0.025 and 0.1: no interpolation
         lad = SnapshotLadder(0.1, 0.5, 4)
         fld = evolve_datum_exact(SignDatum(), recover_grid, [0.0125, 0.025, 0.1, 0.2])
-        with pytest.raises(ValueError, match="ladder time 0.05 is not a sample time"):
+        with pytest.raises(CoverageError, match="time 0.05 is not a sample time of the field"):
             recover_initial_data(fld, lad, [hermite_probe(0, 1.0)])
-        with pytest.raises(ValueError, match="ladder time 0.05 is not a sample time"):
+        with pytest.raises(CoverageError, match="time 0.05 is not a sample time of the field"):
             snapshot_boundedness_probe(fld, lad, [hermite_probe(0, 1.0)])
 
 

@@ -344,3 +344,40 @@ class TestRegistry:
             solution_from_id("navier_stokes")
         with pytest.raises(ValueError, match="unknown datum"):
             datum_from_id("white_noise")
+
+    @pytest.mark.parametrize("build,ident,expected", [
+        (solution_from_id, "gaussian_kernel", GaussianKernelSolution(1.0, (0.0,))),
+        (solution_from_id, "caloric_polynomial", CaloricPolynomial(2)),
+        (solution_from_id, "exponential", ExponentialSolution((1.0,))),
+        (solution_from_id, "eigenmode", Eigenmode((1.0,), 1.0)),
+        (solution_from_id, "erf_front", ErfFront()),
+        (solution_from_id, "tychonoff", TychonoffSolution(40)),
+        (datum_from_id, "sign", SignDatum()),
+        (datum_from_id, "dirac", DiracDatum(0.0)),
+        (datum_from_id, "oscillator", OscillatorDatum(1.0, 1.0)),
+        (datum_from_id, "gauss_poly", SchwartzGaussPolyDatum((1.0,), 1.0)),
+    ])
+    def test_bare_ids_build_the_registry_defaults(self, build, ident, expected):
+        assert build(ident) == expected
+
+    @pytest.mark.parametrize("build,ident,item,keys", [
+        (solution_from_id, "eigenmode:omgea=2", "omgea=2", "omega, dim, amp"),
+        (datum_from_id, "oscillator:omega=2,ampl=3", "ampl=3", "omega, amp"),
+        (solution_from_id, "tychonoff:40", "40", "K"),
+        (datum_from_id, "gauss_poly:sigma=2,1|2", "1|2", "coeffs, sigma"),
+    ])
+    def test_bad_id_parameters_rejected(self, build, ident, item, keys):
+        # an unknown key or an item without '=' is an error, never a default
+        with pytest.raises(ValueError) as err:
+            build(ident)
+        message = str(err.value)
+        assert repr(ident) in message
+        assert f"bad parameter {item!r}" in message
+        assert f"accepted keys: {keys}" in message
+
+    def test_bad_id_values_name_the_id(self):
+        with pytest.raises(ValueError, match="solution id 'eigenmode:omega=abc': could not "
+                                             "convert string to float"):
+            solution_from_id("eigenmode:omega=abc")
+        with pytest.raises(ValueError, match="solution id 'tychonoff:K=0': need K >= 1"):
+            solution_from_id("tychonoff:K=0")
