@@ -255,8 +255,13 @@ def _pipeline_homotopy(cfg: ExperimentConfig, rep: _Reporter) -> None:
                                  grid=g, grid_level=level)[0]
 
     levels = list(range(cfg.grid_levels))
+    # Levels are submitted finest first, the longest job first, so no worker
+    # idles while the finest level runs alone.  They are collected in level
+    # order, so the rows are too, and when several levels fail the coarsest
+    # one's exception is raised.
     with ThreadPoolExecutor(max_workers=worker_count(len(levels))) as pool:
-        reports = list(pool.map(run_level, levels))
+        futures = [pool.submit(run_level, level) for level in reversed(levels)]
+        reports = [future.result() for future in reversed(futures)]
     rows = [(r.solution, r.s, r.t, r.h_id, r.grid_level, r.lhs, r.rhs, r.residual)
             for r in reports]
     rep.write("homotopy.csv",

@@ -23,9 +23,11 @@ masquerade as a verified identity:
   (S + 2m) * m (S support points, m kernel half-width).  The split
   reproduces ndimage's own summation order, which the oracle tests in
   ``tests/test_semigroup.py`` guard, and needs both kernels to be exactly
-  symmetric (heat) or antisymmetric (gradient).  No FFT: its round-off
-  spreads over the whole grid and is amplified wherever the evolved
-  function is paired with fast-growing data.
+  symmetric (heat) or antisymmetric (gradient).  When the span and the
+  kernel both read the same reversed, bit for bit, the left exterior's
+  inputs are the right one's, so that fold runs once and is mirrored.  No
+  FFT: its round-off spreads over the whole grid and is amplified wherever
+  the evolved function is paired with fast-growing data.
 * ``spectral_multiplier`` - multiplication of discrete Fourier modes by
   exp(-|xi|^2 t).
 
@@ -215,8 +217,11 @@ def _split_convolve_1d(span: Array, kernel: Array) -> Array:
     +0.0 it turns a -0.0 start into +0.0 and no later term can make the sum
     -0.0 again, so ``+ 0.0`` stands in for them.  Each exterior is one
     :func:`_exterior_1d` fold, the left one on the mirrored span and kernel.
-    Relies on the kernel being exactly symmetric or antisymmetric, as both
-    heat kernels are.
+    When span and kernel are both palindromes bit for bit (a heat kernel
+    under a support centred on a grid point), the mirrored fold gets the
+    right one's input bits, so the right fold is computed once and
+    reversed.  Relies on the kernel being exactly symmetric or
+    antisymmetric, as both heat kernels are.
     """
     from scipy import ndimage
 
@@ -225,8 +230,18 @@ def _split_convolve_1d(span: Array, kernel: Array) -> Array:
     inner = ndimage.convolve1d(span, kernel[m - M:m + M + 1], mode="constant", cval=0.0)
     if not np.signbit(kernel[m + M + 1:]).all():
         inner += 0.0
-    left = _exterior_1d(span[::-1], kernel[::-1])[::-1]
-    return np.concatenate([left, inner, _exterior_1d(span, kernel)])
+    right = _exterior_1d(span, kernel)
+    if _is_palindrome(span) and _is_palindrome(kernel):
+        left = right[::-1]
+    else:
+        left = _exterior_1d(span[::-1], kernel[::-1])[::-1]
+    return np.concatenate([left, inner, right])
+
+
+def _is_palindrome(x: Array) -> bool:
+    """Whether *x* reads the same reversed, bit for bit (-0.0 is not +0.0)."""
+    bits = x.view(np.int64)
+    return np.array_equal(bits, bits[::-1])
 
 
 def _convolve(values: Array, kernel: Array, axis: int) -> Array:

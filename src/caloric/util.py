@@ -250,7 +250,11 @@ def _limb_totals(block: np.ndarray) -> np.ndarray:
 
 
 def thread_cap() -> int:
-    """Worker cap from CALORIC_THREADS; 0 or unset picks min(4, cpu count).
+    """Worker cap from CALORIC_THREADS; 0 or unset picks min(4, usable CPUs).
+
+    The usable CPUs are those the process may run on (its affinity mask,
+    which a cpuset also narrows) where the platform reports them, otherwise
+    every CPU of the machine.
 
     Raises ValueError naming the variable for anything but a non-negative
     integer, so a bad value is a config error rather than a run failure.
@@ -263,7 +267,11 @@ def thread_cap() -> int:
     if cap < 0:
         raise ValueError(
             f"{THREADS_ENV_VAR} must be a non-negative integer (0 = automatic), got {cap_txt!r}")
-    return cap or min(4, os.cpu_count() or 1)
+    if cap:
+        return cap
+    if hasattr(os, "sched_getaffinity"):
+        return min(4, len(os.sched_getaffinity(0)))
+    return min(4, os.cpu_count() or 1)
 
 
 def worker_count(n_tasks: int) -> int:

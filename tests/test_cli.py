@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from caloric import SpaceTimeField, SpatialGrid, field_to_csv
+from caloric import DomainTooSmallError, SpaceTimeField, SpatialGrid, cli, field_to_csv
 from caloric.cli import (
     PIPELINES,
     ExperimentConfig,
@@ -345,6 +345,57 @@ class TestEmitPlots:
             assert (cols[4], cols[7]) == (grid_level, residual)
 
 
+class TestHomotopyScheduling:
+    """Grid levels run finest first; rows, failures and every output byte
+    are those of level order whatever the thread count."""
+
+    @staticmethod
+    def _config(tmp_path):
+        return ExperimentConfig(pipeline="homotopy", grid_points=256, grid_levels=3,
+                                out_dir=str(tmp_path))
+
+    def test_finest_level_runs_first(self, tmp_path, monkeypatch):
+        seen = []
+        residual = cli.homotopy_residual
+
+        def recorded(*args, grid, **kwargs):
+            seen.append(grid.points_per_axis)
+            return residual(*args, grid=grid, **kwargs)
+
+        monkeypatch.setattr(cli, "homotopy_residual", recorded)
+        monkeypatch.setenv("CALORIC_THREADS", "1")
+        assert run_experiment(self._config(tmp_path)).exit_code == 0
+        assert seen == [1024, 512, 256]
+        rows = (tmp_path / "homotopy.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[-4] for row in rows] == ["0", "1", "2"]
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_coarsest_failure_is_reported(self, tmp_path, monkeypatch, threads):
+        residual = cli.homotopy_residual
+
+        def failing(*args, grid_level, **kwargs):
+            if grid_level in (0, 2):
+                raise DomainTooSmallError(f"level {grid_level} fails")
+            return residual(*args, grid_level=grid_level, **kwargs)
+
+        monkeypatch.setattr(cli, "homotopy_residual", failing)
+        monkeypatch.setenv("CALORIC_THREADS", threads)
+        result = run_experiment(self._config(tmp_path))
+        assert result.exit_code == 1
+        assert result.summary_lines == ["[FAIL] pipeline homotopy aborted: level 0 fails"]
+
+    def test_outputs_do_not_depend_on_thread_count(self, tmp_path, monkeypatch):
+        outputs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("CALORIC_THREADS", threads)
+            out = tmp_path / threads
+            result = run_experiment(self._config(out))
+            assert result.exit_code == 0
+            outputs.append({Path(f).name: Path(f).read_bytes() for f in result.files})
+        assert sorted(outputs[0]) == ["homotopy.csv", "plots.gp", "summary.txt"]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_worker_count_respects_env(monkeypatch):
     import os
 
@@ -356,7 +407,11 @@ def test_worker_count_respects_env(monkeypatch):
     assert worker_count(3) == 3
     monkeypatch.delenv("CALORIC_THREADS")
     assert worker_count(1) == 1
-    automatic = min(4, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    automatic = min(4, usable)
     assert worker_count(64) == automatic
     monkeypatch.setenv("CALORIC_THREADS", "0")  # 0 means automatic, like unset
     assert worker_count(64) == automatic
@@ -364,6 +419,21 @@ def test_worker_count_respects_env(monkeypatch):
         monkeypatch.setenv("CALORIC_THREADS", bad)
         with pytest.raises(ValueError, match="CALORIC_THREADS"):
             worker_count(4)
+
+
+def test_automatic_cap_counts_usable_cpus(monkeypatch):
+    # a process pinned to one of eight CPUs runs one worker
+    import os
+
+    from caloric.util import worker_count
+
+    monkeypatch.delenv("CALORIC_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert worker_count(64) == 1
+    # without an affinity call every CPU counts, at most 4
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert worker_count(64) == 4
 
 
 @pytest.mark.parametrize("bad", ["abc", "-2"])

@@ -15,7 +15,13 @@ from caloric import (
     heat_evolve,
     heat_evolve_gradient,
 )
-from caloric.semigroup import _kernel_1d, _kernel_gradient_1d, dense_evolve_at
+from caloric import semigroup
+from caloric.semigroup import (
+    _kernel_1d,
+    _kernel_gradient_1d,
+    _split_convolve_1d,
+    dense_evolve_at,
+)
 from caloric.grid import gradient as fd_gradient
 from caloric.util import det_sum
 from caloric.zoo import GaussianKernelSolution
@@ -275,13 +281,88 @@ class TestSupportWindowConvolution:
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _palindromic_signed_span(grid):
+    """A _signed_span run followed by its reverse on [90, 150): -0.0 at both
+    ends, signed zeros and subnormals inside."""
+    half = _signed_span(90, 30)(grid)[90:120]
+    values = np.zeros(grid.shape)
+    values[90:150] = np.concatenate([half, half[::-1]])
+    return values
+
+
+@pytest.fixture
+def exterior_folds(monkeypatch):
+    """Sizes of the spans passed to semigroup._exterior_1d, one per call."""
+    sizes = []
+    fold = semigroup._exterior_1d
+
+    def counted(span, kernel):
+        sizes.append(span.size)
+        return fold(span, kernel)
+
+    monkeypatch.setattr(semigroup, "_exterior_1d", counted)
+    return sizes
+
+
+# (half extent, points, truncation factor, field, t, gradient, folds).  The
+# bump at 0.5 sits on a grid point of the 16384-point axis (the shape of
+# test_narrow_bump_under_wide_kernel), so its span is a palindrome bit for
+# bit; on the 256-point axis of 1d-interior it does not.  The gradient
+# kernel is antisymmetric, never a palindrome.
+_FOLD_CASES = {
+    "bump-on-grid-point": (16.0, 16384, 10.0, lambda g: _bump_field(g, (0.5,), 1.0),
+                           0.5, False, 1),
+    "signed-palindrome": (15.0, 256, 8.0, _palindromic_signed_span, 0.3, False, 1),
+    "bump-off-grid-point": (15.0, 256, 8.0, _WINDOW_CASES["1d-interior"][1], 0.3, False, 2),
+    "gradient-of-bump-on-grid-point": (16.0, 16384, 10.0,
+                                       lambda g: _bump_field(g, (0.5,), 1.0), 0.5, True, 2),
+}
+
+
+class TestSingleExteriorFold:
+    """A palindromic span under a palindromic kernel folds its exterior once
+    and mirrors it; the result must not change by a bit."""
+
+    @pytest.mark.parametrize("case", list(_FOLD_CASES))
+    def test_fold_count_and_bits(self, exterior_folds, case):
+        half_extent, points, factor, field, t, gradient, folds = _FOLD_CASES[case]
+        grid = SpatialGrid.make(1, half_extent, points)
+        cfg = HeatOperatorConfig("kernel_quadrature", truncation_radius_factor=factor)
+        values = field(grid)
+        op = heat_evolve_gradient if gradient else heat_evolve
+        got = op(grid, values, t, cfg)
+        assert len(exterior_folds) == folds
+        want = _full_axis_convolution(grid, values, t, gradient, cfg)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("end", [0, -1], ids=["left", "right"])
+    def test_signed_zero_ends_fold_twice(self, exterior_folds, end):
+        # -0.0 == +0.0, so the span reads the same reversed by value, but
+        # not bit for bit: both folds run
+        grid = SpatialGrid.make(1, 15.0, 256)
+        kernel = _kernel_1d(0.3, grid, KERNEL)
+        m = kernel.size // 2
+        values = _palindromic_signed_span(grid)
+        span = values[90:150]
+        assert np.signbit(span[0]) and np.signbit(span[-1]) and span[0] == 0.0
+        span[end] = 0.0
+        assert np.array_equal(span, span[::-1])
+        got = _split_convolve_1d(span, kernel)
+        assert len(exterior_folds) == 2
+        want = _full_axis_convolution(grid, values, 0.3, False)[90 - m:150 + m]
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("t", [1e-3, 0.3, 2.5])
 @pytest.mark.parametrize("points", [256, 4096, 16384])
 @pytest.mark.parametrize("factor", [6.0, 10.0, 13.5])
 def test_kernels_exactly_symmetric_and_antisymmetric(t, points, factor):
     # the split convolution relies on both: the left exterior is the right
-    # one's fold on the mirrored kernel, and ndimage must take the same
-    # (anti)symmetric loop for the full and the cut kernel
+    # one's fold on the mirrored kernel (the same fold, mirrored, when the
+    # span is a palindrome under the heat kernel), and ndimage must take the
+    # same (anti)symmetric loop for the full and the cut kernel
     grid = SpatialGrid.make(1, 16.0, points)
     cfg = HeatOperatorConfig("kernel_quadrature", truncation_radius_factor=factor)
     w = _kernel_1d(t, grid, cfg)
