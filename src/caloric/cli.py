@@ -20,6 +20,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,6 +148,14 @@ def config_from_ini(text: str) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+class Check(NamedTuple):
+    """One judged claim: a pipeline's summary line or an acceptance sub-check."""
+
+    name: str
+    passed: bool
+    info: str
+
+
 @dataclass
 class RunResult:
     exit_code: int
@@ -160,7 +169,7 @@ class _Reporter:
         self.files: list[str] = []
         self.csvs: list[tuple[str, str]] = []  # (name, text) of each CSV written
         self.lines: list[str] = []
-        self.failed = False
+        self.checks: list[Check] = []
 
     def write(self, name: str, text: str) -> Path:
         path = self.out_dir / name
@@ -171,15 +180,14 @@ class _Reporter:
         return path
 
     def record(self, name: str, ok: bool, info: str = "") -> None:
-        self.failed = self.failed or not ok
+        self.checks.append(Check(name, bool(ok), info))
         self.lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f": {info}" if info else ""))
 
-    def note(self, text: str) -> None:
-        self.lines.append(text)
-
-    def finish(self) -> RunResult:
+    def finish(self, exit_code: int | None = None) -> RunResult:
+        """Write summary.txt; unless given, the exit code is 1 if a check failed, else 0."""
         self.write("summary.txt", "\n".join(self.lines) + "\n")
-        return RunResult(1 if self.failed else 0, self.files, self.lines)
+        failed = not all(c.passed for c in self.checks)
+        return RunResult(int(failed) if exit_code is None else exit_code, self.files, self.lines)
 
 
 def _csv(header: str, rows) -> str:
@@ -199,7 +207,7 @@ def _pipeline_evolve(cfg: ExperimentConfig, rep: _Reporter) -> None:
         grid)
     rep.record("extent audit (<0.1% change under L -> 1.5L)", audit.passed,
                f"rel change {audit.rel_change:.2e}")
-    rep.note(f"evolved {datum.label} at times {list(cfg.evolve_times)}")
+    rep.lines.append(f"evolved {datum.label} at times {list(cfg.evolve_times)}")
 
 
 def _pipeline_tent_norm(cfg: ExperimentConfig, rep: _Reporter) -> None:
@@ -240,8 +248,8 @@ def _pipeline_growth_fit(cfg: ExperimentConfig, rep: _Reporter) -> None:
     rep.record(f"growth classification {fit.classification}",
                fit.classification in ("PASS", "FAIL"),
                f"gamma_hat={fit.gamma_hat:.4f} r2={fit.r2_of_fit:.4f}")
-    rep.note(f"solution {sol.label}: gamma_hat = {fit.gamma_hat:.6f} "
-             f"({fit.classification})")
+    rep.lines.append(f"solution {sol.label}: gamma_hat = {fit.gamma_hat:.6f} "
+                     f"({fit.classification})")
 
 
 def _pipeline_homotopy(cfg: ExperimentConfig, rep: _Reporter) -> None:
@@ -376,9 +384,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         _validate_config(cfg)
     except ValueError as exc:
         rep.record(f"config error: {exc}", False)
-        result = rep.finish()
-        result.exit_code = 2
-        return result
+        return rep.finish(2)
     try:
         _PIPELINE_IMPL[cfg.pipeline](cfg, rep)
     except (CaloricError, ValueError) as exc:
@@ -386,12 +392,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         # DomainTooSmall on a counterexample input is a documented outcome
         rep.record(f"pipeline {cfg.pipeline} aborted: {exc}", False)
         return rep.finish()
-    result = rep.finish()
     if rep.csvs:
-        script = emit_plots(rep.csvs)
-        (out_dir / "plots.gp").write_text(script)
-        result.files.append(str(out_dir / "plots.gp"))
-    return result
+        rep.write("plots.gp", emit_plots(rep.csvs))
+    return rep.finish()
 
 
 def _gnuplot_row(row: str) -> str:

@@ -60,23 +60,15 @@ class TestFunction:
         return s
 
     def value(self, *axes: Array) -> Array:
-        s = self._s(axes)
-        w = 1.0 - s
-        safe = w > 1.0 / _EXP_FLOOR
-        out = np.zeros_like(s)
-        out[safe] = np.exp(1.0 - 1.0 / w[safe])
-        return out
+        return _bump_profile(1.0 - self._s(axes))[1]
 
     def gradient(self, *axes: Array) -> tuple[Array, ...]:
-        s = self._s(axes)
-        w = 1.0 - s
-        safe = w > 1.0 / _EXP_FLOOR
-        phi = np.zeros_like(s)
-        phi[safe] = np.exp(1.0 - 1.0 / w[safe])
+        w = 1.0 - self._s(axes)
+        safe, phi = _bump_profile(w)
         comps = []
         for a, c in zip(axes, self.center):
-            g = np.zeros_like(s)
-            da = np.broadcast_to(np.asarray(a, dtype=float) - c, s.shape)
+            g = np.zeros_like(w)
+            da = np.broadcast_to(np.asarray(a, dtype=float) - c, w.shape)
             g[safe] = phi[safe] * (-1.0 / w[safe] ** 2) * (2.0 * da[safe] / self.radius**2)
             comps.append(g)
         return tuple(comps)
@@ -96,11 +88,10 @@ class TestFunction:
         x = np.asarray(x, dtype=float)
         z = (x - self.center[0]) / self.radius
         w = 1.0 - z**2
+        if order == 0:
+            return _bump_profile(w)[1]
         safe = w > 1.0 / _EXP_FLOOR
         out = np.zeros_like(z)
-        if order == 0:
-            out[safe] = np.exp(1.0 - 1.0 / w[safe])
-            return out
         ws = w[safe]
         # phi / w^{2m} evaluated as a single exponential to avoid 0 * inf.
         log_scale = (1.0 - 1.0 / ws) - 2.0 * order * np.log(ws)
@@ -111,6 +102,14 @@ class TestFunction:
     @property
     def max_derivative_order(self) -> int:
         return 12 if self.dim == 1 else 2
+
+
+def _bump_profile(w: Array) -> tuple[Array, Array]:
+    """The set w > 1/_EXP_FLOOR and the profile exp(1 - 1/w) on it, 0 elsewhere."""
+    safe = w > 1.0 / _EXP_FLOOR
+    phi = np.zeros_like(w)
+    phi[safe] = np.exp(1.0 - 1.0 / w[safe])
+    return safe, phi
 
 
 def _bump_numerator_table(max_order: int) -> tuple[Array, ...]:

@@ -5,12 +5,15 @@ prints its pass/fail line.  Criterion 10 is the suite's own coverage
 assertion (every tracked operation exercised at least once).
 """
 
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from caloric import acceptance
+from caloric import acceptance, cli
 
 
 @pytest.fixture(scope="session")
@@ -113,9 +116,42 @@ def test_criterion_10_operation_coverage(results):
 
 
 def test_criterion_10_checks_its_runtime_budget(results):
-    details = results[10].details
-    assert sum("runtime budget" in line for line in details) == 1
-    assert details[-1].startswith("  ok: runtime budget (")
+    checks = results[10].checks
+    assert [c.name for c in checks].count("runtime budget") == 1
+    last = checks[-1]
+    assert last.name == "runtime budget" and last.passed
+    assert last.info.endswith("s < 60s")
+
+
+def test_raising_criterion_fails_alone(monkeypatch, tmp_path):
+    # a zero residual divides by zero in criterion 2's refinement ratio; the
+    # gate must report that as criterion 2's FAIL and still run the others
+    homotopy_residual = acceptance.homotopy_residual
+
+    def exact(*args, **kwargs):
+        return tuple(dataclasses.replace(r, rhs=r.lhs)
+                     for r in homotopy_residual(*args, **kwargs))
+
+    monkeypatch.setattr(acceptance, "homotopy_residual", exact)
+    source = Path(acceptance.__file__).read_text().splitlines()
+    line = next(i for i, text in enumerate(source, 1) if "resids[i] / resids[i + 1]" in text)
+    echoed = []
+    results = acceptance.run_all(out_dir=str(tmp_path / "gate"), echo=echoed.append)
+    assert [r.index for r in results] == list(range(1, 11))
+    assert [r.passed for r in results] == [True, False] + [True] * 8
+    raised = [c for c in results[1].checks if not c.passed]
+    assert raised == [cli.Check("raised ZeroDivisionError", False,
+                                f"acceptance.py:{line}: float division by zero")]
+    assert results[1].checks[-1].name == "runtime budget"
+    assert (f"  FAIL: raised ZeroDivisionError (acceptance.py:{line}: float division by zero)"
+            in echoed)
+
+    out = tmp_path / "cli"
+    assert cli.main(["acceptance", "--out", str(out)]) == 1
+    summary = (out / "summary.txt").read_text().splitlines()
+    statuses = [ln for ln in summary if re.match(r"\[(PASS|FAIL)\] criterion \d+: ", ln)]
+    assert len(statuses) == 10
+    assert [ln.startswith("[FAIL]") for ln in statuses] == [False, True] + [False] * 8
 
 
 def test_total_runtime_under_ten_minutes(results):

@@ -220,3 +220,39 @@ def test_benchmark_hooks_exist():
     for hook in ("zoo._contour_means.cache_clear", "zoo._contour_means.cache_info",
                  "optrack.reset_counts"):
         assert hook in bench_text, f"bench/ no longer calls {hook}; update this test"
+
+
+def test_bench_facing_shapes():
+    # bench/ drives the gate and the CLI through these names and attributes,
+    # and names its acceptance layers after the criteria's function names
+    import dataclasses
+    import inspect
+
+    from caloric import acceptance, cli, optrack
+
+    assert list(inspect.signature(acceptance.run_all).parameters) == ["out_dir", "echo"]
+    result = acceptance.CriterionResult(3, "name", 60.0, 1.5,
+                                        [cli.Check("a", True, "x"), cli.Check("b", False, "")])
+    assert (result.index, result.name, result.runtime_budget, result.elapsed) == (
+        3, "name", 60.0, 1.5)
+    assert not result.passed
+    assert result.details == ["  ok: a (x)", "  FAIL: b"]
+    assert result.status_line == "[FAIL] criterion 3: name (1.5s)"
+    assert [f.name for f in dataclasses.fields(cli.RunResult)] == [
+        "exit_code", "files", "summary_lines"]
+    criteria = [*acceptance.ALL_CRITERIA, acceptance.coverage_check]
+    assert [fn.__name__ for fn in criteria] == [
+        "criterion_1_semigroup_laws", "criterion_2_homotopy", "criterion_3_size_condition",
+        "criterion_4_representation_closure", "criterion_5_counterexample",
+        "criterion_6_annulus_decay", "criterion_7_flux_boundedness",
+        "criterion_8_tent_and_bmo", "criterion_9_caccioppoli", "coverage_check"]
+    for fn in criteria:
+        assert inspect.isfunction(fn) and fn.__module__ == "caloric.acceptance"
+        assert getattr(acceptance, fn.__name__) is fn
+    assert sorted(optrack.registered_ops()) == [
+        "annulus_decay_check", "bmo_inv_norm", "caccioppoli_ratio", "convergence_mode_probe",
+        "emit_plots", "eval_solution", "flux_functional", "gradient", "heat_evolve",
+        "heat_evolve_gradient", "heat_residual", "homotopy_residual", "integrate_ball",
+        "integrate_strip_L2", "pairing_bound_check", "recover_initial_data", "run_experiment",
+        "schwartz_seminorm", "snapshot_boundedness_probe", "strip_growth_fit", "tent_norm",
+        "tent_to_strip_bound", "tychonoff_eval", "uniqueness_probe"]
