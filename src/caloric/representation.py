@@ -31,7 +31,7 @@ their sample times.  On top of the identity sit:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import ceil, floor, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -156,15 +156,18 @@ def _support_nodes(h: TestFunction, grid: SpatialGrid) -> tuple[tuple[Array, ...
     """The fine points of supp h, h there and the fine cell volume; no u enters.
 
     The fine grid is an 8x (1D) or 4x (2D) refinement of *grid*.  Only its
-    points in the box [c - r, c + r] around the bump are visited, and of
-    those only the ones where h is nonzero are kept.
+    points -L + j dx_f in an index window one point wider on each side than
+    the box [c - r, c + r] around the bump are built (the same values as
+    the fine axis), and of those only the ones where h is nonzero are kept.
     """
     factor = 8 if grid.dim == 1 else 4
     fine = grid.refined(factor)
-    x = fine.axis
-    axes = [x] * grid.dim
-    for i, c in enumerate(h.center[:grid.dim]):
-        axes[i] = x[np.searchsorted(x, c - h.radius):np.searchsorted(x, c + h.radius, "right")]
+    L, dx, n = fine.half_extent, fine.spacing, fine.points_per_axis
+    axes = []
+    for c in h.center[:grid.dim]:
+        j0 = max(floor((c - h.radius + L) / dx) - 1, 0)
+        j1 = min(ceil((c + h.radius + L) / dx) + 2, n)
+        axes.append(-L + np.arange(j0, j1, dtype=float) * dx)
     mesh = np.meshgrid(*axes, indexing="ij")
     h_vals = h.value(*mesh)
     mask = h_vals != 0.0

@@ -39,8 +39,8 @@ That routine, like the homotopy extent audit, evaluates the evolution with
 representation over supp(h), because the fitted tail lives many orders of
 magnitude below the truncated kernel's floor.  On the uniform grid the
 kernel depends only on the index offset, so it is sampled once per offset
-and applied as a (separable) Toeplitz product over the support's bounding
-box.
+and applied over the support's bounding box: in 1-D as one correlation per
+contiguous run of target points, in 2-D as a separable Toeplitz product.
 """
 
 from __future__ import annotations
@@ -316,10 +316,6 @@ def heat_evolve_gradient(grid: SpatialGrid, values: Array, t: float,
     return out
 
 
-# Element budget of one gathered Toeplitz block in dense_evolve_at (16 MB).
-_DENSE_BLOCK = 1 << 21
-
-
 def dense_evolve_at(grid: SpatialGrid, values: Array, t: float,
                     target_mask: Array | None = None) -> Array:
     """Untruncated kernel quadrature over the support of *values*.
@@ -331,10 +327,14 @@ def dense_evolve_at(grid: SpatialGrid, values: Array, t: float,
     the homotopy extent audit.
 
     On the uniform grid x_i - y_r = (i - r) dx, so the 1D kernel is sampled
-    once per offset (2n - 1 exps) and gathered into a Toeplitz block
-    A[i, r] = g[i - r + n - 1] over the bounding box of the nonzeros; the 2D
-    kernel is separable, A0 @ box @ A1.T.  Rows of A (A0) are gathered in
-    blocks to bound peak memory; 1D gathers only the target rows.
+    once per offset (2n - 1 exps); over the bounding box [lo, hi) of the
+    nonzeros, output i is the Toeplitz row g[i - r + n - 1], r in [lo, hi),
+    dotted with the values.  In 1D each contiguous run of target rows is one
+    ``np.correlate`` of the sampled kernel with the flipped box, so no
+    Toeplitz copy is built (O(n + S) memory for S box points) and every
+    output is the same dot product over the same data, bit for bit, whatever
+    the mask.  The 2D kernel is separable, A0 @ box @ A1.T, with each
+    gathered factor (n x S) no larger than the n x n result.
     """
     values = np.asarray(values, dtype=float)
     n = grid.points_per_axis
@@ -349,24 +349,21 @@ def dense_evolve_at(grid: SpatialGrid, values: Array, t: float,
     # Flipping the box turns each Toeplitz row g[i - r + n - 1], r in
     # [lo, hi), into the contiguous slice g[i + n - hi : i + n - lo].
     box = np.flip(values[tuple(slice(lo, hi) for lo, hi in span)]) * grid.cell_volume
-
-    def toeplitz(rows: NDArray[np.intp], axis: int) -> Array:
-        lo, hi = span[axis]
-        return sliding_window_view(g, hi - lo)[rows + (n - hi)]
-
-    chunk = max(1, _DENSE_BLOCK // box.shape[0])
-    if grid.dim == 1:
-        rows = np.arange(n) if mask is None else np.flatnonzero(mask)
-        right = box
-    else:
-        rows = np.arange(n)
-        right = box @ toeplitz(rows, 1).T
-    out = np.empty((rows.size, *right.shape[1:]))
-    for i in range(0, rows.size, chunk):
-        out[i:i + chunk] = toeplitz(rows[i:i + chunk], 0) @ right
-    if grid.dim == 1 or mask is None:
-        return out
-    return out[mask]
+    if grid.dim == 2:
+        # Contiguous copies: matmul hands BLAS only arrays whose rows do not
+        # overlap, and would otherwise take a slower loop with other bits.
+        a0, a1 = (sliding_window_view(g, hi - lo)[n - hi:2 * n - hi].copy()
+                  for lo, hi in span)
+        out = a0 @ (box @ a1.T)
+        return out if mask is None else out[mask]
+    lo, hi = span[0]
+    rows = np.arange(n) if mask is None else np.flatnonzero(mask)
+    starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
+    out = np.empty(rows.size)
+    for a, b in zip(starts.tolist(), [*starts[1:].tolist(), rows.size]):
+        first = int(rows[a]) + n - hi
+        out[a:b] = np.correlate(g[first:first + b - a + hi - lo - 1], box, "valid")
+    return out
 
 
 @dataclass(frozen=True)

@@ -286,9 +286,39 @@ _SUPPORT_CASES = {
 }
 
 
+def _searchsorted_support_nodes(h, grid):
+    """Oracle: cut the bump's box [c - r, c + r] out of the whole fine axis."""
+    fine = grid.refined(8 if grid.dim == 1 else 4)
+    x = fine.axis
+    axes = [x[np.searchsorted(x, c - h.radius):np.searchsorted(x, c + h.radius, "right")]
+            for c in h.center]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    h_vals = h.value(*mesh)
+    mask = h_vals != 0.0
+    return tuple(m[mask] for m in mesh), h_vals[mask], fine.cell_volume
+
+
 class TestSupportQuadrature:
     """The homotopy's left side visits only the fine points in the bump's
     box; it must equal the whole-fine-grid midpoint rule bit for bit."""
+
+    @pytest.mark.parametrize("points,center,radius", [
+        *((n, (c,), r) for n in (1024, 4096, 16384)
+          for c, r in ((1.0, 1.0), (0.5, 1.0), (-1.3, 0.77), (15.5, 1.0), (-15.9, 0.4),
+                       (0.5 + 1 / 16384, 1e-3))),
+        *((n, c, 1.2) for n in (64, 256) for c in ((0.5, 0.5), (-11.5, 11.9), (0.3, -0.7))),
+    ])
+    def test_nodes_equal_whole_axis_window(self, points, center, radius):
+        # The nodes are built only over the bump's index window, yet must be
+        # the whole fine axis's points and h values in its box, bit for bit
+        # (L = 16 in 1D, 12 in 2D; near the edges the window is clipped).
+        h = TestFunction(center, radius)
+        grid = SpatialGrid.make(len(center), 16.0 if len(center) == 1 else 12.0, points)
+        (got_pts, got_h, got_cell), (want_pts, want_h, want_cell) = (
+            f(h, grid) for f in (representation._support_nodes, _searchsorted_support_nodes))
+        assert got_cell == want_cell
+        assert got_h.tobytes() == want_h.tobytes()
+        assert [p.tobytes() for p in got_pts] == [p.tobytes() for p in want_pts]
 
     @pytest.mark.parametrize("case", list(_SUPPORT_CASES))
     def test_bitwise_equal_to_full_fine_grid(self, case):

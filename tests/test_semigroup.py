@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,6 +434,76 @@ class TestDenseEvolveAt:
         want = _pairwise_quadrature(grid, values, 0.19, ring)
         assert 0.0 < want.min() < 1e-100
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("points", [1024, 8192, 16384])
+    @pytest.mark.parametrize("targets", ["homotopy-ring", "many-runs"])
+    def test_masked_call_equals_full_grid_bitwise(self, points, targets):
+        # Each 1D output is one dot product over the same kernel samples, so
+        # selecting targets must not change a bit: the homotopy's extent
+        # audit (criterion 2's bump and step on L = 16) and a random mask
+        # of short runs, most of them single points, touching both ends.
+        grid = SpatialGrid.make(1, 16.0, points)
+        values = _bump_field(grid, (1.0,), 1.0)
+        if targets == "homotopy-ring":
+            mask = _ring(grid)
+        else:
+            mask = np.random.default_rng(points).integers(0, 4, points) == 0
+            mask[:2], mask[-2:] = True, True
+            assert np.count_nonzero(np.diff(mask.astype(int)) == 1) > points // 8
+        full = dense_evolve_at(grid, values, 0.5)
+        got = dense_evolve_at(grid, values, 0.5, target_mask=mask)
+        assert got.shape == (np.count_nonzero(mask),)
+        assert got.tobytes() == full[mask].tobytes()
+
+    @pytest.mark.parametrize("ring", [False, True], ids=["full-grid", "ring"])
+    def test_traced_peak_memory(self, ring):
+        # O(n + S) memory: a (targets x support) block would take 13 MB
+        # (ring) and 17 MB (full grid) here.
+        grid = SpatialGrid.make(1, 16.0, 16384)
+        values = _bump_field(grid, (1.0,), 1.0)
+        mask = _ring(grid) if ring else None
+        tracemalloc.start()
+        try:
+            dense_evolve_at(grid, values, 0.5, target_mask=mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_all_false_mask_gives_empty_result(self, dim):
+        grid = SpatialGrid.make(dim, 6.0, 128 if dim == 1 else 40)
+        values = _bump_field(grid, (0.5,) * dim, 1.0)
+        got = dense_evolve_at(grid, values, 0.4, target_mask=np.zeros(grid.shape, dtype=bool))
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_single_point_support(self, dim):
+        grid = SpatialGrid.make(dim, 6.0, 128 if dim == 1 else 40)
+        values = np.zeros(grid.shape)
+        values[(17,) * dim] = -2.5
+        got = dense_evolve_at(grid, values, 0.4)
+        want = _pairwise_quadrature(grid, values, 0.4)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("points", [64, 128, 256])
+    def test_2d_equals_gathered_toeplitz_product_bitwise(self, points):
+        # The separable product A0 @ (box @ A1.T), A[i] the kernel samples
+        # g[i + n - hi : i + n - lo], on the heat-ladder's 2D grids.
+        grid = SpatialGrid.make(2, 12.0, points)
+        values = _bump_field(grid, (0.5, 0.5), 1.0)
+        n, t = points, 0.5
+        g = np.exp(-((np.arange(-(n - 1), n) * grid.spacing) ** 2) / (4.0 * t))
+        g /= math.sqrt(4.0 * math.pi * t)
+        nz = np.nonzero(values)
+        span = [(int(ix.min()), int(ix.max()) + 1) for ix in nz]
+        box = np.flip(values[tuple(slice(lo, hi) for lo, hi in span)]) * grid.cell_volume
+        a0, a1 = (np.stack([g[i + n - hi:i + n - lo] for i in range(n)]) for lo, hi in span)
+        want = a0 @ (box @ a1.T)
+        got = dense_evolve_at(grid, values, t)
+        assert got.tobytes() == want.tobytes()
+        ring = _ring(grid)
+        assert dense_evolve_at(grid, values, t, target_mask=ring).tobytes() == want[ring].tobytes()
 
 
 @pytest.fixture(scope="module")
