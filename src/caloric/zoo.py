@@ -276,9 +276,13 @@ def _tychonoff_terms(t: float, x_flat: Array, K: int) -> tuple[Array, Array]:
     absx = np.abs(x_flat)
     zero = absx == 0.0
     logx = np.where(zero, 0.0, np.log(np.where(zero, 1.0, absx)))
-    expo = (base + log_mean)[:, None] + 2.0 * ks[:, None] * logx[None, :]
-    m = expo.max(axis=0)
-    signed = np.sign(means)[:, None] * np.exp(expo - m[None, :])
+    # One (K+1) x n buffer goes from exponents to signed terms in place.
+    signed = 2.0 * ks[:, None] * logx[None, :]
+    signed += (base + log_mean)[:, None]
+    m = signed.max(axis=0)
+    signed -= m[None, :]
+    np.exp(signed, out=signed)
+    signed *= np.sign(means)[:, None]
     if zero.any():
         # only the k = 0 term survives at x = 0: the series value is f(t)
         signed[:, zero] = 0.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,18 @@ class TestSeminorms:
                 break
             prev, n = best, 2 * n - 1
         assert schwartz_seminorm(phi, m) == best
+
+    def test_traced_peak_memory(self):
+        # levels are swept in blocks: the finest level here has 32769
+        # points, 3.7 MB traced when swept whole
+        phi = TestFunction((1.0,), 1.0)
+        tracemalloc.start()
+        try:
+            schwartz_seminorm(phi, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
 
 class TestPanels:

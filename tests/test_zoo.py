@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -139,6 +140,39 @@ class TestTychonoff:
     def test_flag_fires_outside_trust_region(self, t, a):
         _, flagged = TychonoffSolution(40).value_with_flag(t, np.array(math.sqrt(4.0 * t * a)))
         assert flagged
+
+    @pytest.mark.parametrize("t", _TIMES)
+    @pytest.mark.parametrize("K", [1, 40])
+    def test_terms_equal_out_of_place_formula_bitwise(self, t, K):
+        # the reference allocates every intermediate anew
+        x = np.concatenate([np.linspace(-8.0, 8.0, 1025), [0.0, 1e-300, -3.5]])
+        means = np.asarray(zoo._contour_means(t, K))
+        ks = np.arange(K + 1, dtype=float)
+        base = np.array([math.lgamma(k + 1) - math.lgamma(2 * k + 1) - k * math.log(0.5 * t)
+                         for k in range(K + 1)])
+        zero = x == 0.0
+        logx = np.where(zero, 0.0, np.log(np.where(zero, 1.0, np.abs(x))))
+        expo = (base + np.log(np.abs(means) + 1e-300))[:, None] + 2.0 * ks[:, None] * logx
+        m = expo.max(axis=0)
+        signed = np.sign(means)[:, None] * np.exp(expo - m)
+        signed[:, zero] = 0.0
+        m[zero] = 0.0
+        signed[0, zero] = means[0]
+        got_signed, got_m = zoo._tychonoff_terms(t, x, K)
+        assert got_signed.tobytes() == signed.tobytes()
+        assert got_m.tobytes() == m.tobytes()
+
+    def test_terms_traced_peak_memory(self):
+        # one (K+1) x n buffer (336 kB here), not three
+        x = np.linspace(-8.0, 8.0, 1024)
+        zoo._tychonoff_terms(0.1, x, 40)  # fill the contour-mean cache first
+        tracemalloc.start()
+        try:
+            zoo._tychonoff_terms(0.1, x, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.7e6
 
 
 def _flat_series_mp(t: float, x: float, n_terms: int):
