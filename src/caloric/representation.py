@@ -276,9 +276,14 @@ def flux_functional(u: AnalyticSolution, s: float, t: float, h: TestFunction,
     _FLUX_GAMMA_THRESHOLD = c lam^2/kappa^2) the maximum over R is finite
     and the large-R tail decreases; an inadmissible configuration returns a
     precondition-violation report rather than raising.  u, h and the grid
-    must have one dimension (ValueError naming them otherwise).
+    must have one dimension, and u must have a closed-form gradient: the
+    Gaussian kernel, the eigenmode or the flat series (ValueError naming
+    them otherwise).
     """
     _check_solution_dims(u, h, grid)
+    if not hasattr(u, "gradient"):
+        raise ValueError(f"solution {u.label} has no closed-form gradient; the flux "
+                         "functional needs one")
     if not 0 < s < t:
         raise ValueError("need 0 < s < t")
     if _FLUX_RADII[-1] > 0.8 * grid.half_extent + 1e-12:
@@ -424,7 +429,7 @@ def recover_initial_data(u: SpaceTimeField, ladder: SnapshotLadder,
         if divergent:
             extrap = float("nan")
         else:
-            # extrapolation runs toward t -> 0: reverse into increasing-k order
+            # the ladder decreases toward 0, so the last points are the finest
             extrap = richardson_limit(times, ps)
         exact = exact_pairing(datum, probe) if datum is not None else None
         err = abs(extrap - exact) if (exact is not None and not divergent) else None

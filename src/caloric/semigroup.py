@@ -31,6 +31,11 @@ masquerade as a verified identity:
 * ``spectral_multiplier`` - multiplication of discrete Fourier modes by
   exp(-|xi|^2 t).
 
+:func:`heat_evolve` and :func:`heat_evolve_gradient` share one evaluation
+path, ``_evolve``: it checks the time and the kernel reach, branches on the
+method, and builds each kernel once per call, only if an output applies it
+(a 1-D gradient needs the gradient kernel alone).
+
 :func:`annulus_decay_check` measures the off-support decay
 ||e^{tL} h||_{L2(C_j)} ~ exp(-c d_j^2 / t) on a geometric annulus family and
 fits the exponent c, which should land just under the Gaussian threshold 1/4.
@@ -109,16 +114,19 @@ class AnnulusScheme:
         return max(mid - self.rho, 0.0)
 
 
+def _cell_edges(t: float, grid: SpatialGrid, cfg: HeatOperatorConfig) -> Array:
+    """Edges (j - 1/2) dx, j = -m .. m + 1, of the 2m + 1 kernel cells, where
+    m = ceil(truncation_radius_factor * sqrt(t) / dx)."""
+    m = int(ceil(cfg.truncation_radius_factor * sqrt(t) / grid.spacing))
+    return (np.arange(-m, m + 2, dtype=float) - 0.5) * grid.spacing
+
+
 def _kernel_1d(t: float, grid: SpatialGrid, cfg: HeatOperatorConfig) -> Array:
     """Cell-averaged Gaussian weights w_m = int_{cell m} G_t (erf differences),
     normalized to unit discrete mass."""
     from scipy.special import erf
 
-    h = grid.spacing
-    m = int(ceil(cfg.truncation_radius_factor * sqrt(t) / h))
-    edges = (np.arange(-m, m + 2, dtype=float) - 0.5) * h
-    cdf = erf(edges / sqrt(4.0 * t))
-    w = 0.5 * np.diff(cdf)
+    w = 0.5 * np.diff(erf(_cell_edges(t, grid, cfg) / sqrt(4.0 * t)))
     return w / det_sum(w)
 
 
@@ -128,31 +136,8 @@ def _kernel_gradient_1d(t: float, grid: SpatialGrid, cfg: HeatOperatorConfig) ->
     int_cell d_y G_t = G_t(edge+) - G_t(edge-): antisymmetric and exactly
     zero-sum (telescoping), so constants map to exactly zero.
     """
-    h = grid.spacing
-    m = int(ceil(cfg.truncation_radius_factor * sqrt(t) / h))
-    edges = (np.arange(-m, m + 2, dtype=float) - 0.5) * h
-    g = np.exp(-(edges**2) / (4.0 * t)) / sqrt(4.0 * pi * t)
-    return np.diff(g)
-
-
-def _check_extent(t: float, grid: SpatialGrid, cfg: HeatOperatorConfig) -> None:
-    if t <= 0:
-        raise ValueError(f"evolution time must be positive, got {t}")
-    if cfg.method == "kernel_quadrature":
-        reach = cfg.truncation_radius_factor * sqrt(t)
-        if reach > grid.half_extent / 2 + 1e-12:
-            raise DomainTooSmallError(
-                f"kernel radius {reach:.3g} exceeds half of the grid half-extent "
-                f"({grid.half_extent / 2:.3g}); enlarge the grid or reduce t")
-
-
-def _spectral_multipliers(t: float, grid: SpatialGrid) -> Array:
-    n = grid.points_per_axis
-    xi = 2.0 * pi * np.fft.fftfreq(n, d=grid.spacing)
-    if grid.dim == 1:
-        return np.exp(-(xi**2) * t)
-    xi2 = xi[:, None] ** 2 + xi[None, :] ** 2
-    return np.exp(-xi2 * t)
+    edges = _cell_edges(t, grid, cfg)
+    return np.diff(np.exp(-(edges**2) / (4.0 * t)) / sqrt(4.0 * pi * t))
 
 
 def _support_span(values: Array, axis: int, m: int) -> tuple[int, int] | None:
@@ -273,47 +258,53 @@ def _convolve(values: Array, kernel: Array, axis: int) -> Array:
     return out
 
 
+def _evolve(grid: SpatialGrid, values: Array, t: float, cfg: HeatOperatorConfig,
+            axes: tuple[int | None, ...]) -> list[Array]:
+    """The one evaluation path of e^{tL}: per entry of *axes*, e^{tL} values
+    for None and d/dx_axis e^{tL} values for an axis.
+
+    Each kernel is built once, and only if some output applies it: the heat
+    kernel on every axis but the differentiated one, the gradient kernel on
+    that one.
+    """
+    values = np.asarray(values, dtype=float)
+    if t <= 0:
+        raise ValueError(f"evolution time must be positive, got {t}")
+    if cfg.method == "spectral_multiplier":
+        xi = 2.0 * pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
+        xi2 = xi**2 if grid.dim == 1 else xi[:, None] ** 2 + xi[None, :] ** 2
+        spec = np.fft.fftn(values) * np.exp(-xi2 * t)
+        # d/dx_ax multiplies each mode by i xi_ax
+        return [np.real(np.fft.ifftn(spec if ax is None else spec * (
+            1j * xi.reshape([-1 if a == ax else 1 for a in range(grid.dim)])))) for ax in axes]
+    reach = cfg.truncation_radius_factor * sqrt(t)
+    if reach > grid.half_extent / 2 + 1e-12:
+        raise DomainTooSmallError(
+            f"kernel radius {reach:.3g} exceeds half of the grid half-extent "
+            f"({grid.half_extent / 2:.3g}); enlarge the grid or reduce t")
+    w = _kernel_1d(t, grid, cfg) if grid.dim > 1 or None in axes else None
+    wg = _kernel_gradient_1d(t, grid, cfg) if axes.count(None) < len(axes) else None
+    outs = []
+    for ax in axes:
+        out = values
+        for other in range(grid.dim):
+            out = _convolve(out, wg if other == ax else w, other)
+        outs.append(out)
+    return outs
+
+
 @track("heat_evolve")
 def heat_evolve(grid: SpatialGrid, values: Array, t: float,
                 cfg: HeatOperatorConfig) -> Array:
     """Apply the discrete heat semigroup at time t to a spatial slice."""
-    values = np.asarray(values, dtype=float)
-    _check_extent(t, grid, cfg)
-    if cfg.method == "spectral_multiplier":
-        mult = _spectral_multipliers(t, grid)
-        return np.real(np.fft.ifftn(np.fft.fftn(values) * mult))
-    w = _kernel_1d(t, grid, cfg)
-    out = values
-    for ax in range(grid.dim):
-        out = _convolve(out, w, ax)
-    return out
+    return _evolve(grid, values, t, cfg, (None,))[0]
 
 
 @track("heat_evolve_gradient")
 def heat_evolve_gradient(grid: SpatialGrid, values: Array, t: float,
                          cfg: HeatOperatorConfig) -> Array:
     """Gradient of the evolved slice; returns shape (dim, *grid.shape)."""
-    values = np.asarray(values, dtype=float)
-    _check_extent(t, grid, cfg)
-    out = np.empty((grid.dim, *grid.shape))
-    if cfg.method == "spectral_multiplier":
-        n = grid.points_per_axis
-        xi = 2.0 * pi * np.fft.fftfreq(n, d=grid.spacing)
-        damp = _spectral_multipliers(t, grid)
-        spec = np.fft.fftn(values) * damp
-        for ax in range(grid.dim):
-            shape = [1] * grid.dim
-            shape[ax] = n
-            out[ax] = np.real(np.fft.ifftn(spec * (1j * xi.reshape(shape))))
-        return out
-    w = _kernel_1d(t, grid, cfg)
-    wg = _kernel_gradient_1d(t, grid, cfg)
-    for ax in range(grid.dim):
-        comp = values
-        for other in range(grid.dim):
-            comp = _convolve(comp, wg if other == ax else w, other)
-        out[ax] = comp
-    return out
+    return np.stack(_evolve(grid, values, t, cfg, tuple(range(grid.dim))))
 
 
 def dense_evolve_at(grid: SpatialGrid, values: Array, t: float,

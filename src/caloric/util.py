@@ -99,11 +99,13 @@ def det_sum(values, axis=None) -> float | np.ndarray:
 # 2^-1074, the smallest subnormal).  So x = y * 2^(32k - _BIAS) with the limb
 # index k = p // 32 and y = frac * 2^(53 + p % 32), an integer below 2^84
 # with at most 53 significant bits.  Truncating divisions by 2^64 and 2^32
-# cut y exactly into three base-2^32 digits of its sign, and np.bincount adds
-# the digits of equal weight as doubles.  A block of at most _BLOCK terms
-# puts at most 3 * _BLOCK digits, each below 2^32 in magnitude, into a bin,
-# so every bin total stays below 2^47 and is exact.  Block totals are added
-# as int64, which cannot wrap for rows of up to _MAX_TERMS terms.  The limbs
+# cut y exactly into three base-2^32 digits of its sign, at limbs k, k + 1
+# and k + 2.  One np.bincount per digit adds that digit of every term into
+# bin k as doubles: a block of at most _BLOCK terms puts at most _BLOCK
+# digits, each below 2^32 in magnitude, into a bin, so every bin total stays
+# below 2^45 and is exact.  The three totals are converted to int64 and
+# added at limb offsets 0, 1 and 2, and block totals are added as int64,
+# neither of which can wrap for rows of up to _MAX_TERMS terms.  The limbs
 # of a row then form one Python int, and CPython's int / int true division
 # rounds it correctly.
 _BIAS = 1126
@@ -112,7 +114,6 @@ _N_LIMBS = 2097 // _LIMB_BITS + 3  # digits at limbs k..k+2
 _BLOCK = 1 << 13
 _MAX_TERMS = _BLOCK << 15
 _SCALE = 1 << _BIAS
-_DIGIT_OFFSETS = np.arange(3).reshape(3, 1, 1)
 # Stacks of up to this many terms in all go to math.fsum, one row at a time.
 # The extraction path costs about 70 us per stack plus about 4 ns per term
 # when its rows certify in two passes; fsum costs about 1 us per row plus
@@ -228,25 +229,26 @@ def _limb_sums(rows: np.ndarray) -> np.ndarray:
 
 def _limb_totals(block: np.ndarray) -> np.ndarray:
     """Exact limb totals, shape (n_rows, _N_LIMBS), of a block of finite rows."""
-    n_rows, n_terms = block.shape
-    frac, pos = np.frexp(block)
+    n_rows = block.shape[0]
+    low, pos = np.frexp(block)
     pos += _BIAS - 53  # p
     shift = pos & (_LIMB_BITS - 1)
     shift += 53
     pos >>= 5  # k = p // _LIMB_BITS
     pos += (np.arange(n_rows, dtype=pos.dtype) * _N_LIMBS)[:, None]
-    digits = np.empty((3, n_rows, n_terms))
-    low, mid, top = digits
-    np.ldexp(frac, shift, out=low)  # y
-    np.multiply(low, 2.0**-64, out=top)
+    np.ldexp(low, shift, out=low)  # y
+    top = np.multiply(low, 2.0**-64)
     np.trunc(top, out=top)
     low -= top * 2.0**64
-    np.multiply(low, 2.0**-32, out=mid)
+    mid = np.multiply(low, 2.0**-32)
     np.trunc(mid, out=mid)
     low -= mid * 2.0**32
-    totals = np.bincount((pos + _DIGIT_OFFSETS).ravel(), weights=digits.ravel(),
-                         minlength=n_rows * _N_LIMBS)
-    return totals.reshape(n_rows, _N_LIMBS).astype(np.int64)
+    bins = pos.ravel()
+    totals = np.zeros((n_rows, _N_LIMBS), dtype=np.int64)
+    for offset, digit in enumerate((low, mid, top)):  # digit at limb k + offset
+        part = np.bincount(bins, weights=digit.ravel(), minlength=totals.size)
+        totals[:, offset:] += part.reshape(totals.shape)[:, :_N_LIMBS - offset].astype(np.int64)
+    return totals
 
 
 def thread_cap() -> int:

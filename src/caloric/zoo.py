@@ -1,8 +1,11 @@
 """Exact caloric functions and initial data - the ground-truth corpus.
 
-Every member evaluates in closed form (value, gradient, and, except for the
-flat-series solution, the initial trace), so measurements can be checked
-against quantities with no discretization error of their own.
+Every member evaluates its value in closed form and, except for the
+flat-series solution, its initial trace, so measurements can be checked
+against quantities with no discretization error of their own.  The Gaussian
+kernel, the eigenmode and the flat series also give their spatial gradient
+in closed form (the flux functional needs it; tests/test_zoo.py compares
+each with central differences of the value).
 
 The flat-series member deserves its own warning label.  It is the classical
 nonuniqueness witness sum_k f^(k)(t) x^{2k} / (2k)! with f(t) = e^{-1/t},
@@ -65,8 +68,6 @@ class GaussianKernelSolution:
     t0: float
     x0: tuple[float, ...] = (0.0,)
 
-    kind = "gaussian_kernel"
-
     def __post_init__(self) -> None:
         if self.t0 <= 0:
             raise ValueError("t0 must be positive")
@@ -106,7 +107,6 @@ class CaloricPolynomial:
 
     m: int
 
-    kind = "caloric_polynomial"
     dim = 1
 
     def __post_init__(self) -> None:
@@ -125,17 +125,6 @@ class CaloricPolynomial:
             out = out + coef * x ** (self.m - 2 * j) * t**j
         return out
 
-    def gradient(self, t: float, x: Array) -> tuple[Array]:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for j in range(self.m // 2 + 1):
-            p = self.m - 2 * j
-            if p == 0:
-                continue
-            coef = math.factorial(self.m) / (math.factorial(p) * math.factorial(j))
-            out = out + coef * p * x ** (p - 1) * t**j
-        return (out,)
-
     def initial_values(self, x: Array) -> Array:
         return np.asarray(x, dtype=float) ** self.m
 
@@ -145,8 +134,6 @@ class ExponentialSolution:
     """u(t, x) = exp(mu.x + |mu|^2 t): caloric with exponential spatial growth."""
 
     mu: tuple[float, ...]
-
-    kind = "exponential"
 
     @property
     def dim(self) -> int:
@@ -160,10 +147,6 @@ class ExponentialSolution:
         mu2 = sum(m * m for m in self.mu)
         return np.exp(_phase(axes, self.mu) + mu2 * t)
 
-    def gradient(self, t: float, *axes: Array) -> tuple[Array, ...]:
-        v = self.value(t, *axes)
-        return tuple(m * v for m in self.mu)
-
     def initial_values(self, *axes: Array) -> Array:
         return np.exp(_phase(axes, self.mu))
 
@@ -174,8 +157,6 @@ class Eigenmode:
 
     omega: tuple[float, ...]
     amplitude: float = 1.0
-
-    kind = "eigenmode"
 
     @property
     def dim(self) -> int:
@@ -203,7 +184,6 @@ class Eigenmode:
 class ErfFront:
     """u(t, x) = erf(x / sqrt(4t)): the heat evolution of sign(x)."""
 
-    kind = "erf_front"
     dim = 1
     label = "erf_front"
 
@@ -212,10 +192,6 @@ class ErfFront:
 
         x = np.asarray(x, dtype=float)
         return erf(x / sqrt(4.0 * t))
-
-    def gradient(self, t: float, x: Array) -> tuple[Array]:
-        x = np.asarray(x, dtype=float)
-        return (np.exp(-(x**2) / (4.0 * t)) / sqrt(pi * t),)
 
     def initial_values(self, x: Array) -> Array:
         return np.sign(np.asarray(x, dtype=float))
@@ -302,7 +278,6 @@ class TychonoffSolution:
 
     K: int
 
-    kind = "tychonoff"
     dim = 1
 
     def __post_init__(self) -> None:
@@ -468,7 +443,6 @@ class SchwartzGaussPolyDatum:
     coeffs: tuple[float, ...]
     sigma: float
 
-    kind = "gauss_poly"
     dim = 1
 
     @property
@@ -490,7 +464,6 @@ class SchwartzGaussPolyDatum:
 class SignDatum:
     """u0 = sign(x); e^{tL} u0 = erf(x/sqrt(4t))."""
 
-    kind = "sign"
     dim = 1
     label = "sign"
 
@@ -512,7 +485,6 @@ class DiracDatum:
 
     x0: float
 
-    kind = "dirac"
     dim = 1
 
     @property
@@ -543,7 +515,6 @@ class OscillatorDatum:
     omega: float
     amplitude: float
 
-    kind = "oscillator"
     dim = 1
 
     @property

@@ -11,7 +11,15 @@ single value in use is a constant, not a setting; and some call there must
 omit it, or the default value serves the tests at most and the parameter
 should be required.  A defaulted field of a dataclass is a defaulted
 parameter of its constructor, and a call of the class counts like a call of
-a function.
+a function.  A public class attribute (a plain assignment in the body of a
+public class) must be read in the package or in ``bench/*.py``, as
+``.name`` or through ``getattr``/``hasattr`` with the name as a string.
+
+Blind spot: methods are matched by name alone, so one call of ``.gradient``
+counts for the ``gradient`` of every class, called or not.  That traffic is
+checked by a line trace instead: run one gate pass, every operation of
+``bench/workloads.menu_entries()`` and each non-gate pipeline at its
+defaults under ``sys.settrace`` and list the public methods never entered.
 """
 
 import ast
@@ -172,6 +180,42 @@ def test_every_public_method_has_a_caller():
     assert not uncalled, "public methods without a caller outside tests: " + ", ".join(uncalled)
 
 
+def public_class_attributes() -> list[tuple[str, str, int]]:
+    """(class name, attribute, line) of every plain assignment in the body of
+    a public class."""
+    found = []
+    for tree in _modules().values():
+        for node in _public_definitions(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            found += [(node.name, target.id, item.lineno) for item in node.body
+                      if isinstance(item, ast.Assign) for target in item.targets
+                      if isinstance(target, ast.Name) and not target.id.startswith("_")]
+    return found
+
+
+def _attribute_reads(trees) -> set[str]:
+    """Attribute names loaded as ``.name`` or named to getattr/hasattr."""
+    reads = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("getattr", "hasattr") and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)):
+                reads.add(node.args[1].value)
+    return reads
+
+
+def test_every_public_class_attribute_is_read():
+    reads = _attribute_reads([*_modules().values(), *_bench()])
+    unread = [f"{cls}.{name} (line {line})" for cls, name, line in public_class_attributes()
+              if name not in reads]
+    assert not unread, ("public class attributes nothing in the package or bench/ reads: "
+                        + ", ".join(unread))
+
+
 def test_every_defaulted_parameter_is_passed():
     calls = _calls([*_modules().values(), *_bench()])
     unpassed = []
@@ -228,7 +272,7 @@ def test_bench_facing_shapes():
     import dataclasses
     import inspect
 
-    from caloric import acceptance, cli, optrack
+    from caloric import acceptance, cli, optrack, probes, zoo
 
     assert list(inspect.signature(acceptance.run_all).parameters) == ["out_dir", "echo"]
     result = acceptance.CriterionResult(3, "name", 60.0, 1.5,
@@ -240,6 +284,12 @@ def test_bench_facing_shapes():
     assert result.status_line == "[FAIL] criterion 3: name (1.5s)"
     assert [f.name for f in dataclasses.fields(cli.RunResult)] == [
         "exit_code", "files", "summary_lines"]
+    # bench/layers.py traces these methods; its tracer looks each one up in
+    # the defining class's own namespace
+    for cls, names in ((zoo.TychonoffSolution, ("value_with_flag", "gradient")),
+                       (probes.SchwartzProbe, ("value",)), (probes.TestFunction, ("value",))):
+        for name in names:
+            assert inspect.isfunction(vars(cls).get(name)), f"{cls.__name__}.{name}"
     criteria = [*acceptance.ALL_CRITERIA, acceptance.coverage_check]
     assert [fn.__name__ for fn in criteria] == [
         "criterion_1_semigroup_laws", "criterion_2_homotopy", "criterion_3_size_condition",

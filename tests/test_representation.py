@@ -349,6 +349,15 @@ class TestFluxFunctional:
             flux_functional(sol, 0.5, 1.0, h, gamma_hat=0.0,
                             cfg=HeatOperatorConfig("kernel_quadrature", 6.0), grid=g)
 
+    def test_solution_without_gradient_rejected_at_entry(self, monkeypatch):
+        g = SpatialGrid.make(1, 12.0, 512)
+        monkeypatch.setattr(representation, "heat_evolve", None)  # never reached
+        with pytest.raises(ValueError, match=re.escape(
+                "solution caloric_polynomial(2) has no closed-form gradient")):
+            flux_functional(CaloricPolynomial(2), 0.5, 1.0, TestFunction((0.0,), 1.0),
+                            gamma_hat=0.0,
+                            cfg=HeatOperatorConfig("kernel_quadrature", 6.0), grid=g)
+
     def test_gaussian_tail_decreasing_and_small(self):
         g = SpatialGrid.make(1, 12.0, 1024)
         res = flux_functional(GaussianKernelSolution(1.0), 0.5, 1.0,

@@ -133,6 +133,28 @@ class TestHeatEvolveGradient:
             errs.append(np.abs(direct - fd).max())
         assert errs[0] / errs[1] >= 3.0  # O(dx^2) agreement
 
+    @pytest.mark.parametrize("dim,gradient,builds", [
+        (1, False, {"_kernel_1d": 1}),
+        (1, True, {"_kernel_gradient_1d": 1}),
+        (2, False, {"_kernel_1d": 1}),
+        (2, True, {"_kernel_1d": 1, "_kernel_gradient_1d": 1}),
+    ], ids=["evolve-1d", "gradient-1d", "evolve-2d", "gradient-2d"])
+    def test_each_kernel_built_once_where_applied(self, monkeypatch, dim, gradient, builds):
+        # a kernel no output applies is not built: a 1-D gradient needs
+        # only the gradient kernel
+        counts = {}
+        for name in ("_kernel_1d", "_kernel_gradient_1d"):
+            def counted(*args, _name=name, _build=getattr(semigroup, name)):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _build(*args)
+
+            monkeypatch.setattr(semigroup, name, counted)
+        grid = SpatialGrid.make(dim, 15.0, 256 if dim == 1 else 64)
+        values = _bump_field(grid, (0.5,) * dim, 1.0)
+        op = heat_evolve_gradient if gradient else heat_evolve
+        op(grid, values, 0.3, KERNEL)
+        assert counts == builds
+
     def test_2d_gradient_components(self, grid_2d):
         xg, yg = grid_2d.meshgrid()
         f = np.sin(xg) * np.sin(yg)

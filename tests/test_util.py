@@ -242,6 +242,39 @@ class TestFsumCrossover:
         assert_same(det_sum(padded), fsum_oracle(terms))
 
 
+def _limb_totals_one_bincount(block: np.ndarray) -> np.ndarray:
+    """Reference: all three digits of every term in one np.bincount call, the
+    middle and top digits indexed one and two limbs up."""
+    n_rows, n_terms = block.shape
+    frac, exp = np.frexp(block)
+    pos = exp + (util._BIAS - 53)
+    limb = pos // 32 + (np.arange(n_rows) * util._N_LIMBS)[:, None]
+    y = np.ldexp(frac, pos % 32 + 53)
+    top = np.trunc(y * 2.0**-64)
+    y = y - top * 2.0**64
+    mid = np.trunc(y * 2.0**-32)
+    low = y - mid * 2.0**32
+    totals = np.bincount(np.stack([limb, limb + 1, limb + 2]).ravel(),
+                         weights=np.stack([low, mid, top]).ravel(),
+                         minlength=n_rows * util._N_LIMBS)
+    return totals.reshape(n_rows, util._N_LIMBS).astype(np.int64)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (8, 2048), (14, 2048), (3, util._BLOCK)])
+def test_limb_totals_equal_one_bincount_reference(shape):
+    # signed values over the whole exponent range, subnormals and the
+    # largest finite magnitudes included
+    rng = np.random.default_rng(shape[0] * shape[1])
+    block = wide(rng, shape, -330, 308)
+    flat = block.ravel()
+    flat[::7] = rng.choice([5e-324, -5e-324, 2.5e-310, -0.0, 1.7e308, -1.7e308], flat[::7].size)
+    assert np.isfinite(block).all()
+    want = _limb_totals_one_bincount(block)
+    got = util._limb_totals(block)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 def padded_rows(*rows) -> np.ndarray:
     """Rows of terms, each zero-padded to one length past the crossover."""
     width = max(_FSUM_MAX_TERMS + 1, *(len(r) for r in rows))

@@ -226,6 +226,53 @@ def test_contour_means_equal_np_mean_in_hex():
         assert [m.hex() for m in zoo._contour_means(t, 40)] == want
 
 
+def _central_difference(sol, t, axes, ax, h):
+    """Fourth-order central difference of sol.value along axis *ax*."""
+    def at(delta):
+        moved = list(axes)
+        moved[ax] = axes[ax] + delta
+        return sol.value(t, *moved)
+
+    return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
+
+
+_X = np.linspace(-4.0, 4.0, 33)
+_MESH = np.meshgrid(np.linspace(-3.0, 3.0, 13), np.linspace(-2.5, 3.5, 11), indexing="ij")
+
+
+class TestClosedFormGradients:
+    """Each closed-form gradient against central differences of its value,
+    to a relative tolerance of the largest gradient component on the sample."""
+
+    @pytest.mark.parametrize("sol,t,axes", [
+        (GaussianKernelSolution(1.0), 0.5, (_X,)),
+        (GaussianKernelSolution(0.5, (1.5,)), 0.3, (_X,)),
+        (GaussianKernelSolution(1.0, (0.5, -1.0)), 0.25, tuple(_MESH)),
+        (Eigenmode((2.0,), 1.5), 0.2, (_X,)),
+        (Eigenmode((1.0, 0.5)), 0.3, tuple(_MESH)),
+    ], ids=["gaussian-centred", "gaussian-off-centre", "gaussian-2d", "eigenmode-1d",
+            "eigenmode-2d"])
+    def test_matches_central_differences(self, sol, t, axes):
+        # worst measured: 6.8e-13
+        grad = sol.gradient(t, *axes)
+        assert len(grad) == sol.dim
+        scale = max(np.abs(g).max() for g in grad)
+        for ax, g in enumerate(grad):
+            fd = _central_difference(sol, t, axes, ax, 1e-3)
+            assert np.abs(g - fd).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("t", [0.02, 0.1, 0.5, 1.0])
+    def test_flat_series_inside_trust_region(self, t):
+        # x^2/4t <= 8, where the value matches the partial sum to 1e-8; its
+        # cancellation error, divided by the step, bounds the difference
+        # (worst measured: 4.9e-10 at t = 1)
+        sol = TychonoffSolution(40)
+        x = np.linspace(-1.0, 1.0, 41) * math.sqrt(32.0 * t)
+        (grad,) = sol.gradient(t, x)
+        fd = _central_difference(sol, t, (x,), 0, 1e-3 * math.sqrt(t))
+        assert np.abs(grad - fd).max() <= 2e-9 * np.abs(grad).max()
+
+
 class TestHeatResidual:
     @pytest.mark.parametrize("sol,region,bound", [
         (Eigenmode((1.0,)), ResidualProbeRegion((0.2, 1.0), 2.0), 1e-5),
@@ -298,9 +345,9 @@ def _mp_gauss_poly(coeffs, sigma):
 
 
 def _mp_initial_function(datum):
-    if datum.kind == "sign":
+    if isinstance(datum, SignDatum):
         return mpmath.sign
-    if datum.kind == "oscillator":
+    if isinstance(datum, OscillatorDatum):
         return lambda x: datum.amplitude * mpmath.sin(datum.omega * x)
     return _mp_gauss_poly(datum.coeffs, datum.sigma)
 
@@ -308,7 +355,7 @@ def _mp_initial_function(datum):
 class TestExactPairingOracle:
     """exact_pairing against an mpmath quadrature of u0 * phi on the whole line."""
 
-    DATA = tuple(d for d in _RECOVERY_DATA if d.kind != "dirac") + (
+    DATA = tuple(d for d in _RECOVERY_DATA if not isinstance(d, DiracDatum)) + (
         datum_from_id("oscillator:omega=1.5"),)
 
     @staticmethod
@@ -321,7 +368,7 @@ class TestExactPairingOracle:
     def test_criterion_4_data_against_mpmath(self, datum):
         for probe in default_schwartz_panel():
             got = exact_pairing(datum, probe)
-            odd = datum.kind in ("sign", "oscillator") and len(probe.coeffs) % 2 == 1
+            odd = isinstance(datum, (SignDatum, OscillatorDatum)) and len(probe.coeffs) % 2 == 1
             if odd:  # odd datum times even Hermite probe
                 assert got == 0.0, probe.label
             else:
@@ -364,14 +411,14 @@ class TestRegistry:
     def test_solution_ids(self, ident, label):
         assert solution_from_id(ident).label == label
 
-    @pytest.mark.parametrize("ident,kind", [
-        ("sign", "sign"),
-        ("dirac:x0=0.5", "dirac"),
-        ("oscillator:omega=2,amp=3", "oscillator"),
-        ("gauss_poly:coeffs=0|1|0.5,sigma=2", "gauss_poly"),
+    @pytest.mark.parametrize("ident,cls", [
+        ("sign", SignDatum),
+        ("dirac:x0=0.5", DiracDatum),
+        ("oscillator:omega=2,amp=3", OscillatorDatum),
+        ("gauss_poly:coeffs=0|1|0.5,sigma=2", SchwartzGaussPolyDatum),
     ])
-    def test_datum_ids(self, ident, kind):
-        assert datum_from_id(ident).kind == kind
+    def test_datum_ids(self, ident, cls):
+        assert isinstance(datum_from_id(ident), cls)
 
     def test_unknown_ids(self):
         with pytest.raises(ValueError, match="unknown solution"):
