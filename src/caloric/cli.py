@@ -343,11 +343,27 @@ _PIPELINE_IMPL = {
 }
 
 
+def _require(ok: bool, field: str, invariant: str, value) -> None:
+    """ValueError naming the config field and its invariant unless *ok*."""
+    if not ok:
+        raise ValueError(f"{field} must {invariant}, got {value!r}")
+
+
+def _positive(values: tuple[float, ...]) -> bool:
+    return bool(values) and all(v > 0 for v in values)
+
+
+def _increasing(values: tuple[float, ...]) -> bool:
+    return all(b > a for a, b in zip(values, values[1:]))
+
+
 def _validate_config(cfg: ExperimentConfig) -> None:
     """Eagerly construct everything the pipeline will need.
 
     Invalid configurations surface here as ValueError (exit code 2, with the
-    violated invariant in the message) before any computation starts.
+    violated invariant in the message) before any computation starts; so do
+    configurations under which a verdict would judge nothing, such as an
+    empty probe panel or a single homotopy grid level.
     """
     cfg.grid()
     cfg.operator()
@@ -362,16 +378,33 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         if cfg.grid_dim != 1:
             raise ValueError(f"{cfg.pipeline} evolves a 1-D initial datum, so grid_dim must be 1, "
                              f"got {cfg.grid_dim}")
+    if cfg.pipeline == "evolve":
+        _require(_positive(cfg.evolve_times) and _increasing(cfg.evolve_times), "evolve_times",
+                 "be non-empty, positive and strictly increasing", cfg.evolve_times)
+    if cfg.pipeline == "tent-norm":
+        _require(_positive(cfg.tent_radii), "tent_radii", "be non-empty and positive",
+                 cfg.tent_radii)
+        BallFamily(((0.0,) * cfg.grid_dim,), cfg.tent_radii)
     if cfg.pipeline == "growth-fit":
         cfg.strip()
         if len(cfg.radii) < 5:
             raise ValueError("growth fit needs at least 5 radii")
+        _require(_positive(cfg.radii), "radii", "be positive", cfg.radii)
     if cfg.pipeline == "recover":
         cfg.ladder().validate_floor(cfg.grid())
     if cfg.pipeline == "counterexample":
         cfg.ladder()
-    if cfg.pipeline == "homotopy" and not 0 < cfg.homotopy_s < cfg.homotopy_t:
-        raise ValueError("homotopy needs 0 < s < t")
+        _require(_positive(cfg.compact_radii), "compact_radii", "be non-empty and positive",
+                 cfg.compact_radii)
+        _require(len(cfg.rho_values) >= 2 and _increasing(cfg.rho_values), "rho_values",
+                 "be at least two strictly increasing radii", cfg.rho_values)
+    if cfg.pipeline == "homotopy":
+        if not 0 < cfg.homotopy_s < cfg.homotopy_t:
+            raise ValueError("homotopy needs 0 < s < t")
+        _require(cfg.h_radius > 0, "h_radius", "be positive", cfg.h_radius)
+        _require(cfg.grid_levels >= 2, "grid_levels",
+                 "be at least 2 (a decrease needs two residuals)", cfg.grid_levels)
+        TestFunction((cfg.h_center,) * cfg.grid_dim, cfg.h_radius)
 
 
 @track("run_experiment")

@@ -18,15 +18,19 @@ Quadrature conventions
   order at the rim, acceptable under the >=1% tolerances of the experiments).
 * All reductions go through :func:`caloric.util.det_sum`, an exact sum with
   one final rounding (bit-identical to ``math.fsum``), so results do not
-  depend on the evaluation order or on how slices are batched: a masked
-  time profile is one row-wise ``det_sum(..., axis=-1)`` over the stack.
+  depend on the evaluation order or on how slices are batched.
+* :func:`masked_sums` is the one masked reduction: a region integral, a
+  ball integral, a pairing or a masked time profile is one call on the
+  whole stack.  It gathers every array factor at the mask before it
+  multiplies, so a value outside the mask never enters a product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -174,10 +178,6 @@ class SpaceTimeField:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
-    @property
-    def n_times(self) -> int:
-        return int(self.times.size)
-
     def slices_at(self, times) -> NDArray[np.float64]:
         """The stored samples at sample times *times* (each within SAMPLE_TIME_TOL).
 
@@ -192,10 +192,6 @@ class SpaceTimeField:
             raise CoverageError(f"time {times[k]} is not a sample time of the field (nearest "
                                 f"{self.times[idx[k]]}); sampled fields are never interpolated")
         return self.values[idx]
-
-    def slice_at(self, t: float) -> NDArray[np.float64]:
-        """The stored sample at sample time t; see :meth:`slices_at`."""
-        return self.slices_at(t)[0]
 
 
 def ball_weights(grid: SpatialGrid, center, radius: float) -> NDArray[np.float64]:
@@ -231,15 +227,37 @@ def ball_weights(grid: SpatialGrid, center, radius: float) -> NDArray[np.float64
     return np.where(inside, h * h, 0.0)
 
 
+def masked_sums(grid: SpatialGrid, mask, *factors) -> float | NDArray[np.float64]:
+    """det_sum over the points of *mask* of the product of *factors*, left to right.
+
+    *mask* is a boolean array of ``grid.shape``, or None for every point (a
+    reshape, no gather).  Array factors end in the grid's axes, broadcast
+    over their leading axes and are read only at the mask; scalars multiply
+    as they are.  Returns one sum for a slice, one per slice for a stack.
+    """
+    def gathered(f):
+        if np.ndim(f) == 0:
+            return f
+        f = np.asarray(f, dtype=float)
+        return f.reshape(f.shape[:f.ndim - grid.dim] + (-1,)) if mask is None else f[..., mask]
+
+    terms = reduce(mul, map(gathered, factors))
+    return det_sum(terms) if terms.ndim == 1 else det_sum(terms, axis=-1)
+
+
 @track("integrate_ball")
-def integrate_ball(grid: SpatialGrid, values: NDArray[np.float64], center, radius: float) -> float:
-    """Deterministic quadrature of a spatial slice over B(center, radius)."""
+def integrate_ball(grid: SpatialGrid, values: NDArray[np.float64], center,
+                   radius: float) -> float | NDArray[np.float64]:
+    """Deterministic quadrature over B(center, radius) with :func:`ball_weights`.
+
+    *values* is one slice (returns a float) or a stack of slices along
+    leading axes (returns one integral per slice).
+    """
     values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape:
-        raise DataError(f"slice shape {values.shape} does not match grid shape {grid.shape}")
+    if values.shape[-grid.dim:] != grid.shape:
+        raise DataError(f"values shape {values.shape} does not end in grid shape {grid.shape}")
     w = ball_weights(grid, center, radius)
-    mask = w > 0
-    return det_sum(values[mask] * w[mask])
+    return masked_sums(grid, w > 0, values, w)
 
 
 def time_trapezoid(times: NDArray[np.float64], g: NDArray[np.float64],
@@ -283,27 +301,26 @@ def integrate_strip_L2(u: SpaceTimeField, strip: StripSpec, radius: float,
             f"only {n_inside} time samples in [{strip.a}, {strip.b}]; need >= 4")
     if center is None:
         center = np.zeros(u.grid.dim)
-    w = ball_weights(u.grid, center, radius)
-    mask = w > 0
-    g = det_sum(u.values[:, mask] ** 2 * w[mask], axis=-1)
+    g = integrate_ball(u.grid, u.values**2, center, radius)
     total = time_trapezoid(times, g, strip.a, strip.b)
     return float(np.sqrt(max(total, 0.0)))
 
 
 @track("gradient")
 def gradient(grid: SpatialGrid, values: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Second-order central differences; returns array of shape (dim, *grid.shape).
+    """Second-order central differences of a slice or a stack of slices.
 
-    Grids are periodic, so the stencil wraps round each axis.
+    *values* is one slice (returns shape ``(dim, *grid.shape)``) or a stack
+    along leading axes (returns ``(*lead, dim, *grid.shape)``).  Grids are
+    periodic, so the stencil wraps round each axis.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape:
-        raise DataError(f"slice shape {values.shape} does not match grid shape {grid.shape}")
+    if values.shape[-grid.dim:] != grid.shape:
+        raise DataError(f"values shape {values.shape} does not end in grid shape {grid.shape}")
+    lead = values.ndim - grid.dim
     h = grid.spacing
-    out = np.empty((grid.dim, *grid.shape))
-    for ax in range(grid.dim):
-        out[ax] = (np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2 * h)
-    return out
+    return np.stack([(np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2 * h)
+                     for ax in range(lead, values.ndim)], axis=lead)
 
 
 @dataclass(frozen=True)

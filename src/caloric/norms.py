@@ -30,13 +30,15 @@ from .grid import (
     SpaceTimeField,
     SpatialGrid,
     StripSpec,
-    ball_weights,
+    gradient,
+    integrate_ball,
     integrate_strip_L2,
+    masked_sums,
     time_trapezoid,
 )
 from .optrack import track
 from .semigroup import HeatOperatorConfig, heat_evolve
-from .util import det_sum, linear_fit
+from .util import linear_fit
 
 Array = NDArray[np.float64]
 
@@ -98,8 +100,6 @@ def strip_growth_fit(u: SpaceTimeField, strip: StripSpec,
     if radii[-1] > 0.8 * u.grid.half_extent + 1e-12:
         raise DataError(
             f"max radius {radii[-1]} exceeds 0.8*L = {0.8 * u.grid.half_extent} (extent audit)")
-    if not np.all(np.isfinite(u.values)):
-        raise DataError("field has non-finite values")
     l2 = tuple(integrate_strip_L2(u, strip, r) for r in radii)
     upper = slice(len(radii) // 2, None)
     z = np.asarray(radii[upper]) ** 2 / strip.width
@@ -166,28 +166,20 @@ def carleson_box_value(u: SpaceTimeField, center, radius: float) -> float:
         raise CoverageError(
             f"Carleson box height r^2 = {r_sq:g} exceeds sampled time range "
             f"(max t = {u.times[-1]:g})")
-    w = ball_weights(grid, center, radius)
-    mask = w > 0
-    wm = w[mask]
-    g = det_sum(u.values[:, mask] ** 2 * wm, axis=-1)
+    g = integrate_ball(grid, u.values**2, center, radius)
     t0 = float(u.times[0])
     total = t0 * g[0] if r_sq >= t0 else r_sq * g[0]
     if r_sq > t0:
         total += time_trapezoid(u.times, g, t0, r_sq)
-    measure = det_sum(wm)
+    measure = integrate_ball(grid, np.ones(grid.shape), center, radius)
     return sqrt(max(total, 0.0) / measure)
 
 
 @track("tent_norm")
 def tent_norm(u: SpaceTimeField, family: BallFamily) -> TentNormResult:
     """Sup of the Carleson box quantity over the family (plus the argmax ball)."""
-    per = []
-    for c, r in family.balls():
-        per.append(PerBallValue(c, r, carleson_box_value(u, c, r)))
-    best = per[0]
-    for p in per[1:]:
-        if p.value > best.value:
-            best = p
+    per = [PerBallValue(c, r, carleson_box_value(u, c, r)) for c, r in family.balls()]
+    best = max(per, key=lambda p: p.value)  # the first of equal values
     return TentNormResult(best.value, best, tuple(per), family)
 
 
@@ -219,9 +211,7 @@ def bmo_inv_norm(datum_values: Array, grid: SpatialGrid, family: BallFamily,
     datum_values = np.asarray(datum_values, dtype=float)
     max_t = max(r * r for r in family.radii)
     times = carleson_time_ladder(grid, max_t, extra=[r * r for r in family.radii])
-    values = np.empty((times.size, *grid.shape))
-    for i, t in enumerate(times):
-        values[i] = heat_evolve(grid, datum_values, float(t), cfg)
+    values = np.stack([heat_evolve(grid, datum_values, t, cfg) for t in times.tolist()])
     field = SpaceTimeField(grid, times, values, "e^(tL)datum")
     return tent_norm(field, family)
 
@@ -328,18 +318,6 @@ class SpaceTimeRegion:
         return self.t0 < other.t0 and self.t1 >= other.t1 and self.r_hi > other.r_hi
 
 
-def _region_mask(grid: SpatialGrid, region: SpaceTimeRegion) -> Array:
-    return grid.distance_to((0.0,) * grid.dim) <= region.r_hi
-
-
-def _spacetime_integral(u: SpaceTimeField, slices: Array, region: SpaceTimeRegion) -> float:
-    """Trapezoid-in-time of the masked spatial integral of *slices*."""
-    mask = _region_mask(u.grid, region)
-    cell = u.grid.cell_volume
-    g = det_sum(slices[:, mask] * cell, axis=-1)
-    return time_trapezoid(u.times, g, region.t0, region.t1)
-
-
 @track("caccioppoli_ratio")
 def caccioppoli_ratio(u: SpaceTimeField, inner: SpaceTimeRegion,
                       enlarged: SpaceTimeRegion) -> float:
@@ -351,14 +329,13 @@ def caccioppoli_ratio(u: SpaceTimeField, inner: SpaceTimeRegion,
     """
     if not enlarged.contains(inner):
         raise ValueError("enlargement must strictly contain the inner region")
-    from .grid import gradient as fd_gradient
-
-    grads = np.empty((u.n_times, u.grid.dim, *u.grid.shape))
-    for i in range(u.n_times):
-        grads[i] = fd_gradient(u.grid, u.values[i])
-    grad_sq = np.add.reduce(grads**2, axis=1)
-    energy = _spacetime_integral(u, grad_sq, inner)
-    mass = _spacetime_integral(u, u.values**2, enlarged)
+    grid, cell = u.grid, u.grid.cell_volume
+    r = grid.distance_to((0.0,) * grid.dim)
+    grad_sq = np.add.reduce(gradient(grid, u.values) ** 2, axis=1)
+    energy = time_trapezoid(u.times, masked_sums(grid, r <= inner.r_hi, grad_sq, cell),
+                            inner.t0, inner.t1)
+    mass = time_trapezoid(u.times, masked_sums(grid, r <= enlarged.r_hi, u.values, u.values, cell),
+                          enlarged.t0, enlarged.t1)
     factor = 1.0 / inner.r_hi**2 + 1.0 / (inner.t0 - enlarged.t0)
     if mass <= 0.0:
         return 0.0 if energy <= 1e-300 else float("inf")

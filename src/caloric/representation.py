@@ -38,7 +38,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainTooSmallError, InvariantViolationError
-from .grid import SpaceTimeField, SpatialGrid, StripSpec, integrate_ball
+from .grid import SpaceTimeField, SpatialGrid, StripSpec, integrate_ball, masked_sums
 from .norms import BallFamily, GrowthFit, schwartz_seminorm, strip_growth_fit, tent_norm
 from .optrack import track
 from .probes import SchwartzProbe, TestFunction
@@ -130,10 +130,7 @@ def grid_pairing(grid: SpatialGrid, values: Array, probe_values: Array) -> float
     *values* is one slice (returns a float) or a stack of slices along a
     leading time axis (returns one pairing per slice).
     """
-    terms = np.asarray(values) * np.asarray(probe_values) * grid.cell_volume
-    if terms.ndim == grid.dim:
-        return det_sum(terms)
-    return det_sum(terms.reshape(terms.shape[:-grid.dim] + (grid.n_points,)), axis=-1)
+    return masked_sums(grid, None, values, probe_values, grid.cell_volume)
 
 
 def _check_probe_dims(panel, grid: SpatialGrid) -> None:
@@ -294,9 +291,8 @@ def flux_functional(u: AnalyticSolution, s: float, t: float, h: TestFunction,
     mesh = grid.meshgrid()
     radial = grid.distance_to((0.0,) * grid.dim)
     taus = np.linspace(s, t, _N_TAU)
-    cell = grid.cell_volume
     h_vals = h.value(*mesh)
-    # per-tau integrands, assembled once per tau then reduced per annulus
+    # the factors of both integrands, assembled once per tau
     phi_slices = np.empty((_N_TAU, *grid.shape))
     gphi_slices = np.empty((_N_TAU, grid.dim, *grid.shape))
     for i, tau in enumerate(taus):
@@ -311,16 +307,13 @@ def flux_functional(u: AnalyticSolution, s: float, t: float, h: TestFunction,
     gu_slices = np.stack([np.stack(u.gradient(float(tau), *mesh)) for tau in taus])
     abs_gu = np.sqrt(np.add.reduce(gu_slices**2, axis=1))
     abs_gphi = np.sqrt(np.add.reduce(gphi_slices**2, axis=1))
+    # the Phi_1 and Phi_2 integrands on the full grid, reduced once per annulus
+    integrands = np.stack([np.abs(phi_slices) * abs_gu, np.abs(u_slices) * abs_gphi])
+    profiles = np.stack([masked_sums(grid, (radial > _FLUX_LAMBDA * R) & (radial < R),
+                                     integrands, grid.cell_volume) for R in _FLUX_RADII])
     dt = (t - s) / (_N_TAU - 1)
     w = np.full(_N_TAU, dt)
     w[0] = w[-1] = dt / 2.0
-    # time profiles of the Phi_1 and Phi_2 integrands on each annulus
-    profiles = np.empty((len(_FLUX_RADII), 2, _N_TAU))
-    for j, R in enumerate(_FLUX_RADII):
-        mask = (radial > _FLUX_LAMBDA * R) & (radial < R)
-        terms = np.stack([np.abs(phi_slices[:, mask]) * abs_gu[:, mask],
-                          np.abs(u_slices[:, mask]) * abs_gphi[:, mask]])
-        profiles[j] = det_sum(terms * cell, axis=-1)
     phis = det_sum(profiles * w, axis=-1)
     rows = [FluxRow(R, phi1, phi2) for R, (phi1, phi2) in zip(_FLUX_RADII, phis.tolist())]
     totals = [r.total for r in rows]
@@ -495,11 +488,9 @@ def uniqueness_probe(u: SpaceTimeField, ladder: SnapshotLadder,
         return UniquenessVerdict("HYPOTHESIS_NOT_MET", fit,
                                  max(limits) if limits else float("inf"), float("nan"))
     g = u.grid
-    r_interior = 0.8 * g.half_extent
-    worst = 0.0
-    for t in np.linspace(strip.a, strip.b, 5):
-        sl = u.slice_at(float(t))
-        worst = max(worst, sqrt(max(integrate_ball(g, sl**2, np.zeros(g.dim), r_interior), 0.0)))
+    sq = u.slices_at(np.linspace(strip.a, strip.b, 5)) ** 2
+    masses = integrate_ball(g, sq, np.zeros(g.dim), 0.8 * g.half_extent)
+    worst = max(sqrt(max(m, 0.0)) for m in masses.tolist())
     verdict = "CONSISTENT" if worst <= _SLICE_TOL else "VIOLATION"
     return UniquenessVerdict(verdict, fit, max(limits), worst)
 
@@ -543,11 +534,17 @@ def convergence_mode_probe(sol, grid: SpatialGrid, ladder: SnapshotLadder,
     time, partial integrals of u * phi over |x| <= rho_m grow without bound
     as rho_m expands - the numerical witness that the snapshot is not
     tempered.  Truncation flags of the series evaluator propagate into the
-    report as resolution limits.
+    report as resolution limits.  Both panels must be non-empty and the
+    rho_m at least two and strictly increasing (ValueError at entry).
     """
     x = grid.axis
     if grid.dim != 1:
         raise ValueError("convergence-mode probe is 1D")
+    if not compact_panel or not schwartz_panel:
+        raise ValueError("convergence-mode probe needs non-empty compact and Schwartz panels")
+    if len(rho_values) < 2 or not all(b > a for a, b in zip(rho_values, rho_values[1:])):
+        raise ValueError(f"rho_values must be at least two strictly increasing radii, "
+                         f"got {tuple(rho_values)}")
     has_flags = hasattr(sol, "value_with_flag")
 
     def eval_with_flag(t: float) -> tuple[Array, Array]:
@@ -557,7 +554,8 @@ def convergence_mode_probe(sol, grid: SpatialGrid, ladder: SnapshotLadder,
         return v, np.zeros_like(v, dtype=bool)
 
     # one series evaluation per time, shared by every bump and every probe
-    snapshots = [(t_k, *eval_with_flag(t_k)) for t_k in ladder.times.tolist()]
+    times = ladder.times.tolist()
+    snaps, snap_flags = map(np.stack, zip(*(eval_with_flag(t_k) for t_k in times)))
     div_vals, div_flags = eval_with_flag(t_divergence)
     compact_rows = []
     sup_final = 0.0
@@ -565,12 +563,11 @@ def convergence_mode_probe(sol, grid: SpatialGrid, ladder: SnapshotLadder,
     for h in compact_panel:
         h_vals = h.value(x)
         supp = h_vals != 0.0
-        seq = []
-        for t_k, snap, snap_flags in snapshots:
-            pairing = det_sum(snap[supp] * h_vals[supp] * grid.cell_volume)
-            seq.append(abs(pairing))
-            compact_rows.append(CompactPairingRow(h.label, t_k, pairing,
-                                                  bool(snap_flags[supp].any())))
+        pairings = masked_sums(grid, supp, snaps, h_vals, grid.cell_volume).tolist()
+        flagged = snap_flags[:, supp].any(axis=1).tolist()
+        compact_rows += [CompactPairingRow(h.label, t_k, p, f)
+                         for t_k, p, f in zip(times, pairings, flagged)]
+        seq = [abs(p) for p in pairings]
         sup_final = max(sup_final, seq[-1])
         half = len(seq) // 2
         monotone_tail = monotone_tail and all(
@@ -583,7 +580,7 @@ def convergence_mode_probe(sol, grid: SpatialGrid, ladder: SnapshotLadder,
         prev = None
         for rho in rho_values:
             region = np.abs(x) <= rho
-            partial = det_sum(div_vals[region] * probe_vals[region] * grid.cell_volume)
+            partial = masked_sums(grid, region, div_vals, probe_vals, grid.cell_volume)
             div_rows.append(DivergenceRow(probe.label, float(rho), partial,
                                           bool(div_flags[region].any())))
             if prev is not None:

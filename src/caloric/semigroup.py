@@ -58,7 +58,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .errors import DomainTooSmallError, InsufficientDecayDataError
-from .grid import SpatialGrid
+from .grid import SpatialGrid, masked_sums
 from .optrack import track
 from .util import det_sum, linear_fit
 
@@ -402,14 +402,13 @@ def annulus_decay_check(grid: SpatialGrid, h_values: Array, t: float,
             f"outermost annulus radius {outer:.3g} exceeds grid extent {grid.half_extent}")
     evolved = dense_evolve_at(grid, h_values, t)
     r = grid.distance_to((0.0,) * grid.dim)
-    cell = grid.cell_volume
     rows: list[AnnulusDecayRow] = []
     fit_z: list[float] = []
     fit_z_edge: list[float] = []
     fit_y: list[float] = []
     for j in range(scheme.count + 1):
         mask = (r >= scheme.inner_radius(j)) & (r < scheme.outer_radius(j))
-        norm = sqrt(max(det_sum(evolved[mask] ** 2 * cell), 0.0))
+        norm = sqrt(max(masked_sums(grid, mask, evolved, evolved, grid.cell_volume), 0.0))
         usable = j >= 2 and norm > _NORM_FLOOR
         rows.append(AnnulusDecayRow(j, scheme.distance_to_support(j), norm, usable))
         if usable:

@@ -184,6 +184,43 @@ class TestRunExperiment:
         assert f"is {sol_dim}-D, grid_dim is {grid_dim}" in summary
         assert not (tmp_path / output).exists()
 
+    # The measure-sweep counterexample configuration: the flat series on L = 8.
+    _FLAT = dict(pipeline="counterexample", solution_id="tychonoff:K=40",
+                 grid_half_extent=8.0, grid_points=1024, ladder_t0=0.1, ladder_ratio=0.7,
+                 ladder_floor=2e-3)
+
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(_FLAT, compact_radii=(), rho_values=(4.0,)),
+         "compact_radii must be non-empty and positive, got ()"),
+        (dict(_FLAT, compact_radii=(0.5, 0.0)), "compact_radii must be non-empty and positive"),
+        (dict(_FLAT, rho_values=(4.0,)), "rho_values must be at least two strictly increasing"),
+        (dict(_FLAT, rho_values=(4.0, 2.0)), "rho_values must be at least two strictly increasing"),
+        (dict(pipeline="homotopy", grid_levels=0), "grid_levels must be at least 2"),
+        (dict(pipeline="homotopy", grid_levels=-2), "grid_levels must be at least 2"),
+        (dict(pipeline="homotopy", grid_levels=1), "grid_levels must be at least 2"),
+        (dict(pipeline="homotopy", h_radius=0.0), "h_radius must be positive, got 0.0"),
+        (dict(pipeline="homotopy", h_radius=-1.0), "h_radius must be positive, got -1.0"),
+        (dict(pipeline="evolve", evolve_times=(0.2, 0.1)),
+         "evolve_times must be non-empty, positive and strictly increasing, got (0.2, 0.1)"),
+        (dict(pipeline="evolve", evolve_times=(-0.1, 0.2)),
+         "evolve_times must be non-empty, positive and strictly increasing"),
+        (dict(pipeline="evolve", evolve_times=()),
+         "evolve_times must be non-empty, positive and strictly increasing"),
+        (dict(pipeline="tent-norm", tent_radii=()), "tent_radii must be non-empty and positive"),
+        (dict(pipeline="tent-norm", tent_radii=(0.5, -1.0)),
+         "tent_radii must be non-empty and positive"),
+        (dict(pipeline="growth-fit", radii=(0.0, 2.0, 3.0, 4.0, 5.0)), "radii must be positive"),
+    ], ids=["no-bumps-one-rho", "zero-bump", "one-rho", "rho-decreasing", "levels-0",
+            "levels-minus-2", "levels-1", "h-radius-0", "h-radius-negative", "times-decreasing",
+            "time-negative", "no-times", "no-tent-radii", "tent-radius-negative",
+            "growth-radius-0"])
+    def test_vacuous_or_disordered_config_exits_2(self, tmp_path, overrides, message):
+        # each of these judged nothing and passed, or failed only at run time
+        result = run_experiment(ExperimentConfig(out_dir=str(tmp_path), **overrides))
+        assert result.exit_code == 2
+        assert message in (tmp_path / "summary.txt").read_text()
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_tent_norm_pipeline(self, tmp_path):
         cfg = ExperimentConfig(pipeline="tent-norm", datum_id="sign",
                                grid_points=512, out_dir=str(tmp_path))

@@ -78,10 +78,10 @@ class TestSpaceTimeField:
         values = rng.standard_normal((3, 512))
         u = SpaceTimeField(grid_1d, [1.0, 2.0, 3.0], values)
         for i, t in enumerate((1.0, 2.0 + 5e-10, 3.0 - 5e-10)):
-            assert u.slice_at(t).tobytes() == values[i].tobytes()
+            assert u.slices_at(t)[0].tobytes() == values[i].tobytes()
         for t in (1.5, 2.0 + 2e-9, 0.5, 3.5, math.nan):
             with pytest.raises(CoverageError, match="not a sample time"):
-                u.slice_at(t)
+                u.slices_at(t)[0]
 
     def test_slices_at_stacks_samples_in_the_order_given(self, grid_1d):
         rng = np.random.default_rng(4)

@@ -17,9 +17,10 @@ public class) must be read in the package or in ``bench/*.py``, as
 
 Blind spot: methods are matched by name alone, so one call of ``.gradient``
 counts for the ``gradient`` of every class, called or not.  That traffic is
-checked by a line trace instead: run one gate pass, every operation of
-``bench/workloads.menu_entries()`` and each non-gate pipeline at its
-defaults under ``sys.settrace`` and list the public methods never entered.
+checked by a trace instead: ``python tools/traffic_trace.py`` runs one gate
+pass, every operation of ``bench/workloads.menu_entries()`` and each
+non-gate pipeline at its defaults under ``sys.settrace`` and lists the
+public functions and methods never entered.
 """
 
 import ast

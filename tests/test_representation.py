@@ -510,6 +510,20 @@ class TestConvergenceModeProbe:
         # the outer partials ride on flagged (truncated) series values
         assert any(r.truncation_flagged for r in rep.divergence_rows)
 
+    @pytest.mark.parametrize("bumps,probes,rhos,message", [
+        ((), [hermite_probe(0, 1.0)], (2.0, 4.0), "non-empty compact and Schwartz panels"),
+        ((0.5,), [], (2.0, 4.0), "non-empty compact and Schwartz panels"),
+        ((0.5,), [hermite_probe(0, 1.0)], (4.0,), "at least two strictly increasing"),
+        ((0.5,), [hermite_probe(0, 1.0)], (4.0, 4.0), "at least two strictly increasing"),
+    ], ids=["no-bumps", "no-probes", "one-rho", "rho-repeated"])
+    def test_vacuous_panels_rejected_at_entry(self, monkeypatch, bumps, probes, rhos, message):
+        monkeypatch.setattr(TychonoffSolution, "value_with_flag", None)  # never reached
+        with pytest.raises(ValueError, match=message):
+            convergence_mode_probe(TychonoffSolution(40), SpatialGrid.make(1, 8.0, 256),
+                                   SnapshotLadder.down_to(0.1, 0.7, 2e-3),
+                                   central_compact_panel(bumps), probes, rho_values=rhos,
+                                   t_divergence=0.1)
+
 
 class TestPairingBound:
     def test_zero_field(self, grid_1d):

@@ -6,6 +6,7 @@ signs of zero included.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,8 +27,20 @@ from caloric import (
     snapshot_boundedness_probe,
 )
 from caloric import util
-from caloric.grid import ball_weights, time_trapezoid
-from caloric.norms import carleson_box_value
+from caloric.errors import DataError
+from caloric.grid import ball_weights, gradient, integrate_ball, masked_sums, time_trapezoid
+from caloric.norms import SpaceTimeRegion, caccioppoli_ratio, carleson_box_value
+from caloric.probes import central_compact_panel, hermite_probe
+from caloric.representation import convergence_mode_probe, flux_functional, grid_pairing
+from caloric.semigroup import (
+    AnnulusScheme,
+    HeatOperatorConfig,
+    annulus_decay_check,
+    dense_evolve_at,
+    heat_evolve,
+    heat_evolve_gradient,
+)
+from caloric.zoo import GaussianKernelSolution, TychonoffSolution
 from caloric.util import _FSUM_MAX_TERMS, det_sum
 
 
@@ -401,7 +414,7 @@ def test_integrate_strip_L2_matches_slice_loop(dim):
     w = ball_weights(g, center, radius)
     mask = w > 0
     profile = np.array([fsum_oracle(u.values[i][mask] ** 2 * w[mask])
-                        for i in range(u.n_times)])
+                        for i in range(len(u.times))])
     want = math.sqrt(max(time_trapezoid(u.times, profile, strip.a, strip.b), 0.0))
     assert_same(integrate_strip_L2(u, strip, radius, center), want)
 
@@ -414,7 +427,7 @@ def test_carleson_box_value_matches_slice_loop(dim):
     w = ball_weights(g, center, radius)
     mask = w > 0
     profile = np.array([fsum_oracle(u.values[i][mask] ** 2 * w[mask])
-                        for i in range(u.n_times)])
+                        for i in range(len(u.times))])
     t0 = float(u.times[0])
     total = t0 * profile[0] + time_trapezoid(u.times, profile, t0, radius**2)
     want = math.sqrt(max(total, 0.0) / fsum_oracle(w[mask]))
@@ -460,6 +473,160 @@ def test_pairing_bound_sup_matches_slice_loop():
     phi = TestFunction((0.5,), 1.5)
     phi_vals = phi.value(*g.meshgrid())
     want = max(abs(fsum_oracle(u.values[i] * phi_vals * g.cell_volume))
-               for i in range(u.n_times) if u.times[i] < 0.5)
+               for i in range(len(u.times)) if u.times[i] < 0.5)
     fam = BallFamily(((0.0,),), (0.5, 1.0))
     assert_same(pairing_bound_check([u], phi, family=fam)[0].sup_pairing, want)
+
+
+# -- masked_sums and the stacked quadrature against the per-site formulas ----
+#
+# The references below are the formulas each site used before it reduced
+# through masked_sums: gather at the mask, multiply, one exact sum per slice.
+
+
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_masked_sums_reads_factors_only_inside_the_mask(dim):
+    g = GRIDS[dim]
+    rng = np.random.default_rng(11)
+    mask = g.distance_to(np.zeros(g.dim)) <= 1.5
+    a = rng.standard_normal((4, *g.shape))
+    b = rng.standard_normal(g.shape)
+    a[:, ~mask] = np.inf
+    b[~mask] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = masked_sums(g, mask, a, b, 0.25)
+    want = [fsum_oracle(a[i][mask] * b[mask] * 0.25) for i in range(4)]
+    assert np.all(np.isfinite(got))
+    assert_same(got, want)
+
+
+STACKS = pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["slice", "stack", "stack2"])
+
+
+@STACKS
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_masked_sums_without_mask_equals_all_true_mask(dim, lead):
+    g = GRIDS[dim]
+    values = np.random.default_rng(10).standard_normal((*lead, *g.shape))
+    probe = np.cos(sum(g.meshgrid()))
+    every = np.ones(g.shape, dtype=bool)
+    got = masked_sums(g, None, values, probe, g.cell_volume)
+    assert_same(got, masked_sums(g, every, values, probe, g.cell_volume))
+    assert_same(got, grid_pairing(g, values, probe))
+    assert got.shape == lead if lead else type(got) is float
+
+
+@STACKS
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_stacked_gradient_and_ball_integral_equal_per_slice(dim, lead):
+    g = GRIDS[dim]
+    values = np.random.default_rng(10).standard_normal((*lead, *g.shape))
+    center = np.full(g.dim, 0.2)
+    grads = gradient(g, values)
+    balls = integrate_ball(g, values, center, 1.7)
+    assert grads.shape == (*lead, g.dim, *g.shape)
+    for idx in np.ndindex(*lead):
+        assert grads[idx].tobytes() == gradient(g, values[idx]).tobytes()
+        assert_same(np.asarray(balls)[idx], integrate_ball(g, values[idx], center, 1.7))
+    with pytest.raises(DataError, match="does not end in grid shape"):
+        gradient(g, values[..., :-1])
+    with pytest.raises(DataError, match="does not end in grid shape"):
+        integrate_ball(g, values[..., :-1], center, 1.7)
+
+
+def _caccioppoli_reference(u, inner, enlarged):
+    g = u.grid
+    h = g.spacing
+    r = g.distance_to(np.zeros(g.dim))
+
+    def integral(slices, region):
+        mask = r <= region.r_hi
+        profile = np.array([fsum_oracle(s[mask] * g.cell_volume) for s in slices])
+        return time_trapezoid(u.times, profile, region.t0, region.t1)
+
+    grad_sq = np.stack([sum(((np.roll(v, -1, axis=ax) - np.roll(v, 1, axis=ax)) / (2 * h)) ** 2
+                            for ax in range(g.dim)) for v in u.values])
+    energy = integral(grad_sq, inner)
+    mass = integral(u.values**2, enlarged)
+    return energy / ((1.0 / inner.r_hi**2 + 1.0 / (inner.t0 - enlarged.t0)) * mass)
+
+
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_caccioppoli_ratio_matches_slice_loop(dim):
+    g = GRIDS[dim]
+    u = gaussian_tailed_field(g, np.linspace(0.4, 2.1, 15), seed=12)
+    inner, outer = SpaceTimeRegion(1.0, 2.0, 1.0), SpaceTimeRegion(0.5, 2.0, 2.0)
+    assert_same(caccioppoli_ratio(u, inner, outer), _caccioppoli_reference(u, inner, outer))
+
+
+def test_annulus_decay_rows_match_per_annulus_sums():
+    g = SpatialGrid.make(1, 8.0, 1600)
+    h_vals = TestFunction((0.0,), 1.0).value(g.axis)
+    scheme = AnnulusScheme(1.0, 1.3, 6)
+    res = annulus_decay_check(g, h_vals, 0.1, scheme)
+    evolved = dense_evolve_at(g, h_vals, 0.1)
+    r = np.abs(g.axis)
+    for j, row in enumerate(res.rows):
+        mask = (r >= scheme.inner_radius(j)) & (r < scheme.outer_radius(j))
+        assert_same(row.l2_norm, math.sqrt(max(fsum_oracle(evolved[mask] ** 2 * g.spacing), 0.0)))
+
+
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_flux_rows_match_per_annulus_sums(dim):
+    g = SpatialGrid.make(int(dim[0]), 12.0, {"1d": 1024, "2d": 64}[dim])
+    u = GaussianKernelSolution(1.0, (0.0,) * g.dim)
+    h = TestFunction((0.0,) * g.dim, 1.0)
+    cfg = HeatOperatorConfig("kernel_quadrature", 6.0)
+    s, t = 0.5, 1.0
+    res = flux_functional(u, s, t, h, gamma_hat=0.0, cfg=cfg, grid=g)
+    mesh = g.meshgrid()
+    radial = g.distance_to(np.zeros(g.dim))
+    taus = np.linspace(s, t, 9)
+    h_vals = h.value(*mesh)
+    phi = np.stack([heat_evolve(g, h_vals, t - tau, cfg) if tau < t else h_vals
+                    for tau in taus])
+    gphi = np.stack([heat_evolve_gradient(g, h_vals, t - tau, cfg) if tau < t
+                     else np.stack(h.gradient(*mesh)) for tau in taus])
+    uu = np.stack([u.value(float(tau), *mesh) for tau in taus])
+    gu = np.stack([np.stack(u.gradient(float(tau), *mesh)) for tau in taus])
+    abs_gu = np.sqrt(np.add.reduce(gu**2, axis=1))
+    abs_gphi = np.sqrt(np.add.reduce(gphi**2, axis=1))
+    w = np.full(9, (t - s) / 8)
+    w[0] = w[-1] = (t - s) / 16
+    for R, row in zip((2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0), res.rows):
+        mask = (radial > 0.9 * R) & (radial < R)
+        p1 = [fsum_oracle(np.abs(phi[i][mask]) * abs_gu[i][mask] * g.cell_volume)
+              for i in range(9)]
+        p2 = [fsum_oracle(np.abs(uu[i][mask]) * abs_gphi[i][mask] * g.cell_volume)
+              for i in range(9)]
+        assert row.R == R
+        assert_same(row.phi1, fsum_oracle(np.asarray(p1) * w))
+        assert_same(row.phi2, fsum_oracle(np.asarray(p2) * w))
+
+
+def test_convergence_mode_pairings_match_per_snapshot_sums():
+    g = SpatialGrid.make(1, 8.0, 1024)
+    x = g.axis
+    sol = TychonoffSolution(40)
+    lad = SnapshotLadder.down_to(0.1, 0.7, 2e-3)
+    bumps = central_compact_panel((0.5, 1.0))
+    probe = hermite_probe(0, 1.0)
+    rhos = (2.0, 4.0, 6.0, 8.0)
+    rep = convergence_mode_probe(sol, g, lad, bumps, [probe], rho_values=rhos,
+                                 t_divergence=0.1)
+    want = []
+    for h in bumps:
+        h_vals = h.value(x)
+        supp = h_vals != 0.0
+        for t_k in lad.times.tolist():
+            snap, flags = sol.value_with_flag(t_k, x)
+            want.append((h.label, t_k, fsum_oracle(snap[supp] * h_vals[supp] * g.cell_volume),
+                         bool(flags[supp].any())))
+    assert [(r.h_id, r.t_k, r.pairing, r.truncation_flagged) for r in rep.compact_rows] == want
+    div, div_flags = sol.value_with_flag(0.1, x)
+    p_vals = probe.value(x)
+    want = [(rho, fsum_oracle(div[np.abs(x) <= rho] * p_vals[np.abs(x) <= rho] * g.cell_volume),
+             bool(div_flags[np.abs(x) <= rho].any())) for rho in rhos]
+    got = [(r.rho, r.partial_integral, r.truncation_flagged) for r in rep.divergence_rows]
+    assert got == want
