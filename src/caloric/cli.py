@@ -106,6 +106,8 @@ _SECTIONS = {
     "evolve": ("evolve_times",),
     "output": ("out_dir",),
 }
+# The section of each config field.
+_HOME = {key: section for section, keys in _SECTIONS.items() for key in keys}
 
 
 def config_to_ini(cfg: ExperimentConfig) -> str:
@@ -126,25 +128,44 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
 
 
 def config_from_ini(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    """Parse INI text as written by ``config_to_ini``.
+
+    Each key is read only in its own ``_SECTIONS`` section, where ``id`` also
+    names ``solution_id`` in ``[solution]`` and ``datum_id`` in ``[datum]``,
+    and only once; no section supplies defaults to the others.  A list value
+    is comma-separated and may be empty, but none of its items may be.
+    ValueError names the section and the key of every violation.
+    """
+    # no header can name the empty section, so [DEFAULT] is a section like any other
+    parser = configparser.ConfigParser(default_section="")
     parser.read_string(text)
     kwargs = {}
     defaults = ExperimentConfig()
     for section in parser.sections():
         for key, raw in parser.items(section):
-            if key == "id" and section in ("solution", "datum"):
-                key = f"{section}_id"
-            if not hasattr(defaults, key):
+            field = f"{section}_id" if key == "id" and section in ("solution", "datum") else key
+            if field not in _HOME:
                 raise ValueError(f"unknown config key {key!r} in [{section}]")
-            current = getattr(defaults, key)
-            if isinstance(current, tuple):
-                kwargs[key] = tuple(float(v) for v in raw.split(",") if v.strip())
-            elif isinstance(current, int):
-                kwargs[key] = int(raw)
-            elif isinstance(current, float):
-                kwargs[key] = float(raw)
-            else:
-                kwargs[key] = raw.strip()
+            if _HOME[field] != section:
+                raise ValueError(f"config key {key!r} belongs in [{_HOME[field]}], "
+                                 f"not [{section}]")
+            if field in kwargs:
+                raise ValueError(f"[{section}] sets {field} twice")
+            current = getattr(defaults, field)
+            try:
+                if isinstance(current, tuple):
+                    items = raw.split(",") if raw.strip() else []
+                    if not all(item.strip() for item in items):
+                        raise ValueError("empty list item")
+                    kwargs[field] = tuple(float(v) for v in items)
+                elif isinstance(current, int):
+                    kwargs[field] = int(raw)
+                elif isinstance(current, float):
+                    kwargs[field] = float(raw)
+                else:
+                    kwargs[field] = raw.strip()
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key} = {raw}: {exc}") from None
     return ExperimentConfig(**kwargs)
 
 
@@ -203,7 +224,7 @@ def _pipeline_evolve(cfg: ExperimentConfig, rep: _Reporter) -> None:
     fld = evolve_datum_exact(datum, grid, cfg.evolve_times)
     rep.write("field.csv", field_to_csv(fld))
     audit = extent_audit(
-        lambda g: float(np.abs(datum.evolved_values(cfg.evolve_times[-1], g.axis)).max()),
+        lambda g: float(np.abs(datum.value(cfg.evolve_times[-1], g.axis)).max()),
         grid)
     rep.record("extent audit (<0.1% change under L -> 1.5L)", audit.passed,
                f"rel change {audit.rel_change:.2e}")
@@ -390,6 +411,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         if len(cfg.radii) < 5:
             raise ValueError("growth fit needs at least 5 radii")
         _require(_positive(cfg.radii), "radii", "be positive", cfg.radii)
+        _require(_increasing(cfg.radii), "radii", "be strictly increasing", cfg.radii)
     if cfg.pipeline == "recover":
         cfg.ladder().validate_floor(cfg.grid())
     if cfg.pipeline == "counterexample":

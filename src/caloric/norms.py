@@ -37,6 +37,7 @@ from .grid import (
     time_trapezoid,
 )
 from .optrack import track
+from .probes import MAX_DERIVATIVE_ORDER, TestFunction
 from .semigroup import HeatOperatorConfig, heat_evolve
 from .util import linear_fit
 
@@ -68,10 +69,6 @@ class GrowthFit:
     r2_of_fit: float
     classification: str  # PASS | FAIL | INCONCLUSIVE
 
-    def __post_init__(self) -> None:
-        if any(b < a for a, b in zip(self.radii, self.radii[1:])):
-            raise ValueError("radii must be increasing")
-
 
 def classify_growth(gamma_hat: float, r2: float, fitted_log_growth: float) -> str:
     """PASS/FAIL/INCONCLUSIVE for a fitted growth exponent.
@@ -93,8 +90,14 @@ def classify_growth(gamma_hat: float, r2: float, fitted_log_growth: float) -> st
 @track("strip_growth_fit")
 def strip_growth_fit(u: SpaceTimeField, strip: StripSpec,
                      radii: Sequence[float]) -> GrowthFit:
-    """Measure l2(R) on the strip and fit the Gaussian-growth exponent."""
-    radii = tuple(sorted(float(r) for r in radii))
+    """Measure l2(R) on the strip and fit the Gaussian-growth exponent.
+
+    The radii must be strictly increasing (ValueError naming them otherwise;
+    they are never reordered) and at least 5 in number.
+    """
+    radii = tuple(float(r) for r in radii)
+    if not all(b > a for a, b in zip(radii, radii[1:])):
+        raise ValueError(f"growth-fit radii must be strictly increasing, got {radii}")
     if len(radii) < 5:
         raise ValueError("need at least 5 radii for a growth fit")
     if radii[-1] > 0.8 * u.grid.half_extent + 1e-12:
@@ -217,28 +220,24 @@ def bmo_inv_norm(datum_values: Array, grid: SpatialGrid, family: BallFamily,
 
 
 @track("schwartz_seminorm")
-def schwartz_seminorm(phi, order: int) -> float:
-    """P_M(phi) = max over |alpha|+|beta| <= M of sup_x |x^alpha phi^(beta)(x)|.
+def schwartz_seminorm(phi: TestFunction, order: int) -> float:
+    """P_M(phi) = max over alpha + beta <= M of sup_x |x^alpha phi^(beta)(x)| of a 1-D bump.
 
-    The order M must lie in 0..12 (evaluation cost; ValueError otherwise).
-    The probe supplies exact derivatives; sups are grid maxima on a window
-    covering the probe's decay, refined (doubled) until the value is stable
-    to 1e-4 relative.  Each level is swept in blocks of at most
-    ``_SEMINORM_BLOCK`` points (a max is exact, so the blocks change no
-    bit); each block takes the weights |x|^alpha once per alpha and each
-    derivative once per beta.
+    The order M must lie in 0..MAX_DERIVATIVE_ORDER (12; evaluation cost)
+    and the bump must be 1-D (ValueError otherwise, before any evaluation).
+    The bump supplies exact derivatives; sups are grid maxima on the window
+    [-W, W], W = |center| + radius, which covers the support closure,
+    refined (doubled) until the value is stable to 1e-4 relative.  Each
+    level is swept in blocks of at most ``_SEMINORM_BLOCK`` points (a max is
+    exact, so the blocks change no bit); each block takes the weights
+    |x|^alpha once per alpha and each derivative once per beta.
     """
-    if not 0 <= order <= 12:
-        raise ValueError("seminorm order must lie in 0..12 (evaluation cost)")
-    if order > phi.max_derivative_order:
+    if not 0 <= order <= MAX_DERIVATIVE_ORDER:
         raise ValueError(
-            f"seminorm order {order} exceeds available derivatives ({phi.max_derivative_order})")
-    if getattr(phi, "dim", 1) != 1:
-        raise ValueError("seminorms are computed for 1D probes")
-    if hasattr(phi, "decay_window"):
-        window = phi.decay_window()
-    else:  # compactly supported: the support closure suffices
-        window = abs(phi.center[0]) + phi.radius
+            f"seminorm order must lie in 0..{MAX_DERIVATIVE_ORDER} (evaluation cost)")
+    if phi.dim != 1:
+        raise ValueError(f"seminorms are computed for 1D bumps, got the {phi.dim}-D {phi.label}")
+    window = abs(phi.center[0]) + phi.radius
     n = 2049
     prev = None
     for _ in range(12):
@@ -252,7 +251,7 @@ def schwartz_seminorm(phi, order: int) -> float:
     return prev  # pragma: no cover - always stabilizes for these families
 
 
-def _weighted_sup(phi, order: int, x: Array) -> float:
+def _weighted_sup(phi: TestFunction, order: int, x: Array) -> float:
     """max |x^alpha phi^(beta)(x)| over alpha + beta <= order and the points x."""
     abs_x = np.abs(x)
     x_powers = [abs_x ** alpha for alpha in range(order + 1)]

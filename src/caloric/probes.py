@@ -1,12 +1,12 @@
 """Pairing duals: compactly supported bumps and Gaussian-polynomial probes.
 
-Both families evaluate exactly (value and - in 1D - derivatives to order
-12; bumps also their gradient), which is what the seminorm and pairing-bound
-measurements need.  The Gaussian-polynomial probes additionally evolve in
-closed form under the heat semigroup: evolving p(x) e^{-x^2/2s^2} yields
-another polynomial times a Gaussian of width sqrt(s^2 + 2t), computed from
-the Gaussian moment formula, so probe evolution introduces no quadrature
-error at all.
+Both families evaluate their values exactly.  Bumps also give their gradient
+and, in 1D, their derivatives to order MAX_DERIVATIVE_ORDER: the Schwartz
+seminorm of the pairing bound is taken of a bump.  The Gaussian-polynomial
+probes instead evolve in closed form under the heat semigroup: evolving
+p(x) e^{-x^2/2s^2} yields another polynomial times a Gaussian of width
+sqrt(s^2 + 2t), computed from the Gaussian moment formula, so probe
+evolution introduces no quadrature error at all.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class TestFunction:
         return tuple(comps)
 
     def derivative(self, order: int, x: Array) -> Array:
-        """Exact d^order/dx^order of the 1D bump, order 0..12.
+        """Exact d^order/dx^order of the 1D bump, order 0..MAX_DERIVATIVE_ORDER.
 
         Uses the rational recursion phi^(m) = N_m(z) / (1-z^2)^{2m} * phi / r^m
         with z = (x - c)/r; N_{m+1} = w^2 N_m' + (4 m z w - 2 z) N_m.  The
@@ -82,8 +82,8 @@ class TestFunction:
         """
         if self.dim != 1:
             raise ValueError("high-order derivatives implemented for 1D bumps only")
-        if not 0 <= order <= self.max_derivative_order:
-            raise ValueError(f"derivatives available only to order {self.max_derivative_order}")
+        if not 0 <= order <= MAX_DERIVATIVE_ORDER:
+            raise ValueError(f"derivatives available only to order {MAX_DERIVATIVE_ORDER}")
         num = _BUMP_NUMERATORS[order]
         x = np.asarray(x, dtype=float)
         z = (x - self.center[0]) / self.radius
@@ -98,10 +98,6 @@ class TestFunction:
         poly_val = np.polynomial.polynomial.polyval(z[safe], num)
         out[safe] = poly_val * np.exp(log_scale) / self.radius**order
         return out
-
-    @property
-    def max_derivative_order(self) -> int:
-        return 12 if self.dim == 1 else 2
 
 
 def _bump_profile(w: Array) -> tuple[Array, Array]:
@@ -131,12 +127,15 @@ def _bump_numerator_table(max_order: int) -> tuple[Array, ...]:
     return tuple(table)
 
 
-_BUMP_NUMERATORS = _bump_numerator_table(12)
+# The highest derivative order a 1D bump evaluates, and so the highest
+# Schwartz seminorm order.
+MAX_DERIVATIVE_ORDER = 12
+_BUMP_NUMERATORS = _bump_numerator_table(MAX_DERIVATIVE_ORDER)
 
 
 @dataclass(frozen=True)
 class SchwartzProbe:
-    """phi(x) = p(x) exp(-x^2 / 2 sigma^2) with exact derivatives to order 12."""
+    """phi(x) = p(x) exp(-x^2 / 2 sigma^2), evolving in closed form under e^{tL}."""
 
     coeffs: tuple[float, ...]
     sigma: float
@@ -156,30 +155,10 @@ class SchwartzProbe:
     def dim(self) -> int:
         return 1
 
-    @property
-    def max_derivative_order(self) -> int:
-        return 12
-
     def value(self, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         p = np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
         return p * np.exp(-(x**2) / (2.0 * self.sigma**2))
-
-    def _derivative_coeffs(self, order: int) -> Array:
-        c = np.asarray(self.coeffs, dtype=float)
-        for _ in range(order):
-            dc = np.polynomial.polynomial.polyder(c) if c.size > 1 else np.array([0.0])
-            shift = np.polynomial.polynomial.polymul(np.array([0.0, -1.0 / self.sigma**2]), c)
-            c = np.polynomial.polynomial.polyadd(dc, shift)
-        return c
-
-    def derivative(self, order: int, x: Array) -> Array:
-        """Exact d^order phi/dx^order (polynomial recursion against the Gaussian)."""
-        if order > self.max_derivative_order:
-            raise ValueError(f"derivatives available only to order {self.max_derivative_order}")
-        x = np.asarray(x, dtype=float)
-        c = self._derivative_coeffs(order)
-        return np.polynomial.polynomial.polyval(x, c) * np.exp(-(x**2) / (2.0 * self.sigma**2))
 
     def evolved(self, t: float) -> "SchwartzProbe":
         """Closed-form heat evolution; returns another Gaussian-polynomial probe."""

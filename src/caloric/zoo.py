@@ -1,11 +1,16 @@
 """Exact caloric functions and initial data - the ground-truth corpus.
 
-Every member evaluates its value in closed form and, except for the
-flat-series solution, its initial trace, so measurements can be checked
-against quantities with no discretization error of their own.  The Gaussian
-kernel, the eigenmode and the flat series also give their spatial gradient
-in closed form (the flux functional needs it; tests/test_zoo.py compares
-each with central differences of the value).
+Every member evaluates its value u(t, x) in closed form, so measurements
+can be checked against quantities with no discretization error of their
+own.  The Gaussian kernel, the eigenmode and the flat series also give their
+spatial gradient in closed form (the flux functional needs it;
+tests/test_zoo.py compares each with central differences of the value).
+
+An initial datum u0 evaluates the same way: its ``value(t, x)`` is the
+closed-form evolution e^{tL} u0, so ``evolve_datum_exact`` samples it
+through ``sample_solution`` like any member.  Traces live on the data only:
+``sample`` gives u0 on a grid and ``initial_function`` gives it pointwise
+for the exact pairing (a point mass pairs by point value instead).
 
 The flat-series member deserves its own warning label.  It is the classical
 nonuniqueness witness sum_k f^(k)(t) x^{2k} / (2k)! with f(t) = e^{-1/t},
@@ -32,7 +37,7 @@ mpmath evaluation of the series (tests/test_zoo.py):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import lgamma, log, pi, sqrt
 from typing import Sequence, Union
@@ -97,9 +102,6 @@ class GaussianKernelSolution:
         return tuple(-(np.asarray(a, dtype=float) - c) / (2.0 * tt) * v
                      for a, c in zip(axes, self.x0))
 
-    def initial_values(self, *axes: Array) -> Array:
-        return heat_kernel(self.t0, self._r2(axes), self.dim)
-
 
 @dataclass(frozen=True)
 class CaloricPolynomial:
@@ -125,9 +127,6 @@ class CaloricPolynomial:
             out = out + coef * x ** (self.m - 2 * j) * t**j
         return out
 
-    def initial_values(self, x: Array) -> Array:
-        return np.asarray(x, dtype=float) ** self.m
-
 
 @dataclass(frozen=True)
 class ExponentialSolution:
@@ -146,9 +145,6 @@ class ExponentialSolution:
     def value(self, t: float, *axes: Array) -> Array:
         mu2 = sum(m * m for m in self.mu)
         return np.exp(_phase(axes, self.mu) + mu2 * t)
-
-    def initial_values(self, *axes: Array) -> Array:
-        return np.exp(_phase(axes, self.mu))
 
 
 @dataclass(frozen=True)
@@ -176,9 +172,6 @@ class Eigenmode:
         c = self._decay(t) * np.cos(_phase(axes, self.omega))
         return tuple(w * c for w in self.omega)
 
-    def initial_values(self, *axes: Array) -> Array:
-        return self.amplitude * np.sin(_phase(axes, self.omega))
-
 
 @dataclass(frozen=True)
 class ErfFront:
@@ -192,9 +185,6 @@ class ErfFront:
 
         x = np.asarray(x, dtype=float)
         return erf(x / sqrt(4.0 * t))
-
-    def initial_values(self, x: Array) -> Array:
-        return np.sign(np.asarray(x, dtype=float))
 
 
 @lru_cache(maxsize=8)
@@ -318,11 +308,6 @@ class TychonoffSolution:
         out = _rescale(np.add.reduce(dsigned, axis=0), m)
         return (out.reshape(x.shape),)
 
-    def initial_values(self, x: Array) -> Array:
-        raise NotImplementedError(
-            "the flat series has no closed-form trace sample; it vanishes as "
-            "t -> 0 only on |x| < 2 (see module docstring)")
-
 
 def _rescale(scaled_sum: Array, log_scale: Array) -> Array:
     """exp(log_scale) * scaled_sum without overflowing the intermediate exp."""
@@ -337,7 +322,7 @@ AnalyticSolution = Union[GaussianKernelSolution, CaloricPolynomial, ExponentialS
 
 
 @track("eval_solution")
-def eval_solution(sol: AnalyticSolution, t: float, *axes: Array) -> Array:
+def eval_solution(sol: AnalyticSolution | InitialDatum, t: float, *axes: Array) -> Array:
     """Closed-form value of a zoo member at time t on coordinate arrays."""
     if t <= 0:
         raise ValueError("t must be positive")
@@ -354,9 +339,9 @@ def tychonoff_eval(t: float, x, K: int) -> tuple[float, bool]:
     return float(v), bool(flag)
 
 
-def sample_solution(sol: AnalyticSolution, grid: SpatialGrid,
+def sample_solution(sol: AnalyticSolution | InitialDatum, grid: SpatialGrid,
                     times: Sequence[float]) -> SpaceTimeField:
-    """Exact samples of a zoo member on a grid x time ladder."""
+    """Exact samples of a zoo member or an evolved initial datum on a grid x time ladder."""
     times_arr = np.asarray(sorted(times), dtype=float)
     mesh = grid.meshgrid()
     values = np.empty((times_arr.size, *grid.shape))
@@ -452,7 +437,7 @@ class SchwartzGaussPolyDatum:
     def sample(self, grid: SpatialGrid) -> Array:
         return SchwartzProbe(self.coeffs, self.sigma).value(grid.axis)
 
-    def evolved_values(self, t: float, x: Array) -> Array:
+    def value(self, t: float, x: Array) -> Array:
         coeffs_t, sigma_t = evolve_gauss_poly(self.coeffs, self.sigma, t)
         return SchwartzProbe(coeffs_t, sigma_t).value(np.asarray(x, dtype=float))
 
@@ -470,10 +455,8 @@ class SignDatum:
     def sample(self, grid: SpatialGrid) -> Array:
         return np.sign(grid.axis)
 
-    def evolved_values(self, t: float, x: Array) -> Array:
-        from scipy.special import erf
-
-        return erf(np.asarray(x, dtype=float) / sqrt(4.0 * t))
+    def value(self, t: float, x: Array) -> Array:
+        return ErfFront().value(t, x)
 
     def initial_function(self, x: Array) -> Array:
         return np.sign(np.asarray(x, dtype=float))
@@ -499,7 +482,7 @@ class DiracDatum:
         out[j] = 1.0 / grid.spacing
         return out
 
-    def evolved_values(self, t: float, x: Array) -> Array:
+    def value(self, t: float, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         return heat_kernel(t, (x - self.x0) ** 2, 1)
 
@@ -524,7 +507,7 @@ class OscillatorDatum:
     def sample(self, grid: SpatialGrid) -> Array:
         return self.amplitude * np.sin(self.omega * grid.axis)
 
-    def evolved_values(self, t: float, x: Array) -> Array:
+    def value(self, t: float, x: Array) -> Array:
         x = np.asarray(x, dtype=float)
         return self.amplitude * math.exp(-self.omega**2 * t) * np.sin(self.omega * x)
 
@@ -541,14 +524,14 @@ InitialDatum = Union[SchwartzGaussPolyDatum, SignDatum, DiracDatum, OscillatorDa
 
 def evolve_datum_exact(datum: InitialDatum, grid: SpatialGrid,
                        times: Sequence[float], label: str | None = None) -> SpaceTimeField:
-    """Closed-form evolution samples of an initial datum on a 1-D grid."""
+    """Closed-form evolution samples of an initial datum on a 1-D grid.
+
+    The datum's ``value`` is its evolution, so it is sampled like a solution;
+    the field is labelled *label*, by default ``e^(tL)`` and the datum's label.
+    """
     if grid.dim != 1:
         raise ValueError(f"initial data are 1-D, so the grid must be 1-D, got dim {grid.dim}")
-    times_arr = np.asarray(sorted(times), dtype=float)
-    values = np.empty((times_arr.size, *grid.shape))
-    for i, t in enumerate(times_arr):
-        values[i] = datum.evolved_values(float(t), grid.axis)
-    return SpaceTimeField(grid, times_arr, values, label or f"e^(tL){datum.label}")
+    return replace(sample_solution(datum, grid, times), label=label or f"e^(tL){datum.label}")
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)

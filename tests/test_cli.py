@@ -210,10 +210,13 @@ class TestRunExperiment:
         (dict(pipeline="tent-norm", tent_radii=(0.5, -1.0)),
          "tent_radii must be non-empty and positive"),
         (dict(pipeline="growth-fit", radii=(0.0, 2.0, 3.0, 4.0, 5.0)), "radii must be positive"),
+        (dict(pipeline="growth-fit", solution_id="eigenmode:omega=1",
+              radii=(8.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)),
+         "radii must be strictly increasing, got (8.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)"),
     ], ids=["no-bumps-one-rho", "zero-bump", "one-rho", "rho-decreasing", "levels-0",
             "levels-minus-2", "levels-1", "h-radius-0", "h-radius-negative", "times-decreasing",
             "time-negative", "no-times", "no-tent-radii", "tent-radius-negative",
-            "growth-radius-0"])
+            "growth-radius-0", "growth-radii-unsorted"])
     def test_vacuous_or_disordered_config_exits_2(self, tmp_path, overrides, message):
         # each of these judged nothing and passed, or failed only at run time
         result = run_experiment(ExperimentConfig(out_dir=str(tmp_path), **overrides))
@@ -291,6 +294,36 @@ grid_levels = 2
         assert code == 2
         assert f"unknown config key {key!r} in [{section}]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ("[grid]\npipeline = growth-fit\n",
+         "config key 'pipeline' belongs in [experiment], not [grid]"),
+        ("[datum]\nsolution_id = eigenmode\n",
+         "config key 'solution_id' belongs in [solution], not [datum]"),
+        ("[grid]\nid = eigenmode\n", "unknown config key 'id' in [grid]"),
+        ("[solution]\nid = eigenmode\nsolution_id = exponential\n",
+         "[solution] sets solution_id twice"),
+        ("[DEFAULT]\nsolution_id = eigenmode\n",
+         "config key 'solution_id' belongs in [solution], not [DEFAULT]"),
+        ("[radii]\nradii = 1,,2\n", "[radii] radii = 1,,2: empty list item"),
+        ("[radii]\nradii = 2,3,4,5,6,\n", "[radii] radii = 2,3,4,5,6,: empty list item"),
+        ("[evolve]\nevolve_times = ,0.1\n", "[evolve] evolve_times = ,0.1: empty list item"),
+        ("[grid]\ngrid_points = many\n", "[grid] grid_points = many: invalid literal"),
+    ], ids=["key-in-other-section", "solution-key-in-datum", "id-outside-its-sections",
+            "field-set-twice", "default-section", "empty-middle-item", "empty-last-item",
+            "empty-first-item", "bad-number"])
+    def test_ini_boundary_exits_2(self, tmp_path, capsys, text, message):
+        # a key outside its own section, a field set twice, an empty list item
+        # or a bad number: each is a config error naming the section and key
+        ini = tmp_path / "exp.ini"
+        ini.write_text(text)
+        code = main(["growth-fit", "--config", str(ini), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_ini_empty_list_is_empty(self):
+        assert config_from_ini("[radii]\nradii =\n").radii == ()
 
     def test_readme_config_example_runs(self, tmp_path):
         # the README's INI example names only keys that exist, and it runs

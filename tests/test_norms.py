@@ -88,6 +88,15 @@ class TestStripGrowthFit:
         with pytest.raises(DataError, match="0.8"):
             strip_growth_fit(u, StripSpec(1.0, 2.0), [2, 3, 4, 5, 13])
 
+    @pytest.mark.parametrize("radii", [(8, 2, 3, 4, 5, 6, 7), (2, 3, 4, 4, 5, 6)],
+                             ids=["unsorted", "repeated"])
+    def test_radii_must_strictly_increase(self, strip_grid, radii):
+        # the radii are judged as given, never reordered
+        u = constant_field(strip_grid, np.linspace(1, 2, 9))
+        with pytest.raises(ValueError, match=r"radii must be strictly increasing, got \("
+                           + r", ".join(f"{r:.1f}" for r in radii)):
+            strip_growth_fit(u, StripSpec(1.0, 2.0), radii)
+
     def test_borderline_is_inconclusive(self):
         assert classify_growth(0.25, 0.99, math.inf) == "INCONCLUSIVE"
         assert classify_growth(0.24, 0.99, math.inf) == "INCONCLUSIVE"
@@ -99,7 +108,7 @@ class TestStripGrowthFit:
 def phi_field(grid, radii):
     times = carleson_time_ladder(grid, max(r * r for r in radii),
                                  extra=[r * r for r in radii])
-    vals = np.stack([DiracDatum(0.0).evolved_values(t, grid.axis) for t in times])
+    vals = np.stack([DiracDatum(0.0).value(t, grid.axis) for t in times])
     return SpaceTimeField(grid, times, vals, "Phi")
 
 

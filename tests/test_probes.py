@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -59,18 +60,6 @@ class TestBump:
 
 
 class TestSchwartzProbe:
-    def test_derivative_recursion_vs_fd(self):
-        p = SchwartzProbe((1.0, -0.5, 0.25), sigma=1.5)
-        x = np.linspace(-4, 4, 17)
-        h = 1e-6
-        for m in (1, 2, 4):
-            fd = (p.derivative(m - 1, x + h) - p.derivative(m - 1, x - h)) / (2 * h)
-            np.testing.assert_allclose(p.derivative(m, x), fd, atol=1e-6)
-
-    def test_order_cap(self):
-        with pytest.raises(ValueError, match="order"):
-            SchwartzProbe((1.0,), 1.0).derivative(13, np.array([0.0]))
-
     def test_evolution_matches_quadrature(self):
         p = SchwartzProbe((0.5, 1.0, -0.3), sigma=1.2)
         t = 0.41
@@ -89,50 +78,52 @@ class TestSchwartzProbe:
         np.testing.assert_allclose(a.value(x), b.value(x), atol=1e-13)
 
 
-class TestSeminorms:
-    def test_pure_gaussian_orders(self):
-        # phi = e^{-x^2}: P_0 = 1 and P_1 = 1 (both first-order candidates
-        # stay below 1: sup|x phi| = (2e)^{-1/2}, sup|phi'| = sqrt(2) e^{-1/2})
-        phi = SchwartzProbe((1.0,), sigma=math.sqrt(0.5))
-        assert schwartz_seminorm(phi, 0) == pytest.approx(1.0, rel=1e-4)
-        assert schwartz_seminorm(phi, 1) == pytest.approx(1.0, rel=1e-4)
+@dataclass(frozen=True)
+class _ScaledBump(TestFunction):
+    """factor * bump: the seminorm reads only the derivatives, all scaled."""
 
-    def test_dilation_leaves_p0_invariant(self):
-        assert schwartz_seminorm(SchwartzProbe((1.0,), 2.0), 0) == pytest.approx(1.0, rel=1e-4)
+    factor: float = 1.0
+
+    def derivative(self, order, x):
+        return self.factor * super().derivative(order, x)
+
+
+class TestSeminorms:
+    @pytest.mark.parametrize("center", [0.0, 1.5])
+    @pytest.mark.parametrize("radius", [0.25, 1.0, 4.0])
+    def test_p0_is_the_unit_peak_at_every_radius(self, center, radius):
+        assert schwartz_seminorm(TestFunction((center,), radius), 0) == pytest.approx(
+            1.0, rel=1e-4)
 
     def test_monotone_in_order(self):
-        phi = hermite_probe(3, 1.0)
+        phi = TestFunction((0.5,), 1.0)
         vals = [schwartz_seminorm(phi, m) for m in range(5)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     @given(c=st.floats(0.1, 50.0))
     @settings(max_examples=20, deadline=None)
     def test_homogeneity(self, c):
-        base = SchwartzProbe((1.0, 0.5), 1.0)
-        scaled = SchwartzProbe((c, 0.5 * c), 1.0)
+        base = TestFunction((0.5,), 1.0)
+        scaled = _ScaledBump((0.5,), 1.0, c)
         assert schwartz_seminorm(scaled, 2) == pytest.approx(
             c * schwartz_seminorm(base, 2), rel=1e-9)
 
     def test_order_cap(self):
-        with pytest.raises(ValueError, match="0..12"):
-            schwartz_seminorm(SchwartzProbe((1.0,), 1.0), 13)
-        with pytest.raises(ValueError, match="exceeds available"):
-            schwartz_seminorm(TestFunction((0.0, 0.0), 1.0), 3)
-        with pytest.raises(ValueError, match="1D"):
-            schwartz_seminorm(TestFunction((0.0, 0.0), 1.0), 2)
+        for order in (-1, 13):
+            with pytest.raises(ValueError, match=r"0\.\.12"):
+                schwartz_seminorm(TestFunction((0.0,), 1.0), order)
+        for order in (2, 3):
+            with pytest.raises(ValueError, match="1D bumps, got the 2-D bump"):
+                schwartz_seminorm(TestFunction((0.0, 0.0), 1.0), order)
 
     def test_bump_seminorm_finite(self):
         val = schwartz_seminorm(TestFunction((0.0,), 1.0), 4)
         assert math.isfinite(val) and val > 0
 
-    @pytest.mark.parametrize("phi,m", [(TestFunction((1.0,), 1.0), 4),
-                                       (SchwartzProbe((1.0, 0.5), 3.0), 4)])
-    def test_matches_pairwise_loop(self, phi, m):
+    def test_matches_pairwise_loop(self):
         # the reference takes |x|^alpha anew for every (alpha, beta) pair
-        if hasattr(phi, "decay_window"):
-            window = phi.decay_window()
-        else:
-            window = abs(phi.center[0]) + phi.radius
+        phi, m = TestFunction((1.0,), 1.0), 4
+        window = abs(phi.center[0]) + phi.radius
         n, prev = 2049, None
         for _ in range(12):
             x = np.linspace(-window, window, n)

@@ -578,13 +578,13 @@ class TestPairingBound:
         assert batch[0].ratio > 0 and batch[2].ratio == 0.0
 
     def test_rejects_2d_bump_before_the_tent_norm(self, grid_2d, monkeypatch):
-        # a 2-D bump has derivatives to order 2; the bound needs order n+3 = 5
+        # the bound needs the seminorm of order n+3 = 5, which takes 1-D bumps only
         def no_tent_norm(*args, **kwargs):
             raise AssertionError("tent norm computed before the order check")
 
         monkeypatch.setattr(representation, "tent_norm", no_tent_norm)
         u = constant_field(grid_2d, [0.25, 1.0])
-        with pytest.raises(ValueError, match=r"order n\+3 = 5.*only to order 2"):
+        with pytest.raises(ValueError, match=r"seminorms are computed for 1D bumps"):
             pairing_bound_check([u], TestFunction((0.0, 0.0), 1.0),
                                 family=BallFamily(((0.0, 0.0),), (0.5, 1.0)))
 

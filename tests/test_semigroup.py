@@ -7,7 +7,10 @@ from scipy import ndimage
 
 from caloric import (
     AnnulusScheme,
+    CaloricPolynomial,
     DomainTooSmallError,
+    Eigenmode,
+    ExponentialSolution,
     HeatOperatorConfig,
     InsufficientDecayDataError,
     SpatialGrid,
@@ -15,6 +18,7 @@ from caloric import (
     annulus_decay_check,
     heat_evolve,
     heat_evolve_gradient,
+    homotopy_residual,
 )
 from caloric import semigroup
 from caloric.semigroup import (
@@ -61,7 +65,7 @@ class TestHeatEvolve:
         # e^{tL} Phi(s, .) = Phi(s + t, .) within quadrature tolerance
         g = SpatialGrid.make(1, 12.0, 1024)
         sol = GaussianKernelSolution(0.5)
-        start = sol.initial_values(g.axis)
+        start = GaussianKernelSolution(0.25).value(0.25, g.axis)  # Phi(0.5), exactly
         out = heat_evolve(g, start, 0.5, KERNEL)
         expect = sol.value(0.5, g.axis)
         assert np.abs(out - expect).max() <= 1e-5
@@ -106,6 +110,21 @@ class TestHeatEvolve:
         f = np.sin(xg) * np.sin(yg)
         out = heat_evolve(grid_2d, f, 0.25, SPECTRAL)
         np.testing.assert_allclose(out, math.exp(-0.5) * f, atol=1e-12)
+
+    def test_kernel_consistency_error_is_second_order(self):
+        # the module docstring's clean O(dx^2) consistency error, observed on
+        # criterion 2's kernel ladder: each halving of dx divides the homotopy
+        # residual of every zoo member by 4
+        zoo = (GaussianKernelSolution(1.0), CaloricPolynomial(2), CaloricPolynomial(4),
+               ExponentialSolution((1.0,)), Eigenmode((1.0,)))
+        h, cfg = TestFunction((1.0,), 1.0), HeatOperatorConfig("kernel_quadrature", 10.0)
+        per_level = [homotopy_residual(zoo, 0.5, 1.0, h, cfg, grid=SpatialGrid.make(1, 16.0, n),
+                                       grid_level=level)
+                     for level, n in enumerate((4096, 8192, 16384))]
+        for sol, reports in zip(zoo, zip(*per_level)):
+            resids = [r.residual for r in reports]
+            orders = [math.log2(a / b) for a, b in zip(resids, resids[1:])]
+            assert all(1.9 <= p <= 2.1 for p in orders), (sol.label, orders)
 
 
 class TestHeatEvolveGradient:

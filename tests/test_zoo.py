@@ -117,10 +117,6 @@ class TestTychonoff:
         assert all(b < a for a, b in zip(sups, sups[1:]))
         assert sups[-1] < 1e-3
 
-    def test_no_initial_trace_sample(self):
-        with pytest.raises(NotImplementedError):
-            TychonoffSolution(40).initial_values(np.array([0.0]))
-
     # (t, x^2/4t) points inside and outside the K = 40 trust region; t = 0.02
     # puts x/t far above K/2 while x^2/4t stays small
     _TIMES = (0.02, 0.1, 0.5, 1.0)
@@ -305,7 +301,7 @@ class TestInitialData:
         interior = np.abs(datum_grid.axis) <= datum_grid.half_extent / 2
         for datum in (SignDatum(), DiracDatum(0.0), SchwartzGaussPolyDatum((0.0, 1.0), 1.0)):
             evolved = heat_evolve(datum_grid, datum.sample(datum_grid), 0.25, cfg)
-            expect = datum.evolved_values(0.25, datum_grid.axis)
+            expect = datum.value(0.25, datum_grid.axis)
             assert np.abs(evolved - expect)[interior].max() <= tol, datum.label
 
     def test_oscillator_evolution_on_compatible_grid(self):
@@ -314,11 +310,11 @@ class TestInitialData:
         cfg = HeatOperatorConfig("kernel_quadrature")
         osc = OscillatorDatum(1.0, 1.0)
         evolved = heat_evolve(g, osc.sample(g), 0.25, cfg)
-        expect = osc.evolved_values(0.25, g.axis)
+        expect = osc.value(0.25, g.axis)
         assert np.abs(evolved - expect).max() <= max(1e-6, 0.2 * g.spacing**2)
 
     def test_erf_front_is_sign_evolution(self, datum_grid):
-        sign_evolved = SignDatum().evolved_values(0.3, datum_grid.axis)
+        sign_evolved = SignDatum().value(0.3, datum_grid.axis)
         erf_vals = ErfFront().value(0.3, datum_grid.axis)
         np.testing.assert_allclose(sign_evolved, erf_vals, atol=1e-14)
 

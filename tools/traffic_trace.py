@@ -7,7 +7,9 @@ The traffic is one gate pass (``acceptance.run_all``), every operation of
 function of ``src/caloric/*.py`` and every public method of a public class
 that no call entered is printed, one ``module.name`` or
 ``module.Class.name`` per line.  ``bench/`` is only read; outputs go to a
-temporary directory.  Run by hand from anywhere:
+temporary directory.  ``never_entered`` returns the list (the test
+``tests/test_public_surface.py::test_traffic_leaves_only_these_uncalled``
+pins it); run by hand from anywhere to print it:
 
     python tools/traffic_trace.py
 """
@@ -15,6 +17,7 @@ temporary directory.  Run by hand from anywhere:
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 import tempfile
 import threading
@@ -26,14 +29,27 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 
 def public_definitions() -> dict[tuple[str, int], str]:
-    """(file, first line of the code object) -> qualified name, for every public def."""
+    """(file, first line of the code object) -> qualified name, for every public def.
+
+    The package's own decorators (``optrack.track``) are left out: they run
+    when a module is imported, and imports are not traffic.
+    """
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    decorators = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            for d in getattr(node, "decorator_list", ()):
+                d = d.func if isinstance(d, ast.Call) else d
+                if isinstance(d, ast.Name):
+                    decorators.add(d.id)
     defs = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+    for path, tree in trees.items():
+        for node in tree.body:
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 members = [(f"{node.name}.{m.name}", m) for m in node.body
                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
-            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            elif (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                  and node.name not in decorators):
                 members = [(node.name, node)]
             else:
                 continue
@@ -56,8 +72,11 @@ def run_traffic(out: Path) -> None:
             cli.run_experiment(cli.ExperimentConfig(pipeline=name, out_dir=str(out / name)))
 
 
-def main() -> None:
-    import caloric  # noqa: F401  (imports are not traffic)
+def never_entered() -> list[str]:
+    """The sorted qualified names of the public definitions the traffic never enters."""
+    # imports are not traffic: every module is loaded before the trace starts
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        importlib.import_module(f"caloric.{path.stem}")
     import workloads  # noqa: F401
 
     entered = set()
@@ -65,17 +84,22 @@ def main() -> None:
     def on_call(frame, event, arg):
         entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
+    previous = sys.gettrace(), threading.gettrace()
     threading.settrace(on_call)
     sys.settrace(on_call)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             run_traffic(Path(tmp))
     finally:
-        sys.settrace(None)
-        threading.settrace(None)
-    defs = public_definitions()
-    never = sorted(name for key, name in defs.items() if key not in entered)
-    print(f"{len(never)} of {len(defs)} public functions and methods never entered:")
+        sys.settrace(previous[0])
+        threading.settrace(previous[1])
+    return sorted(name for key, name in public_definitions().items() if key not in entered)
+
+
+def main() -> None:
+    never = never_entered()
+    print(f"{len(never)} of {len(public_definitions())} public functions and methods "
+          "never entered:")
     for name in never:
         print(f"  {name}")
 
