@@ -189,6 +189,8 @@ _HOMOTOPY_LEVELS = {
 
 @_criterion(2, "homotopy identity", 120.0)
 def criterion_2_homotopy(check) -> None:
+    """Homotopy residual ladders, both methods.  A spectral level's rhs is that grid's rectangle
+    rule for int u(t) h (within ulps): its residuals measure that rule, not operator consistency."""
     h = TestFunction((1.0,), 1.0)
     for method, levels in _HOMOTOPY_LEVELS.items():
         cfg = HeatOperatorConfig(method, truncation_radius_factor=10.0)

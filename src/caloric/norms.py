@@ -30,8 +30,8 @@ from .grid import (
     SpaceTimeField,
     SpatialGrid,
     StripSpec,
+    ball_weights,
     gradient,
-    integrate_ball,
     integrate_strip_L2,
     masked_sums,
     time_trapezoid,
@@ -169,12 +169,13 @@ def carleson_box_value(u: SpaceTimeField, center, radius: float) -> float:
         raise CoverageError(
             f"Carleson box height r^2 = {r_sq:g} exceeds sampled time range "
             f"(max t = {u.times[-1]:g})")
-    g = integrate_ball(grid, u.values**2, center, radius)
+    w = ball_weights(grid, center, radius)
+    g = masked_sums(grid, w > 0, u.values, u.values, w)
     t0 = float(u.times[0])
     total = t0 * g[0] if r_sq >= t0 else r_sq * g[0]
     if r_sq > t0:
         total += time_trapezoid(u.times, g, t0, r_sq)
-    measure = integrate_ball(grid, np.ones(grid.shape), center, radius)
+    measure = masked_sums(grid, w > 0, w)
     return sqrt(max(total, 0.0) / measure)
 
 

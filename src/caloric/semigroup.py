@@ -39,13 +39,9 @@ method, and builds each kernel once per call, only if an output applies it
 :func:`annulus_decay_check` measures the off-support decay
 ||e^{tL} h||_{L2(C_j)} ~ exp(-c d_j^2 / t) on a geometric annulus family and
 fits the exponent c, which should land just under the Gaussian threshold 1/4.
-That routine, like the homotopy extent audit, evaluates the evolution with
-:func:`dense_evolve_at`: untruncated point quadrature of the kernel
-representation over supp(h), because the fitted tail lives many orders of
-magnitude below the truncated kernel's floor.  On the uniform grid the
-kernel depends only on the index offset, so it is sampled once per offset
-and applied over the support's bounding box: in 1-D as one correlation per
-contiguous run of target points, in 2-D as a separable Toeplitz product.
+It evaluates the evolution with :func:`dense_evolve_at`, untruncated point
+quadrature of the kernel representation over supp(h), because the fitted
+tail lives many orders of magnitude below the truncated kernel's floor.
 """
 
 from __future__ import annotations
@@ -307,35 +303,28 @@ def heat_evolve_gradient(grid: SpatialGrid, values: Array, t: float,
     return np.stack(_evolve(grid, values, t, cfg, tuple(range(grid.dim))))
 
 
-def dense_evolve_at(grid: SpatialGrid, values: Array, t: float,
-                    target_mask: Array | None = None) -> Array:
+def dense_evolve_at(grid: SpatialGrid, values: Array, t: float) -> Array:
     """Untruncated kernel quadrature over the support of *values*.
 
     Evaluates (e^{tL} values)(x) = sum_y G_t(x - y) values(y) dx^dim, with
-    the free-space Gaussian and no truncation, at every grid point (or only
-    where *target_mask* is true, returned flattened in C order).  Resolves
-    tails down to the underflow floor.  Used by the annulus decay fit and
-    the homotopy extent audit.
+    the free-space Gaussian and no truncation, at every grid point.  Resolves
+    tails down to the underflow floor.  Used by the annulus decay fit.
 
     On the uniform grid x_i - y_r = (i - r) dx, so the 1D kernel is sampled
     once per offset (2n - 1 exps); over the bounding box [lo, hi) of the
     nonzeros, output i is the Toeplitz row g[i - r + n - 1], r in [lo, hi),
-    dotted with the values.  In 1D each contiguous run of target rows is one
-    ``np.correlate`` of the sampled kernel with the flipped box, so no
-    Toeplitz copy is built (O(n + S) memory for S box points) and every
-    output is the same dot product over the same data, bit for bit, whatever
-    the mask.  The 2D kernel is separable, A0 @ box @ A1.T, with each
-    gathered factor (n x S) no larger than the n x n result.
+    dotted with the values.  In 1D that is one ``np.correlate`` of the
+    sampled kernel with the flipped box (O(n + S) memory for S box points,
+    no Toeplitz copy).  The 2D kernel is separable, A0 @ box @ A1.T, with
+    each gathered factor (n x S) no larger than the n x n result.
     """
     values = np.asarray(values, dtype=float)
     n = grid.points_per_axis
     offsets = np.arange(-(n - 1), n) * grid.spacing
     g = np.exp(-(offsets**2) / (4.0 * t)) / sqrt(4.0 * pi * t)
     nz = np.nonzero(values)
-    mask = None if target_mask is None else np.asarray(target_mask, dtype=bool)
     if nz[0].size == 0:
-        out = np.zeros(grid.shape)
-        return out if mask is None else out[mask]
+        return np.zeros(grid.shape)
     span = [(int(ix.min()), int(ix.max()) + 1) for ix in nz]
     # Flipping the box turns each Toeplitz row g[i - r + n - 1], r in
     # [lo, hi), into the contiguous slice g[i + n - hi : i + n - lo].
@@ -345,16 +334,9 @@ def dense_evolve_at(grid: SpatialGrid, values: Array, t: float,
         # overlap, and would otherwise take a slower loop with other bits.
         a0, a1 = (sliding_window_view(g, hi - lo)[n - hi:2 * n - hi].copy()
                   for lo, hi in span)
-        out = a0 @ (box @ a1.T)
-        return out if mask is None else out[mask]
+        return a0 @ (box @ a1.T)
     lo, hi = span[0]
-    rows = np.arange(n) if mask is None else np.flatnonzero(mask)
-    starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
-    out = np.empty(rows.size)
-    for a, b in zip(starts.tolist(), [*starts[1:].tolist(), rows.size]):
-        first = int(rows[a]) + n - hi
-        out[a:b] = np.correlate(g[first:first + b - a + hi - lo - 1], box, "valid")
-    return out
+    return np.correlate(g[n - hi:2 * n - lo - 1], box, "valid")
 
 
 @dataclass(frozen=True)

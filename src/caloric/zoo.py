@@ -37,7 +37,7 @@ mpmath evaluation of the series (tests/test_zoo.py):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from math import lgamma, log, pi, sqrt
 from typing import Sequence, Union
@@ -342,12 +342,17 @@ def tychonoff_eval(t: float, x, K: int) -> tuple[float, bool]:
 def sample_solution(sol: AnalyticSolution | InitialDatum, grid: SpatialGrid,
                     times: Sequence[float]) -> SpaceTimeField:
     """Exact samples of a zoo member or an evolved initial datum on a grid x time ladder."""
+    return _sampled(sol, grid, times, sol.label)
+
+
+def _sampled(sol, grid: SpatialGrid, times: Sequence[float], label: str) -> SpaceTimeField:
+    """The samples of :func:`sample_solution`, as a field labelled *label*."""
     times_arr = np.asarray(sorted(times), dtype=float)
     mesh = grid.meshgrid()
     values = np.empty((times_arr.size, *grid.shape))
     for i, t in enumerate(times_arr):
         values[i] = eval_solution(sol, float(t), *mesh)
-    return SpaceTimeField(grid, times_arr, values, sol.label)
+    return SpaceTimeField(grid, times_arr, values, label)
 
 
 # The heat-residual probe lattice: this many times across the time range,
@@ -531,7 +536,7 @@ def evolve_datum_exact(datum: InitialDatum, grid: SpatialGrid,
     """
     if grid.dim != 1:
         raise ValueError(f"initial data are 1-D, so the grid must be 1-D, got dim {grid.dim}")
-    return replace(sample_solution(datum, grid, times), label=label or f"e^(tL){datum.label}")
+    return _sampled(datum, grid, times, label or f"e^(tL){datum.label}")
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)

@@ -6,12 +6,18 @@ assertion (every tracked operation exercised at least once).
 """
 
 import dataclasses
+import importlib.util
+import json
 import math
+import platform
 import re
+import sys
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
+import scipy
 
 from caloric import acceptance, cli
 
@@ -121,6 +127,23 @@ def test_criterion_10_checks_its_runtime_budget(results):
     last = checks[-1]
     assert last.name == "runtime budget" and last.passed
     assert last.info.endswith("s < 60s")
+
+
+def test_gate_meets_the_benchmark_reference(results, monkeypatch):
+    # the benchmark fails a gate pass whose criteria fail or whose detail
+    # lines leave the recorded ones at printed precision; bench/ is only read
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    reference = json.loads((bench / "reference.json").read_text())
+    running = {"python": platform.python_version(), "numpy": np.__version__,
+               "scipy": scipy.__version__}
+    if reference["recorded_with"] != running:
+        pytest.skip(f"reference recorded with {reference['recorded_with']}, running {running}")
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    assert sorted(results) == list(range(1, 11))
+    assert [p for r in results.values() for p in workloads.check_criterion(r, reference)] == []
 
 
 def test_raising_criterion_fails_alone(monkeypatch, tmp_path):

@@ -26,6 +26,8 @@ from caloric import (
     tent_norm,
     tent_to_strip_bound,
 )
+from caloric import norms
+from caloric.grid import ball_weights, integrate_ball, time_trapezoid
 from caloric.norms import classify_growth
 from caloric.zoo import DiracDatum, ExponentialSolution, SignDatum, evolve_datum_exact
 
@@ -184,6 +186,30 @@ class TestTentNorm:
         res = tent_norm(u, BallFamily(((0.0, 0.0),), (0.5, 1.0)))
         for p in res.per_ball:
             assert p.value == pytest.approx(p.radius, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_one_ball_weights_build_per_ball(self, monkeypatch, dim):
+        # one weight build serves a ball's values and its measure, and the
+        # per-ball values are those of two integrate_ball calls, bit for bit
+        grid = SpatialGrid.make(dim, 8.0, 256 if dim == 1 else 48)
+        fam = BallFamily(((0.0,) * dim, (1.0,) * dim), (0.5, 1.0, 2.0))
+        times = carleson_time_ladder(grid, 4.0, extra=[0.25, 1.0, 4.0])
+        u = sample_solution(Eigenmode((1.0,) * dim), grid, times)
+        balls = []
+
+        def counted(grid, center, radius):
+            balls.append((center, radius))
+            return ball_weights(grid, center, radius)
+
+        monkeypatch.setattr(norms, "ball_weights", counted)
+        res = tent_norm(u, fam)
+        assert balls == list(fam.balls())
+        for p in res.per_ball:
+            g = integrate_ball(grid, u.values**2, p.center, p.radius)
+            r_sq = p.radius**2
+            total = u.times[0] * g[0] + time_trapezoid(u.times, g, u.times[0], r_sq)
+            measure = integrate_ball(grid, np.ones(grid.shape), p.center, p.radius)
+            assert p.value == math.sqrt(total / measure)
 
 
 class TestBmoInvNorm:

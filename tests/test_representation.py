@@ -36,9 +36,10 @@ from caloric import (
     snapshot_boundedness_probe,
     uniqueness_probe,
 )
-from caloric import representation
+from caloric import representation, semigroup
 from caloric.probes import central_compact_panel, hermite_probe
 from caloric.representation import grid_pairing
+from caloric.semigroup import dense_evolve_at
 from caloric.util import det_sum
 from caloric.zoo import SchwartzGaussPolyDatum
 
@@ -203,20 +204,38 @@ class TestHomotopyResidual:
             assert got == want
 
     def test_operator_images_computed_once_per_call(self, monkeypatch):
+        # the extent audit is a closed-form bound: no quadrature of the tail
         calls = {"heat_evolve": 0, "dense_evolve_at": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(representation, name), _name=name, **kwargs):
+        for module, name in ((representation, "heat_evolve"), (semigroup, "dense_evolve_at")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(representation, name, counted)
+            monkeypatch.setattr(module, name, counted)
+        assert not hasattr(representation, "dense_evolve_at")
         solutions, h, cfg, grid = _BATCH_CASES["1d-spectral"]
         for n_solutions in (1, 3):
             for name in calls:
                 calls[name] = 0
             homotopy_residual(solutions[:n_solutions], 0.2, 0.4, h, cfg, grid=grid,
                               grid_level=0)
-            assert calls == {"heat_evolve": 1, "dense_evolve_at": 1}
+            assert calls == {"heat_evolve": 1, "dense_evolve_at": 0}
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("offset", [0.0, 2.5], ids=["centred", "off-centre"])
+    @pytest.mark.parametrize("tau", [0.05, 0.2, 1.0, 4.0])
+    def test_ring_bound_dominates_dense_quadrature(self, dim, offset, tau):
+        # The audit's closed-form bound ||h||_1 G_tau(dist(x, supp h)) is at
+        # least the untruncated quadrature of e^{tau L} h at every ring point,
+        # so the audit passes only where the dense audit would.
+        grid = SpatialGrid.make(dim, 6.0, 256 if dim == 1 else 48)
+        h = TestFunction((offset,) + (-offset / 2,) * (dim - 1), 0.8)
+        mesh = grid.meshgrid()
+        h_vals = h.value(*mesh)
+        ring, bound = representation._ring_bound(grid, mesh, h, h_vals, tau)
+        dense = dense_evolve_at(grid, h_vals, tau)[ring]
+        assert ring.any() and dense.max() > 0.0
+        assert np.all(bound >= np.abs(dense))
 
     @pytest.mark.parametrize("case", ["1d-kernel", "2d-spectral"])
     def test_bump_evaluated_twice_per_call(self, monkeypatch, case):
@@ -242,7 +261,6 @@ class TestHomotopyResidual:
             raise AssertionError("operator applied before every solution was checked")
 
         monkeypatch.setattr(representation, "heat_evolve", no_operator)
-        monkeypatch.setattr(representation, "dense_evolve_at", no_operator)
         sol_2d = GaussianKernelSolution(1.0, (0.0, 0.0))
         with pytest.raises(ValueError, match=re.escape(f"solution {sol_2d.label} is 2-D")):
             homotopy_residual((Eigenmode((1.0,)), CaloricPolynomial(2), sol_2d), 0.2, 0.4,

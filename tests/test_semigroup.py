@@ -416,16 +416,14 @@ def test_kernels_exactly_symmetric_and_antisymmetric(t, points, factor):
     assert wg[wg.size // 2] == 0.0 and not np.signbit(wg[wg.size // 2])
 
 
-def _pairwise_quadrature(grid, values, t, target_mask=None):
+def _pairwise_quadrature(grid, values, t):
     """Oracle: one Gaussian per target x source pair, no reuse of offsets."""
     pts = np.stack([m.ravel() for m in grid.meshgrid()], axis=1)
     flat = np.asarray(values, dtype=float).ravel()
     src = flat != 0.0
-    targets = pts if target_mask is None else pts[np.asarray(target_mask).ravel()]
-    d2 = ((targets[:, None, :] - pts[src][None, :, :]) ** 2).sum(axis=2)
+    d2 = ((pts[:, None, :] - pts[src][None, :, :]) ** 2).sum(axis=2)
     kernel = np.exp(-d2 / (4.0 * t)) * (4.0 * math.pi * t) ** (-grid.dim / 2.0)
-    out = kernel @ (flat[src] * grid.cell_volume)
-    return out if target_mask is not None else out.reshape(grid.shape)
+    return (kernel @ (flat[src] * grid.cell_volume)).reshape(grid.shape)
 
 
 def _scattered(grid, count, seed):
@@ -448,75 +446,43 @@ class TestDenseEvolveAt:
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("field", ["bump", "mixed-signs", "scattered", "all-zero"])
-    @pytest.mark.parametrize("ring", [False, True], ids=["full-grid", "ring"])
-    def test_matches_pairwise_formula(self, dim, field, ring):
+    def test_matches_pairwise_formula(self, dim, field):
         grid = SpatialGrid.make(dim, 6.0, 128 if dim == 1 else 40)
         bump = _bump_field(grid, (0.5,) * dim, 1.0)
         values = {"bump": bump,
                   "mixed-signs": bump - 1.5 * _bump_field(grid, (-2.0,) * dim, 0.7),
                   "scattered": _scattered(grid, 9, seed=dim),
                   "all-zero": np.zeros(grid.shape)}[field]
-        mask = _ring(grid) if ring else None
-        got = dense_evolve_at(grid, values, 0.4, target_mask=mask)
-        want = _pairwise_quadrature(grid, values, 0.4, mask)
-        scale = _pairwise_quadrature(grid, np.abs(values), 0.4, mask)
+        got = dense_evolve_at(grid, values, 0.4)
+        want = _pairwise_quadrature(grid, values, 0.4)
+        scale = _pairwise_quadrature(grid, np.abs(values), 0.4)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
         if field == "all-zero":
             assert not got.any()
 
     def test_resolves_deep_tail(self):
-        # The extent audit reads the ring values far below the truncated
-        # kernel's floor; they must stay relatively accurate near 1e-100.
+        # The annulus fit reads tails far below the truncated kernel's
+        # floor; they must stay relatively accurate near 1e-100.
         grid = SpatialGrid.make(1, 16.0, 1024)
         values = _bump_field(grid, (0.0,), 0.5)
         ring = _ring(grid)
-        got = dense_evolve_at(grid, values, 0.19, target_mask=ring)
-        want = _pairwise_quadrature(grid, values, 0.19, ring)
+        got = dense_evolve_at(grid, values, 0.19)[ring]
+        want = _pairwise_quadrature(grid, values, 0.19)[ring]
         assert 0.0 < want.min() < 1e-100
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("points", [1024, 8192, 16384])
-    @pytest.mark.parametrize("targets", ["homotopy-ring", "many-runs"])
-    def test_masked_call_equals_full_grid_bitwise(self, points, targets):
-        # Each 1D output is one dot product over the same kernel samples, so
-        # selecting targets must not change a bit: the homotopy's extent
-        # audit (criterion 2's bump and step on L = 16) and a random mask
-        # of short runs, most of them single points, touching both ends.
-        grid = SpatialGrid.make(1, 16.0, points)
-        values = _bump_field(grid, (1.0,), 1.0)
-        if targets == "homotopy-ring":
-            mask = _ring(grid)
-        else:
-            mask = np.random.default_rng(points).integers(0, 4, points) == 0
-            mask[:2], mask[-2:] = True, True
-            assert np.count_nonzero(np.diff(mask.astype(int)) == 1) > points // 8
-        full = dense_evolve_at(grid, values, 0.5)
-        got = dense_evolve_at(grid, values, 0.5, target_mask=mask)
-        assert got.shape == (np.count_nonzero(mask),)
-        assert got.tobytes() == full[mask].tobytes()
-
-    @pytest.mark.parametrize("ring", [False, True], ids=["full-grid", "ring"])
-    def test_traced_peak_memory(self, ring):
-        # O(n + S) memory: a (targets x support) block would take 13 MB
-        # (ring) and 17 MB (full grid) here.
+    def test_traced_peak_memory(self):
+        # O(n + S) memory: a (targets x support) block would take 17 MB here.
         grid = SpatialGrid.make(1, 16.0, 16384)
         values = _bump_field(grid, (1.0,), 1.0)
-        mask = _ring(grid) if ring else None
         tracemalloc.start()
         try:
-            dense_evolve_at(grid, values, 0.5, target_mask=mask)
+            dense_evolve_at(grid, values, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2e6
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_all_false_mask_gives_empty_result(self, dim):
-        grid = SpatialGrid.make(dim, 6.0, 128 if dim == 1 else 40)
-        values = _bump_field(grid, (0.5,) * dim, 1.0)
-        got = dense_evolve_at(grid, values, 0.4, target_mask=np.zeros(grid.shape, dtype=bool))
-        assert got.shape == (0,)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_single_point_support(self, dim):
@@ -543,8 +509,6 @@ class TestDenseEvolveAt:
         want = a0 @ (box @ a1.T)
         got = dense_evolve_at(grid, values, t)
         assert got.tobytes() == want.tobytes()
-        ring = _ring(grid)
-        assert dense_evolve_at(grid, values, t, target_mask=ring).tobytes() == want[ring].tobytes()
 
 
 @pytest.fixture(scope="module")

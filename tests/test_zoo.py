@@ -18,6 +18,7 @@ from caloric import (
     ResidualProbeRegion,
     SchwartzGaussPolyDatum,
     SignDatum,
+    SpaceTimeField,
     SpatialGrid,
     TestFunction,
     TychonoffSolution,
@@ -26,6 +27,7 @@ from caloric import (
     evolve_datum_exact,
     heat_evolve,
     heat_residual,
+    sample_solution,
     solution_from_id,
     tychonoff_eval,
 )
@@ -331,6 +333,24 @@ class TestInitialData:
     def test_evolve_datum_exact_rejects_2d_grid(self):
         with pytest.raises(ValueError, match="grid must be 1-D, got dim 2"):
             evolve_datum_exact(SignDatum(), SpatialGrid.make(2, 8.0, 16), [0.1])
+
+    @pytest.mark.parametrize("label", [None, "u"])
+    def test_evolve_datum_exact_validates_its_field_once(self, monkeypatch, label):
+        # one field is built and checked; its samples are sample_solution's
+        grid, times = SpatialGrid.make(1, 8.0, 128), [0.3, 0.1, 0.2]
+        sampled = sample_solution(SignDatum(), grid, times)
+        checked = []
+        post_init = SpaceTimeField.__post_init__
+
+        def counted(self):
+            checked.append(self.label)
+            post_init(self)
+
+        monkeypatch.setattr(SpaceTimeField, "__post_init__", counted)
+        fld = evolve_datum_exact(SignDatum(), grid, times, label)
+        assert checked == [label or "e^(tL)sign"] == [fld.label]
+        assert fld.times.tobytes() == sampled.times.tobytes()
+        assert fld.values.tobytes() == sampled.values.tobytes()
 
     def test_even_probe_pairs_to_zero_with_sign(self):
         assert exact_pairing(SignDatum(), hermite_probe(0, 1.0)) == pytest.approx(0.0, abs=1e-12)
