@@ -7,9 +7,9 @@ exit codes are 0 (success), 1 (invariant violation), 2 (config error).
 
 Config files are flat INI-style key=value text with section headers (see
 README for the full key reference); identical configs and builds produce
-byte-identical CSVs.  The environment variable CALORIC_THREADS caps worker
-threads used by the sweeps (0 or unset: automatic; anything but a
-non-negative integer is a config error).
+byte-identical CSVs.  Every pipeline runs on the calling thread; the homotopy
+pipeline computes its grid levels one after another, coarsest first, and
+stops at the first level that fails.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -36,7 +35,7 @@ from .representation import (
     recover_initial_data,
 )
 from .semigroup import HeatOperatorConfig
-from .util import fmt_float, thread_cap, worker_count
+from .util import fmt_float
 from .zoo import datum_from_id, evolve_datum_exact, sample_solution, solution_from_id
 
 PIPELINES = ("evolve", "tent-norm", "growth-fit", "homotopy", "recover",
@@ -283,14 +282,7 @@ def _pipeline_homotopy(cfg: ExperimentConfig, rep: _Reporter) -> None:
         return homotopy_residual((sol,), cfg.homotopy_s, cfg.homotopy_t, h, op,
                                  grid=g, grid_level=level)[0]
 
-    levels = list(range(cfg.grid_levels))
-    # Levels are submitted finest first, the longest job first, so no worker
-    # idles while the finest level runs alone.  They are collected in level
-    # order, so the rows are too, and when several levels fail the coarsest
-    # one's exception is raised.
-    with ThreadPoolExecutor(max_workers=worker_count(len(levels))) as pool:
-        futures = [pool.submit(run_level, level) for level in reversed(levels)]
-        reports = [future.result() for future in reversed(futures)]
+    reports = [run_level(level) for level in range(cfg.grid_levels)]
     rows = [(r.solution, r.s, r.t, r.h_id, r.grid_level, r.lhs, r.rhs, r.residual)
             for r in reports]
     rep.write("homotopy.csv",
@@ -388,7 +380,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     """
     cfg.grid()
     cfg.operator()
-    thread_cap()
     if cfg.pipeline in ("growth-fit", "homotopy", "counterexample"):
         sol = solution_from_id(cfg.solution_id)
         if sol.dim != cfg.grid_dim:

@@ -117,10 +117,8 @@ class SpatialGrid:
 
     def distance_to(self, center) -> NDArray[np.float64]:
         """|x - center| at every grid point, an array of shape ``self.shape``."""
-        if self.dim == 1:
-            return np.abs(self.axis - center[0])
-        xg, yg = self.meshgrid()
-        return np.sqrt((xg - center[0]) ** 2 + (yg - center[1]) ** 2)
+        x = self.axis
+        return point_distance((x,) if self.dim == 1 else (x[:, None], x[None, :]), center)
 
     def refined(self, factor: int = 2) -> "SpatialGrid":
         """Same box, spacing divided by *factor*."""
@@ -130,6 +128,18 @@ class SpatialGrid:
         """Box EXTENT_FACTOR times wider at identical spacing (for extent audits)."""
         n_new = round(self.points_per_axis * EXTENT_FACTOR / 2) * 2
         return SpatialGrid(self.dim, n_new * self.spacing / 2.0, self.spacing)
+
+
+def point_distance(coords, center) -> NDArray[np.float64]:
+    """|x - center| for points given by one coordinate array per axis.
+
+    The arrays broadcast against each other, so grid axes shaped for the
+    tensor product and coordinates gathered at a mask both serve; the value
+    at a point depends on its coordinates alone, bit for bit.
+    """
+    if len(coords) == 1:
+        return np.abs(coords[0] - center[0])
+    return np.sqrt((coords[0] - center[0]) ** 2 + (coords[1] - center[1]) ** 2)
 
 
 @dataclass(frozen=True)

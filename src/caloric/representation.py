@@ -39,7 +39,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DomainTooSmallError, InvariantViolationError
-from .grid import SpaceTimeField, SpatialGrid, StripSpec, integrate_ball, masked_sums
+from .grid import (
+    SpaceTimeField,
+    SpatialGrid,
+    StripSpec,
+    integrate_ball,
+    masked_sums,
+    point_distance,
+)
 from .norms import BallFamily, GrowthFit, schwartz_seminorm, strip_growth_fit, tent_norm
 from .optrack import track
 from .probes import SchwartzProbe, TestFunction
@@ -196,7 +203,7 @@ def _ring_bound(grid: SpatialGrid, mesh: tuple, h: TestFunction, h_vals: Array,
     it, so neither truncation nor FFT noise can hide or fake a tail.
     """
     ring = reduce(np.maximum, map(np.abs, mesh)) >= 0.9 * grid.half_extent
-    gap = np.maximum(grid.distance_to(h.center)[ring] - h.radius, 0.0)
+    gap = np.maximum(point_distance([x[ring] for x in mesh], h.center) - h.radius, 0.0)
     h_mass = masked_sums(grid, h_vals != 0, np.abs(h_vals), grid.cell_volume)
     return ring, h_mass * heat_kernel(tau, gap**2, grid.dim)
 

@@ -1,4 +1,4 @@
-"""Small shared helpers: exact summation, thread caps, float formatting.
+"""Small shared helpers: exact summation, float formatting and line fits.
 
 Exact summation by extraction
 -----------------------------
@@ -58,12 +58,8 @@ to +0.0.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-# Cap used by the experiment sweeps; 0 or unset means "decide automatically".
-THREADS_ENV_VAR = "CALORIC_THREADS"
 
 
 def det_sum(values, axis=None) -> float | np.ndarray:
@@ -249,36 +245,6 @@ def _limb_totals(block: np.ndarray) -> np.ndarray:
         part = np.bincount(bins, weights=digit.ravel(), minlength=totals.size)
         totals[:, offset:] += part.reshape(totals.shape)[:, :_N_LIMBS - offset].astype(np.int64)
     return totals
-
-
-def thread_cap() -> int:
-    """Worker cap from CALORIC_THREADS; 0 or unset picks min(4, usable CPUs).
-
-    The usable CPUs are those the process may run on (its affinity mask,
-    which a cpuset also narrows) where the platform reports them, otherwise
-    every CPU of the machine.
-
-    Raises ValueError naming the variable for anything but a non-negative
-    integer, so a bad value is a config error rather than a run failure.
-    """
-    cap_txt = os.environ.get(THREADS_ENV_VAR, "").strip()
-    try:
-        cap = int(cap_txt) if cap_txt else 0
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise ValueError(
-            f"{THREADS_ENV_VAR} must be a non-negative integer (0 = automatic), got {cap_txt!r}")
-    if cap:
-        return cap
-    if hasattr(os, "sched_getaffinity"):
-        return min(4, len(os.sched_getaffinity(0)))
-    return min(4, os.cpu_count() or 1)
-
-
-def worker_count(n_tasks: int) -> int:
-    """Number of workers for an experiment sweep, capped by CALORIC_THREADS."""
-    return max(1, min(thread_cap(), n_tasks))
 
 
 def fmt_float(x: float) -> str:

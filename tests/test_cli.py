@@ -416,15 +416,15 @@ class TestEmitPlots:
 
 
 class TestHomotopyScheduling:
-    """Grid levels run finest first; rows, failures and every output byte
-    are those of level order whatever the thread count."""
+    """Grid levels run on the calling thread in level order; the first failing
+    level ends the run, and every output byte repeats from run to run."""
 
     @staticmethod
     def _config(tmp_path):
         return ExperimentConfig(pipeline="homotopy", grid_points=256, grid_levels=3,
                                 out_dir=str(tmp_path))
 
-    def test_finest_level_runs_first(self, tmp_path, monkeypatch):
+    def test_levels_run_in_level_order(self, tmp_path, monkeypatch):
         seen = []
         residual = cli.homotopy_residual
 
@@ -433,82 +433,59 @@ class TestHomotopyScheduling:
             return residual(*args, grid=grid, **kwargs)
 
         monkeypatch.setattr(cli, "homotopy_residual", recorded)
-        monkeypatch.setenv("CALORIC_THREADS", "1")
         assert run_experiment(self._config(tmp_path)).exit_code == 0
-        assert seen == [1024, 512, 256]
+        assert seen == [256, 512, 1024]
         rows = (tmp_path / "homotopy.csv").read_text().strip().splitlines()[1:]
         assert [row.split(",")[-4] for row in rows] == ["0", "1", "2"]
 
-    @pytest.mark.parametrize("threads", ["1", "3"])
-    def test_coarsest_failure_is_reported(self, tmp_path, monkeypatch, threads):
+    @pytest.mark.parametrize("failing_levels", [(0, 2), (1, 2), (2,)],
+                             ids=["first-and-last", "middle-and-last", "last"])
+    def test_coarsest_failure_is_reported(self, tmp_path, monkeypatch, failing_levels):
+        seen = []
         residual = cli.homotopy_residual
 
         def failing(*args, grid_level, **kwargs):
-            if grid_level in (0, 2):
+            seen.append(grid_level)
+            if grid_level in failing_levels:
                 raise DomainTooSmallError(f"level {grid_level} fails")
             return residual(*args, grid_level=grid_level, **kwargs)
 
         monkeypatch.setattr(cli, "homotopy_residual", failing)
-        monkeypatch.setenv("CALORIC_THREADS", threads)
         result = run_experiment(self._config(tmp_path))
+        coarsest = failing_levels[0]
         assert result.exit_code == 1
-        assert result.summary_lines == ["[FAIL] pipeline homotopy aborted: level 0 fails"]
+        assert result.summary_lines == [
+            f"[FAIL] pipeline homotopy aborted: level {coarsest} fails"]
+        assert seen == list(range(coarsest + 1))
 
-    def test_outputs_do_not_depend_on_thread_count(self, tmp_path, monkeypatch):
+    def test_outputs_repeat_byte_for_byte(self, tmp_path):
         outputs = []
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("CALORIC_THREADS", threads)
-            out = tmp_path / threads
-            result = run_experiment(self._config(out))
+        for run in ("first", "second"):
+            result = run_experiment(self._config(tmp_path / run))
             assert result.exit_code == 0
             outputs.append({Path(f).name: Path(f).read_bytes() for f in result.files})
         assert sorted(outputs[0]) == ["homotopy.csv", "plots.gp", "summary.txt"]
+        assert outputs[0] == outputs[1]
+
+    def test_starts_no_thread(self, tmp_path, monkeypatch):
+        import threading
+
+        def refuse(self):
+            raise AssertionError(f"the homotopy pipeline started thread {self.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert main(["homotopy", "--out", str(tmp_path)]) == 0
+
+    def test_former_thread_variable_changes_nothing(self, tmp_path, monkeypatch):
+        # CALORIC_THREADS once capped the level pool and rejected bad values
+        # with exit 2; now no value of it changes the exit code or any byte
+        outputs = []
+        for threads in (None, "abc", "-2"):
+            if threads is None:
+                monkeypatch.delenv("CALORIC_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("CALORIC_THREADS", threads)
+            result = run_experiment(self._config(tmp_path / str(threads)))
+            assert result.exit_code == 0
+            outputs.append({Path(f).name: Path(f).read_bytes() for f in result.files})
         assert outputs[0] == outputs[1] == outputs[2]
-
-
-def test_worker_count_respects_env(monkeypatch):
-    import os
-
-    from caloric.util import worker_count
-
-    monkeypatch.setenv("CALORIC_THREADS", "2")
-    assert worker_count(8) == 2
-    monkeypatch.setenv("CALORIC_THREADS", "16")
-    assert worker_count(3) == 3
-    monkeypatch.delenv("CALORIC_THREADS")
-    assert worker_count(1) == 1
-    if hasattr(os, "sched_getaffinity"):
-        usable = len(os.sched_getaffinity(0))
-    else:
-        usable = os.cpu_count() or 1
-    automatic = min(4, usable)
-    assert worker_count(64) == automatic
-    monkeypatch.setenv("CALORIC_THREADS", "0")  # 0 means automatic, like unset
-    assert worker_count(64) == automatic
-    for bad in ("abc", "-1", "2.5"):
-        monkeypatch.setenv("CALORIC_THREADS", bad)
-        with pytest.raises(ValueError, match="CALORIC_THREADS"):
-            worker_count(4)
-
-
-def test_automatic_cap_counts_usable_cpus(monkeypatch):
-    # a process pinned to one of eight CPUs runs one worker
-    import os
-
-    from caloric.util import worker_count
-
-    monkeypatch.delenv("CALORIC_THREADS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert worker_count(64) == 1
-    # without an affinity call every CPU counts, at most 4
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert worker_count(64) == 4
-
-
-@pytest.mark.parametrize("bad", ["abc", "-2"])
-def test_bad_thread_cap_exits_2(tmp_path, monkeypatch, capsys, bad):
-    monkeypatch.setenv("CALORIC_THREADS", bad)
-    assert main(["homotopy", "--out", str(tmp_path)]) == 2
-    assert "CALORIC_THREADS" in capsys.readouterr().out
-    assert "CALORIC_THREADS" in (tmp_path / "summary.txt").read_text()

@@ -21,7 +21,7 @@ from caloric import (
     integrate_ball,
     integrate_strip_L2,
 )
-from caloric.grid import time_trapezoid
+from caloric.grid import point_distance, time_trapezoid
 from caloric.util import fmt_float
 from caloric.zoo import GaussianKernelSolution, sample_solution
 
@@ -52,14 +52,21 @@ class TestSpatialGrid:
         assert big.spacing == g.spacing
         assert big.half_extent == pytest.approx(12.0)
 
-    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -1.7)])
+    @pytest.mark.parametrize("center", [(0.0, 0.0), (0.3, -1.7), (1.0, 0.5)])
     def test_distance_to(self, center):
         g1 = SpatialGrid.make(1, 8.0, 64)
         assert g1.distance_to(center).tobytes() == np.abs(g1.axis - center[0]).tobytes()
-        g2 = SpatialGrid.make(2, 8.0, 32)
-        xg, yg = g2.meshgrid()
-        want = np.sqrt((xg - center[0]) ** 2 + (yg - center[1]) ** 2)
-        assert g2.distance_to(center).tobytes() == want.tobytes()
+        for n in (32, 64, 256):
+            # the broadcast axes give the meshgrid formula's distances bit for bit
+            g2 = SpatialGrid.make(2, 8.0, n)
+            xg, yg = g2.meshgrid()
+            want = np.sqrt((xg - center[0]) ** 2 + (yg - center[1]) ** 2)
+            got = g2.distance_to(center)
+            assert got.shape == g2.shape and got.tobytes() == want.tobytes()
+            # and so do coordinates gathered at a mask
+            ring = np.maximum(np.abs(xg), np.abs(yg)) >= 0.9 * g2.half_extent
+            assert (point_distance((xg[ring], yg[ring]), center).tobytes()
+                    == want[ring].tobytes())
 
 
 class TestSpaceTimeField:

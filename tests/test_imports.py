@@ -9,7 +9,6 @@ pulls in) and ``scipy.signal`` are never loaded at run time.
 import json
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -69,13 +68,25 @@ def _subpackages(modules: list[str]) -> set[str]:
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     """Every row's finished process; two at a time, as most of each is start-up."""
-    def run(row):
+    def start(row):
         out = tmp_path_factory.mktemp("run")
-        return subprocess.run([sys.executable, "-c", ROWS[row][0], str(out)], cwd=_SRC,
-                              timeout=120, capture_output=True, text=True)
+        return subprocess.Popen([sys.executable, "-c", ROWS[row][0], str(out)], cwd=_SRC,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
-    with ThreadPoolExecutor(2) as pool:
-        return dict(zip(ROWS, pool.map(run, ROWS)))
+    rows, done = list(ROWS), {}
+    for pair in (rows[i:i + 2] for i in range(0, len(rows), 2)):
+        procs = {row: start(row) for row in pair}
+        try:
+            for row, proc in procs.items():
+                stdout, stderr = proc.communicate(timeout=120)
+                done[row] = subprocess.CompletedProcess(proc.args, proc.returncode,
+                                                        stdout, stderr)
+        finally:
+            for proc in procs.values():
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+    return done
 
 
 @pytest.mark.parametrize("row", list(ROWS))

@@ -268,6 +268,27 @@ def test_benchmark_hooks_exist():
         assert hook in bench_text, f"bench/ no longer calls {hook}; update this test"
 
 
+
+def test_package_starts_no_thread_and_reads_no_environment():
+    # every run is computed on the calling thread, and no environment
+    # variable changes what a run does
+    for path in sorted(_PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = {module} | {f"{module}.{alias.name}" for alias in node.names}
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {f"{node.value.id}.{node.attr}"}
+            else:
+                continue
+            for name in names:
+                where = f"{path.name}:{node.lineno} uses {name}"
+                assert name.split(".")[0] not in ("threading", "concurrent"), where
+                assert name not in ("os.environ", "os.getenv"), where
+
+
 def test_bench_facing_shapes():
     # bench/ drives the gate and the CLI through these names and attributes,
     # and names its acceptance layers after the criteria's function names
