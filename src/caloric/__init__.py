@@ -21,7 +21,6 @@ from .grid import (
     SpaceTimeField,
     SpatialGrid,
     StripSpec,
-    extent_audit,
     field_from_csv,
     field_to_csv,
     gradient,
@@ -58,7 +57,6 @@ from .representation import (
     pairing_bound_check,
     recover_initial_data,
     richardson_limit,
-    snapshot_boundedness_probe,
     uniqueness_probe,
 )
 from .semigroup import (

@@ -1,13 +1,14 @@
 """Uniform tensor grids, sampled space-time fields, and deterministic quadrature.
 
-The spatial domain is the periodic box [-L, L]^n truncating full space;
-every measurement that depends on L is expected to pass the
-:func:`extent_audit` (recompute on a 1.5x wider box, require <0.1% relative
-change) so truncation error is observed rather than assumed.  A sampled
-field is read only at its sample times (within :data:`SAMPLE_TIME_TOL`);
-its slices are never interpolated in time.  The one time interpolation left
-is the documented endpoint rule of :func:`time_trapezoid`, on a reduced time
-profile.
+The spatial domain is the periodic box [-L, L]^n truncating full space.
+Each measurement that depends on L guards the truncation where it is made:
+growth and flux radii capped at 0.8 L, balls covered by the grid's cells,
+a kernel reach of at most L/2, an outermost annulus within L, a bound on
+the homotopy ring, and (the ``evolve`` pipeline) the same value recomputed
+on :meth:`SpatialGrid.enlarged`.  A sampled field is read only at its
+sample times (within :data:`SAMPLE_TIME_TOL`); its slices are never
+interpolated in time.  The one time interpolation left is the documented
+endpoint rule of :func:`time_trapezoid`, on a reduced time profile.
 
 Quadrature conventions
 ----------------------
@@ -31,7 +32,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from operator import mul
-from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -48,10 +48,8 @@ from .util import det_sum, fmt_float
 _COVER_TOL = 1e-9
 # A time within this distance of a sample time names that sample.
 SAMPLE_TIME_TOL = 1e-9
-# The extent audit recomputes on a box this much wider and passes when the
-# relative change stays within EXTENT_REL_TOL.
+# SpatialGrid.enlarged widens the box by this factor at the same spacing.
 EXTENT_FACTOR = 1.5
-EXTENT_REL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -125,7 +123,7 @@ class SpatialGrid:
         return replace(self, spacing=self.spacing / factor)
 
     def enlarged(self) -> "SpatialGrid":
-        """Box EXTENT_FACTOR times wider at identical spacing (for extent audits)."""
+        """Box EXTENT_FACTOR times wider at identical spacing (the evolve extent audit)."""
         n_new = round(self.points_per_axis * EXTENT_FACTOR / 2) * 2
         return SpatialGrid(self.dim, n_new * self.spacing / 2.0, self.spacing)
 
@@ -331,30 +329,6 @@ def gradient(grid: SpatialGrid, values: NDArray[np.float64]) -> NDArray[np.float
     h = grid.spacing
     return np.stack([(np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2 * h)
                      for ax in range(lead, values.ndim)], axis=lead)
-
-
-@dataclass(frozen=True)
-class ExtentAudit:
-    """Result of recomputing a scalar on an EXTENT_FACTOR times wider box."""
-
-    value: float
-    enlarged_value: float
-    rel_change: float
-    passed: bool
-
-
-def extent_audit(compute: Callable[[SpatialGrid], float], grid: SpatialGrid) -> ExtentAudit:
-    """Check that a reported quantity is insensitive to the domain truncation.
-
-    Recomputes ``compute`` on ``grid.enlarged()`` (EXTENT_FACTOR times wider,
-    same spacing) and reports the relative change; passes when it is at most
-    EXTENT_REL_TOL.
-    """
-    v = float(compute(grid))
-    v_big = float(compute(grid.enlarged()))
-    scale = max(abs(v), abs(v_big), 1e-300)
-    rel = abs(v_big - v) / scale
-    return ExtentAudit(v, v_big, rel, rel <= EXTENT_REL_TOL)
 
 
 # The column header row of a field CSV, by grid dimension.

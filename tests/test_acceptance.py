@@ -113,6 +113,27 @@ def test_criterion_8_oracle_line_unchanged(results):
             "(0.4243 vs 0.4251 (0.20%))") in results[8].details
 
 
+def test_criterion_8_reads_condition_ii_from_the_recovery(monkeypatch):
+    # one recovery serves both composite checks: the snapshots are bounded
+    # when every probe is recoverable and every ladder pairing is finite
+    recoveries = []
+    recover_initial_data = acceptance.recover_initial_data
+
+    def recorded(*args, **kwargs):
+        recoveries.append(recover_initial_data(*args, **kwargs))
+        return recoveries[-1]
+
+    monkeypatch.setattr(acceptance, "recover_initial_data", recorded)
+    result = acceptance.criterion_8_tent_and_bmo()
+    (rec,) = recoveries
+    sup = max(float(np.abs(p.pairings).max()) for p in rec.per_probe)
+    bounded = rec.all_recoverable and all(np.isfinite(p.pairings).all() for p in rec.per_probe)
+    (check,) = [c for c in result.checks if c.name.startswith("composite: snapshots bounded")]
+    assert check == cli.Check("composite: snapshots bounded (condition ii)", bounded,
+                              f"sup {sup:.3f}")
+    assert check.passed and check.info == "sup 5.424"
+
+
 def test_criterion_9_caccioppoli(results):
     _assert_criterion(results, 9)
 

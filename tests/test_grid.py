@@ -14,7 +14,7 @@ from caloric import (
     SpaceTimeField,
     SpatialGrid,
     StripSpec,
-    extent_audit,
+    cli,
     field_from_csv,
     field_to_csv,
     gradient,
@@ -244,18 +244,18 @@ class TestTimeTrapezoid:
         assert time_trapezoid(times, g, 0.75, 2.5) == pytest.approx(2.5**2 - 0.75**2, rel=1e-12)
 
 
-class TestExtentAudit:
-    def test_localized_quantity_passes(self):
-        g = SpatialGrid.make(1, 8.0, 256)
-        audit = extent_audit(
-            lambda gr: integrate_ball(gr, np.exp(-gr.axis**2), (0.0,), 4.0), g)
-        assert audit.passed
-        assert audit.rel_change < 1e-3
-
-    def test_growing_quantity_fails(self):
-        g = SpatialGrid.make(1, 8.0, 256)
-        audit = extent_audit(lambda gr: float(np.exp(gr.half_extent)), g)
-        assert not audit.passed
+class TestEvolveExtentAudit:
+    # the evolve pipeline recomputes max|u(t_last)| on grid.enlarged()
+    @pytest.mark.parametrize("half_extent,record,code", [
+        (16.0, "[PASS] extent audit (<0.1% change under L -> 1.5L): rel change 0.00e+00", 0),
+        (4.0, "[FAIL] extent audit (<0.1% change under L -> 1.5L): rel change 1.56e-03", 1),
+    ], ids=["L=16", "L=4"])
+    def test_sign_datum(self, tmp_path, half_extent, record, code):
+        cfg = cli.ExperimentConfig(pipeline="evolve", datum_id="sign",
+                                   grid_half_extent=half_extent, out_dir=str(tmp_path))
+        result = cli.run_experiment(cfg)
+        assert result.exit_code == code
+        assert result.summary_lines[0] == record
 
 
 def _per_cell_csv(u: SpaceTimeField) -> str:

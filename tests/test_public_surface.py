@@ -327,8 +327,8 @@ def test_bench_facing_shapes():
         "emit_plots", "eval_solution", "flux_functional", "gradient", "heat_evolve",
         "heat_evolve_gradient", "heat_residual", "homotopy_residual", "integrate_ball",
         "integrate_strip_L2", "pairing_bound_check", "recover_initial_data", "run_experiment",
-        "schwartz_seminorm", "snapshot_boundedness_probe", "strip_growth_fit", "tent_norm",
-        "tent_to_strip_bound", "tychonoff_eval", "uniqueness_probe"]
+        "schwartz_seminorm", "strip_growth_fit", "tent_norm", "tent_to_strip_bound",
+        "tychonoff_eval", "uniqueness_probe"]
 
 
 # What real traffic never enters, each with the reason it stays.

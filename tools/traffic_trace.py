@@ -3,11 +3,12 @@
 The traffic is one gate pass (``acceptance.run_all``), every operation of
 ``bench/workloads.menu_entries()`` and each pipeline other than
 ``acceptance`` at its default configuration, all traced with
-``sys.settrace`` (worker threads included).  Every public top-level
-function of ``src/caloric/*.py`` and every public method of a public class
-that no call entered is printed, one ``module.name`` or
-``module.Class.name`` per line.  ``bench/`` is only read; outputs go to a
-temporary directory.  ``never_entered`` returns the list (the test
+``sys.settrace`` (the package starts no thread, so that one trace sees every
+call).  Every public top-level function of ``src/caloric/*.py`` and every
+public method of a public class that no call entered is printed, one
+``module.name`` or ``module.Class.name`` per line.  ``bench/`` is only
+read; outputs go to a temporary directory.  ``never_entered`` returns the
+list (the test
 ``tests/test_public_surface.py::test_traffic_leaves_only_these_uncalled``
 pins it); run by hand from anywhere to print it:
 
@@ -20,7 +21,6 @@ import ast
 import importlib
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,15 +84,13 @@ def never_entered() -> list[str]:
     def on_call(frame, event, arg):
         entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-    previous = sys.gettrace(), threading.gettrace()
-    threading.settrace(on_call)
+    previous = sys.gettrace()
     sys.settrace(on_call)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             run_traffic(Path(tmp))
     finally:
-        sys.settrace(previous[0])
-        threading.settrace(previous[1])
+        sys.settrace(previous)
     return sorted(name for key, name in public_definitions().items() if key not in entered)
 
 
