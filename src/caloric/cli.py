@@ -464,16 +464,7 @@ def _gnuplot_row(row: str) -> str:
 def _plot_block(name: str, text: str, index: int) -> str:
     """One gnuplot panel per recognized CSV type, data inlined."""
     header, _, data = text.strip().partition("\n")
-    lines = [f"# panel {index}: {name}"]
-    if not data:
-        lines.append(f"# warning: {name} contains no data rows")
-        lines.append(f"$data{index} << EOD")
-        lines.append("EOD")
-        lines.append(f"set title '{name} (empty)'")
-        lines.append("plot 0 notitle")
-        return "\n".join(lines)
-    cols = header.split(",")
-    lines.append(f"$data{index} << EOD")
+    lines = [f"# panel {index}: {name}", f"$data{index} << EOD"]
     if "(" in data or "[" in data:
         lines.extend(_gnuplot_row(r) for r in data.split("\n"))
     else:  # a numeric block: every comma is a column break
@@ -493,7 +484,7 @@ def _plot_block(name: str, text: str, index: int) -> str:
         lines.append("set logscale x")
         lines.append(f"plot $data{index} using 3:4 with points title 'pairings'")
     else:
-        lines.append(f"# no dedicated panel for columns: {','.join(cols)}")
+        lines.append(f"# no dedicated panel for columns: {header}")
         lines.append(f"set title '{name}'")
         lines.append(f"plot $data{index} using 0:2 with points notitle")
     return "\n".join(lines)
@@ -503,8 +494,7 @@ def _plot_block(name: str, text: str, index: int) -> str:
 def emit_plots(csvs) -> str:
     """Gnuplot-compatible script text for report CSVs given as (name, text) pairs.
 
-    Panels are ordered by filename; header-only CSVs yield an empty data
-    block plus a warning comment.
+    Panels are ordered by filename.
     """
     blocks = [_plot_block(name, text, i) for i, (name, text) in enumerate(sorted(csvs))]
     head = ["# caloric report plots (gnuplot)", "set grid"]

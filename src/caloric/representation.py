@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import ceil, floor, sqrt
+from math import ceil, floor, isfinite, nan, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -158,26 +158,49 @@ def _check_solution_dims(u: AnalyticSolution, h: TestFunction, grid: SpatialGrid
     _check_probe_dims((h,), grid)
 
 
-def _support_nodes(h: TestFunction, grid: SpatialGrid) -> tuple[tuple[Array, ...], Array, float]:
-    """The fine points of supp h, h there and the fine cell volume; no u enters.
+def _open_mesh(*axes: Array) -> tuple[Array, ...]:
+    """One axis per dimension, shaped to broadcast into their tensor mesh."""
+    return axes if len(axes) == 1 else (axes[0][:, None], axes[1][None, :])
 
-    The fine grid is an 8x (1D) or 4x (2D) refinement of *grid*.  Only its
-    points -L + j dx_f in an index window one point wider on each side than
-    the box [c - r, c + r] around the bump are built (the same values as
-    the fine axis), and of those only the ones where h is nonzero are kept.
+
+def _gather(mesh: tuple[Array, ...], mask: NDArray[np.bool_]) -> tuple[Array, ...]:
+    """Coordinates of the points of *mask* (C order) from an open mesh.
+
+    Each broadcast axis is read at the mask directly, so neither the full
+    mesh nor an index array over it is built.
     """
-    factor = 8 if grid.dim == 1 else 4
-    fine = grid.refined(factor)
-    L, dx, n = fine.half_extent, fine.spacing, fine.points_per_axis
-    axes = []
+    return tuple(np.broadcast_to(a, mask.shape)[mask] for a in mesh)
+
+
+def _support_box(h: TestFunction, grid: SpatialGrid) -> tuple[tuple[slice, ...], tuple[Array, ...]]:
+    """The index box of supp h on *grid* and its open mesh.
+
+    Per axis the box is one point wider on each side than [c - r, c + r],
+    clipped to the axis, so h is +0.0 off it.  Its points -L + j dx are the
+    axis's values bit for bit, so h on the box is h on the grid there.
+    """
+    L, dx, n = grid.half_extent, grid.spacing, grid.points_per_axis
+    box, axes = [], []
     for c in h.center[:grid.dim]:
         j0 = max(floor((c - h.radius + L) / dx) - 1, 0)
         j1 = min(ceil((c + h.radius + L) / dx) + 2, n)
+        box.append(slice(j0, j1))
         axes.append(-L + np.arange(j0, j1, dtype=float) * dx)
-    mesh = np.meshgrid(*axes, indexing="ij")
+    return tuple(box), _open_mesh(*axes)
+
+
+def _support_nodes(h: TestFunction, grid: SpatialGrid) -> tuple[tuple[Array, ...], Array, float]:
+    """The fine points of supp h, h there and the fine cell volume; no u enters.
+
+    The fine grid is an 8x (1D) or 4x (2D) refinement of *grid*.  Only the
+    points of its :func:`_support_box` are built, and of those only the
+    ones where h is nonzero are kept.
+    """
+    fine = grid.refined(8 if grid.dim == 1 else 4)
+    _, mesh = _support_box(h, fine)
     h_vals = h.value(*mesh)
     mask = h_vals != 0.0
-    return tuple(m[mask] for m in mesh), h_vals[mask], fine.cell_volume
+    return _gather(mesh, mask), h_vals[mask], fine.cell_volume
 
 
 def _support_quadrature(u, t: float, nodes: tuple) -> float:
@@ -195,17 +218,21 @@ def _support_quadrature(u, t: float, nodes: tuple) -> float:
     return det_sum(u.value(t, *points) * h_vals * cell)
 
 
-def _ring_bound(grid: SpatialGrid, mesh: tuple, h: TestFunction, h_vals: Array,
-                tau: float) -> tuple[Array, Array]:
+def _ring_bound(grid: SpatialGrid, h: TestFunction, h_box: Array,
+                tau: float) -> tuple[NDArray[np.bool_], Array]:
     """The ring max_i |x_i| >= 0.9 L, and ||h||_1 G_tau(dist(x, supp h)) on it.
 
-    G falls with distance and the grid support of h lies in B(c, r), so this
-    bounds the untruncated quadrature of |e^{tau L} h|.  No operator enters
-    it, so neither truncation nor FFT noise can hide or fake a tail.
+    *h_box* is h on its :func:`_support_box`, which holds every nonzero of
+    h, so ||h||_1 is its exact sum.  The ring is the union of the slabs
+    |x_i| >= 0.9 L, built from the axis.  G falls with distance and the
+    grid support of h lies in B(c, r), so this bounds the untruncated
+    quadrature of |e^{tau L} h|.  No operator enters it, so neither
+    truncation nor FFT noise can hide or fake a tail.
     """
-    ring = reduce(np.maximum, map(np.abs, mesh)) >= 0.9 * grid.half_extent
-    gap = np.maximum(point_distance([x[ring] for x in mesh], h.center) - h.radius, 0.0)
-    h_mass = masked_sums(grid, h_vals != 0, np.abs(h_vals), grid.cell_volume)
+    mesh = _open_mesh(*(grid.axis,) * grid.dim)
+    ring = reduce(np.logical_or, [np.abs(a) >= 0.9 * grid.half_extent for a in mesh])
+    gap = np.maximum(point_distance(_gather(mesh, ring), h.center) - h.radius, 0.0)
+    h_mass = det_sum(np.abs(h_box) * grid.cell_volume)
     return ring, h_mass * heat_kernel(tau, gap**2, grid.dim)
 
 
@@ -227,31 +254,61 @@ def homotopy_residual(solutions: Sequence[AnalyticSolution], s: float, t: float,
     are the fine support nodes of the left side; per solution only u(s),
     u(t) on those nodes, the ring audit and the two sides are.
 
+    Each factor is evaluated only where it is read.  h is evaluated on its
+    support box (:func:`_support_box`) and put into a zero field, which is
+    h on the grid: h is +0.0 off the box.  u(s) is evaluated once, at the
+    points of the ring and at the nonzeros of e^{(t-s)L} h, gathered from
+    the axes, and the right side is the exact det_sum over those nonzeros:
+    every term it drops is u(s) * (+-0.0), a zero for finite u(s), so it
+    equals the full-grid pairing bit for bit.  The kernel image vanishes
+    off the window its support reaches; a spectral image has only a few
+    scattered exact zeros, so when the read points exceed three quarters
+    of the grid, gathering them would cost more than it saves, and u(s) is
+    evaluated on the whole grid and paired over it instead.
+
     The right-hand integrand must have died out inside the box: the extent
     audit requires |u(s)| times the closed-form bound of |e^{(t-s)L}h| to
     stay below 1e-10 on the ring max_i |x_i| >= 0.9 L (``_ring_bound``), and
     fails with DomainTooSmallError naming the solution otherwise (the
-    expected outcome for data growing faster than the inverse Gaussian).
+    expected outcome for data growing faster than the inverse Gaussian).  It
+    fails the same way, saying "not finite", when u(s) at a point it reads
+    or the ring maximum is not finite (u(s) overflowing on the ring).
     """
     for u in solutions:
         _check_solution_dims(u, h, grid)
     if not 0 < s < t:
         raise ValueError("need 0 < s < t")
-    mesh = grid.meshgrid()
-    h_vals = h.value(*mesh)
+    box, box_mesh = _support_box(h, grid)
+    h_box = h.value(*box_mesh)
+    h_vals = np.zeros(grid.shape)
+    h_vals[box] = h_box
     phi_s = heat_evolve(grid, h_vals, t - s, cfg)
-    ring, phi_ring = _ring_bound(grid, mesh, h, h_vals, t - s)
+    ring, phi_ring = _ring_bound(grid, h, h_box, t - s)
     nodes = _support_nodes(h, grid)
+    mesh = _open_mesh(*(grid.axis,) * grid.dim)
+    nonzero = phi_s != 0.0
+    read = ring | nonzero
+    if 4 * np.count_nonzero(read) > 3 * read.size:
+        # gathering would not pay: u(s) on the mesh, paired over the whole grid
+        points, on_ring, on_phi, phi_read = mesh, ring, ..., phi_s
+    else:
+        points, on_ring = _gather(mesh, read), ring[read]
+        on_phi, phi_read = nonzero[read], phi_s[nonzero]
     reports = []
     for u in solutions:
-        u_s = u.value(s, *mesh)
-        tail = float(np.abs(u_s[ring] * phi_ring).max())
+        u_s = u.value(s, *points)
+        tail = float(np.abs(u_s[on_ring] * phi_ring).max()) if np.isfinite(u_s).all() else nan
+        if not isfinite(tail):
+            raise DomainTooSmallError(
+                f"homotopy rhs integrand of {u.label} is not finite where the identity "
+                f"reads it (u(s) or its product with the ring bound overflows); the box "
+                f"does not contain the pairing")
         if tail > _RHS_TAIL_TOL:
             raise DomainTooSmallError(
                 f"homotopy rhs integrand of {u.label} is at most {tail:.3g} at |x| = 0.9L "
                 f"(needs < {_RHS_TAIL_TOL:g}); the box does not contain the pairing")
         lhs = _support_quadrature(u, t, nodes)
-        rhs = grid_pairing(grid, u_s, phi_s)
+        rhs = det_sum(u_s[on_phi] * phi_read * grid.cell_volume)
         reports.append(HomotopyReport(u.label, s, t, h.label, grid_level, lhs, rhs))
     return tuple(reports)
 

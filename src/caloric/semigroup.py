@@ -15,12 +15,17 @@ masquerade as a verified identity:
   convolution (``ndimage.convolve1d``) restricted to the window the
   support can reach; the result is bit-identical to convolving the whole
   grid, so rounding-level invariants (mass, maximum principle, exact
-  zeros far from the support) are those of the direct sum.  A 1-D slice
-  is split at its support span [lo, hi): the outputs on the span come
-  from the kernel cut to the span's width, and those on either side from
-  one ``ndimage.correlate1d`` with data and kernel swapped, so a narrow
-  support under a wide kernel costs about (S + 2m) * S taps instead of
-  (S + 2m) * m (S support points, m kernel half-width).  The split
+  zeros far from the support) are those of the direct sum.  A 2-D slice
+  also convolves only the lines from the first to the last one that its
+  support occupies along the other axis: a bump under a wide kernel costs
+  its own lines on the first axis and the first pass's window on the
+  second, not whole slices, and the skipped lines are all +0.0, whose
+  outputs are +0.0.  A 1-D slice is split at its support span [lo, hi):
+  the outputs on the span come from the kernel cut to the span's width,
+  and those on either side from one ``ndimage.correlate1d`` with data and
+  kernel swapped, so a narrow support under a wide kernel costs about
+  (S + 2m) * S taps instead of (S + 2m) * m (S support points, m kernel
+  half-width).  The split
   reproduces ndimage's own summation order, which the oracle tests in
   ``tests/test_semigroup.py`` guard, and needs both kernels to be exactly
   symmetric (heat) or antisymmetric (gradient).  When the span and the
@@ -136,19 +141,23 @@ def _kernel_gradient_1d(t: float, grid: SpatialGrid, cfg: HeatOperatorConfig) ->
     return np.diff(np.exp(-(edges**2) / (4.0 * t)) / sqrt(4.0 * pi * t))
 
 
-def _support_span(values: Array, axis: int, m: int) -> tuple[int, int] | None:
-    """Support span [lo, hi) along *axis*, or None when its window is too wide.
+def _occupied(support: NDArray[np.bool_], axis: int) -> NDArray[np.bool_]:
+    """Per index along *axis*: whether its hyperplane holds a point of *support*."""
+    return support.any(axis=tuple(ax for ax in range(support.ndim) if ax != axis))
 
-    [lo, hi) runs from the first to the last nonzero; -0.0 counts as
-    nonzero, so every value outside it is +0.0.  An all-zero slice gives an
-    empty span.  None means the window [lo - m, hi + m), hi - lo + 2m
-    points, is wider than the axis and would overlap itself (this includes
-    a support straddling the periodic seam, whose span is nearly the whole
-    axis).
+
+def _support_span(occupied: NDArray[np.bool_], m: int) -> tuple[int, int] | None:
+    """Span [lo, hi) of the *occupied* indices of an axis, or None when its
+    window is too wide.
+
+    [lo, hi) runs from the first to the last occupied index; the support
+    counts -0.0 as nonzero, so every value outside it is +0.0.  No occupied
+    index gives an empty span.  None means the window [lo - m, hi + m),
+    hi - lo + 2m points, is wider than the axis and would overlap itself
+    (this includes a support straddling the periodic seam, whose span is
+    nearly the whole axis).
     """
-    n = values.shape[axis]
-    other = tuple(ax for ax in range(values.ndim) if ax != axis)
-    occupied = ((values != 0.0) | np.signbit(values)).any(axis=other)
+    n = occupied.size
     if np.count_nonzero(occupied) + 2 * m > n:  # a span is at least its count wide
         return None
     idx = np.flatnonzero(occupied)
@@ -234,11 +243,16 @@ def _convolve(values: Array, kernel: Array, axis: int) -> Array:
     # is split at the span (interior plus two exteriors, see
     # _split_convolve_1d), which depends on ndimage's loop order; the tests
     # compare both paths with the full-axis convolution bit for bit.  The
-    # axis is periodic, so the linear window is taken modulo n.
+    # axis is periodic, so the linear window is taken modulo n.  A 2-D slice
+    # convolves each line along *axis* on its own, so only the lines from
+    # the first to the last one the support occupies along the other axis
+    # are convolved: an all-+0.0 line sums +0.0 * c terms from a +0.0 start
+    # and gives +0.0 outputs, which the zero field already holds.
     from scipy import ndimage
 
     m = kernel.size // 2
-    span = _support_span(values, axis, m)
+    support = (values != 0.0) | np.signbit(values)
+    span = _support_span(_occupied(support, axis), m)
     if span is None:
         return ndimage.convolve1d(values, kernel, axis=axis, mode="wrap")
     out = np.zeros_like(values)
@@ -249,7 +263,9 @@ def _convolve(values: Array, kernel: Array, axis: int) -> Array:
     if values.ndim == 1:
         out[window] = _split_convolve_1d(values[lo:hi], kernel)
         return out
-    put = (slice(None),) * axis + (window,)
+    occupied = np.flatnonzero(_occupied(support, 1 - axis))
+    lines = slice(occupied[0], occupied[-1] + 1)
+    put = (window, lines) if axis == 0 else (lines, window)
     out[put] = ndimage.convolve1d(values[put], kernel, axis=axis, mode="constant", cval=0.0)
     return out
 

@@ -343,12 +343,6 @@ class TestEmitPlots:
         assert "slope 1/4" in script
         assert "$data0" in script
 
-    def test_empty_csv_warning(self):
-        script = emit_plots([("recovery.csv", "solution,probe_id,t_k,pairing,increment,"
-                                              "extrapolated,exact_if_known,error\n")])
-        assert "warning" in script
-        assert "empty" in script
-
     def test_multiplot_ordering(self):
         a = ("a_homotopy.csv",
              "solution,s,t,h_id,grid_level,lhs,rhs,residual\nx,0.5,1,h,0,1,1,0.1\n")

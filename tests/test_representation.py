@@ -28,6 +28,7 @@ from caloric import (
     default_schwartz_panel,
     evolve_datum_exact,
     flux_functional,
+    heat_evolve,
     homotopy_residual,
     pairing_bound_check,
     recover_initial_data,
@@ -40,7 +41,7 @@ from caloric.probes import central_compact_panel, hermite_probe
 from caloric.representation import grid_pairing
 from caloric.semigroup import dense_evolve_at
 from caloric.util import det_sum
-from caloric.zoo import SchwartzGaussPolyDatum
+from caloric.zoo import SchwartzGaussPolyDatum, heat_kernel
 
 from conftest import constant_field
 
@@ -231,7 +232,10 @@ class TestHomotopyResidual:
         h = TestFunction((offset,) + (-offset / 2,) * (dim - 1), 0.8)
         mesh = grid.meshgrid()
         h_vals = h.value(*mesh)
-        ring, bound = representation._ring_bound(grid, mesh, h, h_vals, tau)
+        box, _ = representation._support_box(h, grid)
+        ring, bound = representation._ring_bound(grid, h, h_vals[box], tau)
+        # the ring the mesh gives, built here from the axis
+        assert np.array_equal(ring, np.maximum.reduce(np.abs(mesh)) >= 0.9 * grid.half_extent)
         dense = dense_evolve_at(grid, h_vals, tau)[ring]
         assert ring.any() and dense.max() > 0.0
         assert np.all(bound >= np.abs(dense))
@@ -347,6 +351,122 @@ class TestSupportQuadrature:
             assert got == 0.0
         else:
             assert got != 0.0
+
+
+def _full_grid_homotopy(u, s, t, h, cfg, grid):
+    """Oracle: the homotopy sides with every factor on the whole grid.
+
+    h, u(s) and the ring come from the full mesh, the right side pairs u(s)
+    with e^{(t-s)L} h over every grid point, and the left side is the
+    whole-fine-grid midpoint rule.  Also returns the ring audit's maximum,
+    which must pass for the case to test anything.
+    """
+    mesh = grid.meshgrid()
+    h_vals = h.value(*mesh)
+    u_s = u.value(s, *mesh)
+    ring = np.maximum.reduce(np.abs(mesh)) >= 0.9 * grid.half_extent
+    gap = np.maximum(np.sqrt(sum((m[ring] - c) ** 2 for m, c in zip(mesh, h.center)))
+                     - h.radius, 0.0)
+    h_mass = grid_pairing(grid, np.abs(h_vals), np.ones(grid.shape))
+    tail = np.abs(u_s[ring] * h_mass * heat_kernel(t - s, gap**2, grid.dim)).max()
+    lhs = _full_fine_grid_quadrature(u, t, h, grid)
+    rhs = grid_pairing(grid, u_s, heat_evolve(grid, h_vals, t - s, cfg))
+    return lhs, rhs, abs(lhs - rhs), tail
+
+
+KERNEL8 = HeatOperatorConfig("kernel_quadrature")
+
+# (solutions, s, t, bump, operator, grid).  The cut and seam cases put the
+# bump near the box edge, where the ring audit needs a solution that is tiny
+# there; their kernel windows wrap round the periodic seam.
+_WHERE_READ_CASES = {
+    "1d-kernel-heat-ladder": ((GaussianKernelSolution(1.0), CaloricPolynomial(3),
+                               Eigenmode((1.0,))), 0.5, 1.0, TestFunction((0.5,), 1.0),
+                              KERNEL10, SpatialGrid.make(1, 16.0, 4096)),
+    "1d-spectral": ((GaussianKernelSolution(2.0), CaloricPolynomial(5),
+                     ExponentialSolution((1.0,))), 0.5, 1.0, TestFunction((1.0,), 1.0),
+                    SPECTRAL, SpatialGrid.make(1, 16.0, 512)),
+    "1d-kernel-cut-by-box-edge": ((GaussianKernelSolution(0.1),), 0.1, 0.2,
+                                  TestFunction((7.6,), 1.0), KERNEL8,
+                                  SpatialGrid.make(1, 8.0, 512)),
+    "1d-kernel-window-wraps-seam": ((GaussianKernelSolution(0.1),), 0.1, 0.3,
+                                    TestFunction((6.5,), 0.8), KERNEL8,
+                                    SpatialGrid.make(1, 8.0, 512)),
+    "1d-spectral-cut-by-box-edge": ((GaussianKernelSolution(0.1),), 0.1, 0.3,
+                                    TestFunction((-7.7,), 0.8), SPECTRAL,
+                                    SpatialGrid.make(1, 8.0, 256)),
+    "2d-kernel": ((GaussianKernelSolution(1.0, (0.0, 0.0)), Eigenmode((1.0, 0.5))), 0.5, 1.0,
+                  TestFunction((1.0, 1.0), 1.0), KERNEL8, SpatialGrid.make(2, 12.0, 128)),
+    "2d-spectral": ((GaussianKernelSolution(1.0, (0.0, 0.0)), ExponentialSolution((0.5, 0.5))),
+                    0.5, 1.0, TestFunction((1.0, 1.0), 1.0), SPECTRAL,
+                    SpatialGrid.make(2, 12.0, 64)),
+    "2d-kernel-cut-by-box-edge": ((GaussianKernelSolution(0.1, (0.0, 0.0)),), 0.1, 0.2,
+                                  TestFunction((-5.5, 5.9), 1.2), KERNEL8,
+                                  SpatialGrid.make(2, 6.0, 64)),
+    "2d-kernel-window-wraps-seam": ((GaussianKernelSolution(0.1, (0.0, 0.0)),), 0.1, 0.2,
+                                    TestFunction((4.0, 0.0), 1.0), KERNEL8,
+                                    SpatialGrid.make(2, 6.0, 64)),
+}
+
+
+class _InfNearBump:
+    """A 1-D stand-in solution: inf within 1/2 of x = 1, zero elsewhere."""
+
+    dim = 1
+    label = "inf_near_bump"
+
+    def value(self, t, x):
+        return np.where(np.abs(x - 1.0) < 0.5, np.inf, 0.0)
+
+
+class TestHomotopyWhereRead:
+    """The homotopy evaluates h on its box, the ring from the axis and u(s)
+    only where the identity reads it; every side must equal the full-grid
+    evaluation bit for bit."""
+
+    @pytest.mark.parametrize("case", list(_WHERE_READ_CASES))
+    def test_bitwise_equal_to_full_grid(self, case):
+        solutions, s, t, h, cfg, grid = _WHERE_READ_CASES[case]
+        reports = homotopy_residual(solutions, s, t, h, cfg, grid=grid, grid_level=0)
+        for u, rep in zip(solutions, reports, strict=True):
+            lhs, rhs, residual, tail = _full_grid_homotopy(u, s, t, h, cfg, grid)
+            assert tail <= 1e-10 and rhs != 0.0
+            assert (rep.lhs.hex(), rep.rhs.hex(), rep.residual.hex()) == \
+                (lhs.hex(), rhs.hex(), residual.hex())
+
+    @pytest.mark.parametrize("h_center", [0.5, 1.0])
+    def test_u_evaluated_on_ring_and_image_support_only(self, monkeypatch, h_center):
+        # the finest heat-ladder level of the 1-D kernel method
+        grid = SpatialGrid.make(1, 16.0, 16384)
+        h = TestFunction((h_center,), 1.0)
+        sizes = []
+        value = GaussianKernelSolution.value
+
+        def counted(self, t, *axes):
+            if t == 0.5:
+                sizes.append(np.broadcast(*axes).size)
+            return value(self, t, *axes)
+
+        monkeypatch.setattr(GaussianKernelSolution, "value", counted)
+        homotopy_residual((GaussianKernelSolution(1.0),), 0.5, 1.0, h, KERNEL10, grid=grid,
+                          grid_level=2)
+        phi_s = heat_evolve(grid, h.value(grid.axis), 0.5, KERNEL10)
+        ring = np.abs(grid.axis) >= 0.9 * grid.half_extent
+        assert len(sizes) == 1
+        read = np.count_nonzero(ring) + np.count_nonzero(phi_s)
+        assert sizes[0] <= read < grid.n_points
+
+    @pytest.mark.parametrize("u", [ExponentialSolution((12.0,)), _InfNearBump()],
+                             ids=["overflow-on-ring", "inf-near-bump"])
+    @pytest.mark.parametrize("cfg", [KERNEL8, SPECTRAL], ids=["kernel", "spectral"])
+    def test_non_finite_integrand_fails_the_audit(self, cfg, u):
+        # exp(12 x + 144 s) overflows on the ring of L = 64, where the ring
+        # bound underflows, so the audit maximum is nan; the other solution
+        # is finite on the ring and infinite where e^{(t-s)L} h is read
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                DomainTooSmallError, match=re.escape(f"of {u.label} is not finite")):
+            homotopy_residual((u,), 0.5, 1.0, TestFunction((1.0,), 1.0), cfg,
+                              grid=SpatialGrid.make(1, 64.0, 4096), grid_level=0)
 
 
 class TestFluxFunctional:

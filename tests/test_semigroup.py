@@ -218,6 +218,14 @@ def _signed_span(lo, size):
     return field
 
 
+def _with_negative_zero_lines(values, row, col):
+    """*values* with row *row* and column *col* set to -0.0 (they must miss
+    its support): lines the 2-D path convolves though they carry no bump."""
+    assert not values[row].any() and not values[:, col].any()
+    values[row] = values[:, col] = -0.0
+    return values
+
+
 def _spikes(grid, indices):
     values = np.zeros(grid.shape)
     values[list(indices)] = 1.0
@@ -230,7 +238,10 @@ def _spikes(grid, indices):
 # of exactly n (n + 1) points: the widest windowed case and the narrowest
 # fallback.  The edge bumps are cut at x = L, so their windows wrap round the
 # axis; spikes on both sides of the seam span nearly the whole axis and take
-# the fallback.
+# the fallback.  A 2-D slice convolves only the lines its support occupies
+# along the other axis: -0.0 lines away from the bump are occupied, a support
+# cut at both ends of the other axis occupies nearly every line, and an
+# all -0.0 field occupies them all.
 _WINDOW_CASES = {
     "1d-interior": (1, lambda g: _bump_field(g, (0.5,), 1.0), 0.3),
     "1d-wraps-edge": (1, lambda g: _bump_field(g, (14.5,), 1.0), 0.3),
@@ -251,6 +262,11 @@ _WINDOW_CASES = {
     "2d-window-wraps-corner": (2, lambda g: _bump_field(g, (-13.5, 13.0), 2.0), 0.5),
     "2d-window-too-wide": (2, lambda g: _bump_field(g, (0.0, 3.0), 10.0), 0.8),
     "2d-all-zero": (2, lambda g: np.zeros(g.shape), 0.3),
+    "2d-all-negative-zero": (2, lambda g: -np.zeros(g.shape), 0.3),
+    "2d-negative-zero-lines-off-bump": (2, lambda g: _with_negative_zero_lines(
+        _bump_field(g, (1.0, -2.0), 1.5), row=50, col=5), 0.3),
+    "2d-straddles-seam-other-axis": (2, lambda g: _bump_field(g, (1.0, 14.5), 1.5)
+                                     + _bump_field(g, (-1.0, -14.8), 1.0), 0.3),
 }
 # A 1-D slice is split at its support span.  Spans of S random values with
 # -0.0 and subnormals inside, at t = 0.3 (m = 38): shorter than, equal to
