@@ -58,6 +58,14 @@ from .zoo import AnalyticSolution, InitialDatum, exact_pairing, heat_kernel
 Array = NDArray[np.float64]
 
 _RHS_TAIL_TOL = 1e-10
+# The homotopy right side gathers u(s) at the points it reads while they are
+# at most this share of the grid, and evaluates it on the open mesh beyond.
+# Gathering holds about 6 floats per point read, the mesh about 4 per grid
+# point: traced peaks cross at a share of 0.62 on 256^2 and 0.68 on 16384
+# points, and on 2 vCPUs the step's time crosses between 0.53 and 0.92
+# (heat-ladder kernel levels read 0.50-0.60 of their grid, spectral ones
+# 0.96-1.0).
+_GATHER_MAX_SHARE = 5 / 8
 # Trapezoid nodes in tau of the flux functional.
 _N_TAU = 9
 # Richardson levels: the recovery bias terms t, t^2, t^3 are removed.
@@ -176,14 +184,15 @@ def _support_box(h: TestFunction, grid: SpatialGrid) -> tuple[tuple[slice, ...],
     """The index box of supp h on *grid* and its open mesh.
 
     Per axis the box is one point wider on each side than [c - r, c + r],
-    clipped to the axis, so h is +0.0 off it.  Its points -L + j dx are the
-    axis's values bit for bit, so h on the box is h on the grid there.
+    clipped to the axis (empty when the support lies wholly off it), so h
+    is +0.0 off it.  Its points -L + j dx are the axis's values bit for
+    bit, so h on the box is h on the grid there.
     """
     L, dx, n = grid.half_extent, grid.spacing, grid.points_per_axis
     box, axes = [], []
     for c in h.center[:grid.dim]:
         j0 = max(floor((c - h.radius + L) / dx) - 1, 0)
-        j1 = min(ceil((c + h.radius + L) / dx) + 2, n)
+        j1 = max(min(ceil((c + h.radius + L) / dx) + 2, n), j0)
         box.append(slice(j0, j1))
         axes.append(-L + np.arange(j0, j1, dtype=float) * dx)
     return tuple(box), _open_mesh(*axes)
@@ -218,18 +227,18 @@ def _support_quadrature(u, t: float, nodes: tuple) -> float:
     return det_sum(u.value(t, *points) * h_vals * cell)
 
 
-def _ring_bound(grid: SpatialGrid, h: TestFunction, h_box: Array,
+def _ring_bound(grid: SpatialGrid, mesh: tuple[Array, ...], h: TestFunction, h_box: Array,
                 tau: float) -> tuple[NDArray[np.bool_], Array]:
     """The ring max_i |x_i| >= 0.9 L, and ||h||_1 G_tau(dist(x, supp h)) on it.
 
+    *mesh* is the grid's open mesh (:func:`_open_mesh` of its axes).
     *h_box* is h on its :func:`_support_box`, which holds every nonzero of
     h, so ||h||_1 is its exact sum.  The ring is the union of the slabs
-    |x_i| >= 0.9 L, built from the axis.  G falls with distance and the
+    |x_i| >= 0.9 L of *mesh*.  G falls with distance and the
     grid support of h lies in B(c, r), so this bounds the untruncated
     quadrature of |e^{tau L} h|.  No operator enters it, so neither
     truncation nor FFT noise can hide or fake a tail.
     """
-    mesh = _open_mesh(*(grid.axis,) * grid.dim)
     ring = reduce(np.logical_or, [np.abs(a) >= 0.9 * grid.half_extent for a in mesh])
     gap = np.maximum(point_distance(_gather(mesh, ring), h.center) - h.radius, 0.0)
     h_mass = det_sum(np.abs(h_box) * grid.cell_volume)
@@ -262,9 +271,9 @@ def homotopy_residual(solutions: Sequence[AnalyticSolution], s: float, t: float,
     every term it drops is u(s) * (+-0.0), a zero for finite u(s), so it
     equals the full-grid pairing bit for bit.  The kernel image vanishes
     off the window its support reaches; a spectral image has only a few
-    scattered exact zeros, so when the read points exceed three quarters
-    of the grid, gathering them would cost more than it saves, and u(s) is
-    evaluated on the whole grid and paired over it instead.
+    scattered exact zeros, so when more than ``_GATHER_MAX_SHARE`` of the
+    grid is read, gathering would cost more time and memory than it saves,
+    and u(s) is evaluated on the open mesh and paired over the whole grid.
 
     The right-hand integrand must have died out inside the box: the extent
     audit requires |u(s)| times the closed-form bound of |e^{(t-s)L}h| to
@@ -283,13 +292,12 @@ def homotopy_residual(solutions: Sequence[AnalyticSolution], s: float, t: float,
     h_vals = np.zeros(grid.shape)
     h_vals[box] = h_box
     phi_s = heat_evolve(grid, h_vals, t - s, cfg)
-    ring, phi_ring = _ring_bound(grid, h, h_box, t - s)
-    nodes = _support_nodes(h, grid)
     mesh = _open_mesh(*(grid.axis,) * grid.dim)
+    ring, phi_ring = _ring_bound(grid, mesh, h, h_box, t - s)
+    nodes = _support_nodes(h, grid)
     nonzero = phi_s != 0.0
     read = ring | nonzero
-    if 4 * np.count_nonzero(read) > 3 * read.size:
-        # gathering would not pay: u(s) on the mesh, paired over the whole grid
+    if np.count_nonzero(read) > _GATHER_MAX_SHARE * read.size:
         points, on_ring, on_phi, phi_read = mesh, ring, ..., phi_s
     else:
         points, on_ring = _gather(mesh, read), ring[read]

@@ -233,7 +233,8 @@ class TestHomotopyResidual:
         mesh = grid.meshgrid()
         h_vals = h.value(*mesh)
         box, _ = representation._support_box(h, grid)
-        ring, bound = representation._ring_bound(grid, h, h_vals[box], tau)
+        open_mesh = representation._open_mesh(*(grid.axis,) * dim)
+        ring, bound = representation._ring_bound(grid, open_mesh, h, h_vals[box], tau)
         # the ring the mesh gives, built here from the axis
         assert np.array_equal(ring, np.maximum.reduce(np.abs(mesh)) >= 0.9 * grid.half_extent)
         dense = dense_evolve_at(grid, h_vals, tau)[ring]
@@ -433,6 +434,24 @@ class TestHomotopyWhereRead:
             assert tail <= 1e-10 and rhs != 0.0
             assert (rep.lhs.hex(), rep.rhs.hex(), rep.residual.hex()) == \
                 (lhs.hex(), rhs.hex(), residual.hex())
+
+    @pytest.mark.parametrize("cfg", [KERNEL10, SPECTRAL], ids=["kernel", "spectral"])
+    @pytest.mark.parametrize("center", [(-20.0,), (-17.5,), (20.0,), (-20.0, 0.0), (0.0, 18.0)],
+                             ids=["1d-far-left", "1d-just-left", "1d-right", "2d-left",
+                                  "2d-above"])
+    def test_bump_off_the_box_pairs_to_zero(self, cfg, center):
+        # supp h misses the box, so h is zero on the grid: both sides are
+        # +0.0 and the audit passes, as in the full-grid evaluation
+        dim = len(center)
+        grid = SpatialGrid.make(dim, 16.0, 4096 if dim == 1 else 64)
+        u, h = GaussianKernelSolution(1.0, (0.0,) * dim), TestFunction(center, 1.0)
+        box, _ = representation._support_box(h, grid)
+        assert any(b.start == b.stop for b in box)
+        rep, = homotopy_residual((u,), 0.5, 1.0, h, cfg, grid=grid, grid_level=0)
+        lhs, rhs, residual, tail = _full_grid_homotopy(u, 0.5, 1.0, h, cfg, grid)
+        assert tail == 0.0
+        assert (rep.lhs.hex(), rep.rhs.hex(), rep.residual.hex()) == \
+            (lhs.hex(), rhs.hex(), residual.hex()) == ((0.0).hex(),) * 3
 
     @pytest.mark.parametrize("h_center", [0.5, 1.0])
     def test_u_evaluated_on_ring_and_image_support_only(self, monkeypatch, h_center):
