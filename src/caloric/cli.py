@@ -376,7 +376,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     Invalid configurations surface here as ValueError (exit code 2, with the
     violated invariant in the message) before any computation starts; so do
     configurations under which a verdict would judge nothing, such as an
-    empty probe panel or a single homotopy grid level.
+    empty probe panel, a single homotopy grid level or a homotopy bump that
+    misses the box (h = 0 on the grid pairs to zero at every level).
     """
     cfg.grid()
     cfg.operator()
@@ -418,6 +419,13 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         _require(cfg.grid_levels >= 2, "grid_levels",
                  "be at least 2 (a decrease needs two residuals)", cfg.grid_levels)
         TestFunction((cfg.h_center,) * cfg.grid_dim, cfg.h_radius)
+        L = cfg.grid_half_extent
+        gap = max(abs(cfg.h_center) - L, 0.0) * cfg.grid_dim ** 0.5
+        if not gap < cfg.h_radius:
+            raise ValueError(
+                f"the homotopy bump misses the box: (h_center,) * grid_dim with h_center = "
+                f"{cfg.h_center!r} lies {gap:.6g} from [-L, L]^{cfg.grid_dim} with L = {L!r}, "
+                f"not less than h_radius = {cfg.h_radius!r}")
 
 
 @track("run_experiment")

@@ -24,6 +24,10 @@ Quadrature conventions
   ball integral, a pairing or a masked time profile is one call on the
   whole stack.  It gathers every array factor at the mask before it
   multiplies, so a value outside the mask never enters a product.
+* :func:`nonzero_box` is the one bounding box: the heat operator's
+  support window, the dense tail quadrature's span and the homotopy right
+  side's reading box all take the first to last occupied index per axis
+  from it.
 """
 
 from __future__ import annotations
@@ -138,6 +142,22 @@ def point_distance(coords, center) -> NDArray[np.float64]:
     if len(coords) == 1:
         return np.abs(coords[0] - center[0])
     return np.sqrt((coords[0] - center[0]) ** 2 + (coords[1] - center[1]) ** 2)
+
+
+def nonzero_box(mask) -> tuple[slice, ...]:
+    """The index box of the True points of *mask*, one slice per axis.
+
+    Each slice runs from the first to the last index whose hyperplane holds
+    a True; it is empty (``slice(0, 0)``) when *mask* holds none.  Every
+    point outside the box is False.  The box is linear: a set straddling a
+    periodic seam spans nearly the whole axis.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    box = []
+    for axis in range(mask.ndim):
+        hit = np.flatnonzero(mask.any(axis=tuple(a for a in range(mask.ndim) if a != axis)))
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1) if hit.size else slice(0, 0))
+    return tuple(box)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from .grid import (
     StripSpec,
     integrate_ball,
     masked_sums,
+    nonzero_box,
     point_distance,
 )
 from .norms import BallFamily, GrowthFit, schwartz_seminorm, strip_growth_fit, tent_norm
@@ -58,14 +59,6 @@ from .zoo import AnalyticSolution, InitialDatum, exact_pairing, heat_kernel
 Array = NDArray[np.float64]
 
 _RHS_TAIL_TOL = 1e-10
-# The homotopy right side gathers u(s) at the points it reads while they are
-# at most this share of the grid, and evaluates it on the open mesh beyond.
-# Gathering holds about 6 floats per point read, the mesh about 4 per grid
-# point: traced peaks cross at a share of 0.62 on 256^2 and 0.68 on 16384
-# points, and on 2 vCPUs the step's time crosses between 0.53 and 0.92
-# (heat-ladder kernel levels read 0.50-0.60 of their grid, spectral ones
-# 0.96-1.0).
-_GATHER_MAX_SHARE = 5 / 8
 # Trapezoid nodes in tau of the flux functional.
 _N_TAU = 9
 # Richardson levels: the recovery bias terms t, t^2, t^3 are removed.
@@ -227,20 +220,22 @@ def _support_quadrature(u, t: float, nodes: tuple) -> float:
     return det_sum(u.value(t, *points) * h_vals * cell)
 
 
-def _ring_bound(grid: SpatialGrid, mesh: tuple[Array, ...], h: TestFunction, h_box: Array,
-                tau: float) -> tuple[NDArray[np.bool_], Array]:
-    """The ring max_i |x_i| >= 0.9 L, and ||h||_1 G_tau(dist(x, supp h)) on it.
+def _ring_bound(grid: SpatialGrid, h: TestFunction, h_box: Array,
+                tau: float) -> tuple[tuple[Array, ...], Array]:
+    """The points of the ring max_i |x_i| >= 0.9 L, and ||h||_1 G_tau(dist(x, supp h)) there.
 
-    *mesh* is the grid's open mesh (:func:`_open_mesh` of its axes).
-    *h_box* is h on its :func:`_support_box`, which holds every nonzero of
-    h, so ||h||_1 is its exact sum.  The ring is the union of the slabs
-    |x_i| >= 0.9 L of *mesh*.  G falls with distance and the
-    grid support of h lies in B(c, r), so this bounds the untruncated
-    quadrature of |e^{tau L} h|.  No operator enters it, so neither
-    truncation nor FFT noise can hide or fake a tail.
+    The ring is the union of the grid's slabs |x_i| >= 0.9 L; its points
+    are gathered from the axes in C order.  *h_box* is h on its
+    :func:`_support_box`, which holds every nonzero of h, so ||h||_1 is its
+    exact sum.  G falls with distance and the grid support of h lies in
+    B(c, r), so this bounds the untruncated quadrature of |e^{tau L} h|.
+    No operator enters it, so neither truncation nor FFT noise can hide or
+    fake a tail.
     """
-    ring = reduce(np.logical_or, [np.abs(a) >= 0.9 * grid.half_extent for a in mesh])
-    gap = np.maximum(point_distance(_gather(mesh, ring), h.center) - h.radius, 0.0)
+    mesh = _open_mesh(*(grid.axis,) * grid.dim)
+    ring = _gather(mesh, reduce(np.logical_or,
+                                [np.abs(a) >= 0.9 * grid.half_extent for a in mesh]))
+    gap = np.maximum(point_distance(ring, h.center) - h.radius, 0.0)
     h_mass = det_sum(np.abs(h_box) * grid.cell_volume)
     return ring, h_mass * heat_kernel(tau, gap**2, grid.dim)
 
@@ -265,15 +260,13 @@ def homotopy_residual(solutions: Sequence[AnalyticSolution], s: float, t: float,
 
     Each factor is evaluated only where it is read.  h is evaluated on its
     support box (:func:`_support_box`) and put into a zero field, which is
-    h on the grid: h is +0.0 off the box.  u(s) is evaluated once, at the
-    points of the ring and at the nonzeros of e^{(t-s)L} h, gathered from
-    the axes, and the right side is the exact det_sum over those nonzeros:
-    every term it drops is u(s) * (+-0.0), a zero for finite u(s), so it
-    equals the full-grid pairing bit for bit.  The kernel image vanishes
-    off the window its support reaches; a spectral image has only a few
-    scattered exact zeros, so when more than ``_GATHER_MAX_SHARE`` of the
-    grid is read, gathering would cost more time and memory than it saves,
-    and u(s) is evaluated on the open mesh and paired over the whole grid.
+    h on the grid: h is +0.0 off the box.  u(s) is evaluated at the ring
+    points and on the open mesh of the image's box
+    (:func:`~caloric.grid.nonzero_box` of e^{(t-s)L} h != 0), and the right
+    side is the exact det_sum over that box: every term it drops is
+    u(s) * (+-0.0), a zero for finite u(s), so it equals the full-grid
+    pairing bit for bit.  A kernel image's box is the window its support
+    reaches; a spectral image's is the whole grid.
 
     The right-hand integrand must have died out inside the box: the extent
     audit requires |u(s)| times the closed-form bound of |e^{(t-s)L}h| to
@@ -292,20 +285,16 @@ def homotopy_residual(solutions: Sequence[AnalyticSolution], s: float, t: float,
     h_vals = np.zeros(grid.shape)
     h_vals[box] = h_box
     phi_s = heat_evolve(grid, h_vals, t - s, cfg)
-    mesh = _open_mesh(*(grid.axis,) * grid.dim)
-    ring, phi_ring = _ring_bound(grid, mesh, h, h_box, t - s)
+    ring, phi_ring = _ring_bound(grid, h, h_box, t - s)
     nodes = _support_nodes(h, grid)
-    nonzero = phi_s != 0.0
-    read = ring | nonzero
-    if np.count_nonzero(read) > _GATHER_MAX_SHARE * read.size:
-        points, on_ring, on_phi, phi_read = mesh, ring, ..., phi_s
-    else:
-        points, on_ring = _gather(mesh, read), ring[read]
-        on_phi, phi_read = nonzero[read], phi_s[nonzero]
+    image = nonzero_box(phi_s != 0.0)
+    image_mesh = _open_mesh(*(grid.axis[b] for b in image))
+    phi_image = phi_s[image]
     reports = []
     for u in solutions:
-        u_s = u.value(s, *points)
-        tail = float(np.abs(u_s[on_ring] * phi_ring).max()) if np.isfinite(u_s).all() else nan
+        u_ring, u_image = u.value(s, *ring), u.value(s, *image_mesh)
+        finite = np.isfinite(u_ring).all() and np.isfinite(u_image).all()
+        tail = float(np.abs(u_ring * phi_ring).max()) if finite else nan
         if not isfinite(tail):
             raise DomainTooSmallError(
                 f"homotopy rhs integrand of {u.label} is not finite where the identity "
@@ -316,7 +305,7 @@ def homotopy_residual(solutions: Sequence[AnalyticSolution], s: float, t: float,
                 f"homotopy rhs integrand of {u.label} is at most {tail:.3g} at |x| = 0.9L "
                 f"(needs < {_RHS_TAIL_TOL:g}); the box does not contain the pairing")
         lhs = _support_quadrature(u, t, nodes)
-        rhs = det_sum(u_s[on_phi] * phi_read * grid.cell_volume)
+        rhs = det_sum(u_image * phi_image * grid.cell_volume)
         reports.append(HomotopyReport(u.label, s, t, h.label, grid_level, lhs, rhs))
     return tuple(reports)
 

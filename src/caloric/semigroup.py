@@ -12,15 +12,15 @@ masquerade as a verified identity:
   truncated at a configurable multiple of sqrt(t) (default 8, dropped mass
   ~e^{-16}) and renormalized to unit discrete mass, which restores exact
   preservation of constants.  It is applied axis by axis as a direct
-  convolution (``ndimage.convolve1d``) restricted to the window the
-  support can reach; the result is bit-identical to convolving the whole
+  convolution (``ndimage.convolve1d``) restricted to the support's
+  :func:`~caloric.grid.nonzero_box`: along the convolved axis, the window
+  [lo - m, hi + m) the box's span [lo, hi) can reach; across it, the
+  box's lines.  The result is bit-identical to convolving the whole
   grid, so rounding-level invariants (mass, maximum principle, exact
-  zeros far from the support) are those of the direct sum.  A 2-D slice
-  also convolves only the lines from the first to the last one that its
-  support occupies along the other axis: a bump under a wide kernel costs
-  its own lines on the first axis and the first pass's window on the
-  second, not whole slices, and the skipped lines are all +0.0, whose
-  outputs are +0.0.  A 1-D slice is split at its support span [lo, hi):
+  zeros far from the support) are those of the direct sum.  In 2-D a bump
+  under a wide kernel costs its own lines on the first axis and the first
+  pass's window on the second, not whole slices; the skipped lines are all
+  +0.0, whose outputs are +0.0.  A 1-D slice is split at its span:
   the outputs on the span come from the kernel cut to the span's width,
   and those on either side from one ``ndimage.correlate1d`` with data and
   kernel swapped, so a narrow support under a wide kernel costs about
@@ -59,7 +59,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .errors import DomainTooSmallError, InsufficientDecayDataError
-from .grid import SpatialGrid, masked_sums
+from .grid import SpatialGrid, masked_sums, nonzero_box
 from .optrack import track
 from .util import det_sum, linear_fit
 
@@ -141,32 +141,6 @@ def _kernel_gradient_1d(t: float, grid: SpatialGrid, cfg: HeatOperatorConfig) ->
     return np.diff(np.exp(-(edges**2) / (4.0 * t)) / sqrt(4.0 * pi * t))
 
 
-def _occupied(support: NDArray[np.bool_], axis: int) -> NDArray[np.bool_]:
-    """Per index along *axis*: whether its hyperplane holds a point of *support*."""
-    return support.any(axis=tuple(ax for ax in range(support.ndim) if ax != axis))
-
-
-def _support_span(occupied: NDArray[np.bool_], m: int) -> tuple[int, int] | None:
-    """Span [lo, hi) of the *occupied* indices of an axis, or None when its
-    window is too wide.
-
-    [lo, hi) runs from the first to the last occupied index; the support
-    counts -0.0 as nonzero, so every value outside it is +0.0.  No occupied
-    index gives an empty span.  None means the window [lo - m, hi + m),
-    hi - lo + 2m points, is wider than the axis and would overlap itself
-    (this includes a support straddling the periodic seam, whose span is
-    nearly the whole axis).
-    """
-    n = occupied.size
-    if np.count_nonzero(occupied) + 2 * m > n:  # a span is at least its count wide
-        return None
-    idx = np.flatnonzero(occupied)
-    if idx.size == 0:
-        return 0, 0
-    lo, hi = int(idx[0]), int(idx[-1]) + 1
-    return None if hi - lo + 2 * m > n else (lo, hi)
-
-
 def _exterior_1d(span: Array, kernel: Array) -> Array:
     """Outputs hi .. hi + m - 1 (just right of the span) of the convolution.
 
@@ -237,34 +211,35 @@ def _is_palindrome(x: Array) -> bool:
 def _convolve(values: Array, kernel: Array, axis: int) -> Array:
     # ndimage.convolve1d flips the kernel (true convolution); our kernels are
     # indexed by the offset x - y, so orientation matters for the gradient.
-    # Each output is a fixed-order sum over its own 2m+1 neighbours, so
-    # convolving only the support window [lo - m, hi + m) and leaving +0.0
-    # elsewhere is bit-identical to convolving the whole axis.  A 1-D slice
-    # is split at the span (interior plus two exteriors, see
-    # _split_convolve_1d), which depends on ndimage's loop order; the tests
-    # compare both paths with the full-axis convolution bit for bit.  The
-    # axis is periodic, so the linear window is taken modulo n.  A 2-D slice
-    # convolves each line along *axis* on its own, so only the lines from
-    # the first to the last one the support occupies along the other axis
-    # are convolved: an all-+0.0 line sums +0.0 * c terms from a +0.0 start
-    # and gives +0.0 outputs, which the zero field already holds.
+    # The support counts -0.0 as nonzero, so every value off its nonzero_box
+    # is +0.0.  Each output is a fixed-order sum over its own 2m+1
+    # neighbours, so convolving only the window [lo - m, hi + m) of the
+    # box's slice along *axis* and leaving +0.0 elsewhere is bit-identical
+    # to convolving the whole axis.  The axis is periodic, so the window is
+    # taken modulo n; when it is wider than the axis (a support straddling
+    # the seam spans nearly all of it) the whole axis is convolved with
+    # wrap-around.  A 1-D slice is split at the span (interior plus two
+    # exteriors, see _split_convolve_1d), which depends on ndimage's loop
+    # order; the tests compare every path with the full-axis convolution bit
+    # for bit.  A 2-D slice convolves each line along *axis* on its own, so
+    # only the lines of the box's other slice are convolved: an all-+0.0
+    # line sums +0.0 * c terms from a +0.0 start and gives +0.0 outputs,
+    # which the zero field already holds.
     from scipy import ndimage
 
-    m = kernel.size // 2
-    support = (values != 0.0) | np.signbit(values)
-    span = _support_span(_occupied(support, axis), m)
-    if span is None:
+    m, n = kernel.size // 2, values.shape[axis]
+    box = nonzero_box((values != 0.0) | np.signbit(values))
+    lo, hi = box[axis].start, box[axis].stop
+    if hi - lo + 2 * m > n:
         return ndimage.convolve1d(values, kernel, axis=axis, mode="wrap")
     out = np.zeros_like(values)
-    lo, hi = span
     if lo == hi:
         return out
-    window = np.arange(lo - m, hi + m) % values.shape[axis]
+    window = np.arange(lo - m, hi + m) % n
     if values.ndim == 1:
         out[window] = _split_convolve_1d(values[lo:hi], kernel)
         return out
-    occupied = np.flatnonzero(_occupied(support, 1 - axis))
-    lines = slice(occupied[0], occupied[-1] + 1)
+    lines = box[1 - axis]
     put = (window, lines) if axis == 0 else (lines, window)
     out[put] = ndimage.convolve1d(values[put], kernel, axis=axis, mode="constant", cval=0.0)
     return out
@@ -327,8 +302,9 @@ def dense_evolve_at(grid: SpatialGrid, values: Array, t: float) -> Array:
     tails down to the underflow floor.  Used by the annulus decay fit.
 
     On the uniform grid x_i - y_r = (i - r) dx, so the 1D kernel is sampled
-    once per offset (2n - 1 exps); over the bounding box [lo, hi) of the
-    nonzeros, output i is the Toeplitz row g[i - r + n - 1], r in [lo, hi),
+    once per offset (2n - 1 exps); over the nonzeros' box [lo, hi) per axis
+    (:func:`~caloric.grid.nonzero_box`), output i is the Toeplitz row
+    g[i - r + n - 1], r in [lo, hi),
     dotted with the values.  In 1D that is one ``np.correlate`` of the
     sampled kernel with the flipped box (O(n + S) memory for S box points,
     no Toeplitz copy).  The 2D kernel is separable, A0 @ box @ A1.T, with
@@ -338,13 +314,13 @@ def dense_evolve_at(grid: SpatialGrid, values: Array, t: float) -> Array:
     n = grid.points_per_axis
     offsets = np.arange(-(n - 1), n) * grid.spacing
     g = np.exp(-(offsets**2) / (4.0 * t)) / sqrt(4.0 * pi * t)
-    nz = np.nonzero(values)
-    if nz[0].size == 0:
+    index_box = nonzero_box(values != 0.0)
+    if index_box[0].start == index_box[0].stop:
         return np.zeros(grid.shape)
-    span = [(int(ix.min()), int(ix.max()) + 1) for ix in nz]
+    span = [(b.start, b.stop) for b in index_box]
     # Flipping the box turns each Toeplitz row g[i - r + n - 1], r in
     # [lo, hi), into the contiguous slice g[i + n - hi : i + n - lo].
-    box = np.flip(values[tuple(slice(lo, hi) for lo, hi in span)]) * grid.cell_volume
+    box = np.flip(values[index_box]) * grid.cell_volume
     if grid.dim == 2:
         # Contiguous copies: matmul hands BLAS only arrays whose rows do not
         # overlap, and would otherwise take a slower loop with other bits.

@@ -184,6 +184,9 @@ class TestRunExperiment:
         assert f"is {sol_dim}-D, grid_dim is {grid_dim}" in summary
         assert not (tmp_path / output).exists()
 
+    # A 2-D homotopy on the default box L = 16.
+    _BUMP_2D = dict(pipeline="homotopy", grid_dim=2, solution_id="gaussian_kernel:t0=1,dim=2")
+
     # The measure-sweep counterexample configuration: the flat series on L = 8.
     _FLAT = dict(pipeline="counterexample", solution_id="tychonoff:K=40",
                  grid_half_extent=8.0, grid_points=1024, ladder_t0=0.1, ladder_ratio=0.7,
@@ -213,16 +216,34 @@ class TestRunExperiment:
         (dict(pipeline="growth-fit", solution_id="eigenmode:omega=1",
               radii=(8.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)),
          "radii must be strictly increasing, got (8.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0)"),
+        (dict(pipeline="homotopy", h_center=-20.0),
+         "the homotopy bump misses the box: (h_center,) * grid_dim with h_center = -20.0 "
+         "lies 4 from [-L, L]^1 with L = 16.0, not less than h_radius = 1.0"),
+        (dict(_BUMP_2D, h_center=-20.0),
+         "h_center = -20.0 lies 5.65685 from [-L, L]^2 with L = 16.0, not less than "
+         "h_radius = 1.0"),
+        (dict(_BUMP_2D, h_center=16.8),
+         "h_center = 16.8 lies 1.13137 from [-L, L]^2 with L = 16.0, not less than "
+         "h_radius = 1.0"),
     ], ids=["no-bumps-one-rho", "zero-bump", "one-rho", "rho-decreasing", "levels-0",
             "levels-minus-2", "levels-1", "h-radius-0", "h-radius-negative", "times-decreasing",
             "time-negative", "no-times", "no-tent-radii", "tent-radius-negative",
-            "growth-radius-0", "growth-radii-unsorted"])
+            "growth-radius-0", "growth-radii-unsorted", "bump-off-box-1d", "bump-off-box-2d",
+            "bump-off-box-corner-2d"])
     def test_vacuous_or_disordered_config_exits_2(self, tmp_path, overrides, message):
         # each of these judged nothing and passed, or failed only at run time
         result = run_experiment(ExperimentConfig(out_dir=str(tmp_path), **overrides))
         assert result.exit_code == 2
         assert message in (tmp_path / "summary.txt").read_text()
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(pipeline="homotopy", h_center=-16.8), dict(pipeline="homotopy", h_center=16.99),
+        dict(_BUMP_2D, h_center=-16.6)], ids=["1d-left", "1d-right", "2d-corner"])
+    def test_bump_reaching_into_the_box_is_accepted(self, overrides):
+        # the distance from (h_center,) * grid_dim to the box is below
+        # h_radius: 0.8 and 0.99 in 1-D, 0.6 sqrt(2) in 2-D
+        cli._validate_config(ExperimentConfig(**overrides))
 
     def test_tent_norm_pipeline(self, tmp_path):
         cfg = ExperimentConfig(pipeline="tent-norm", datum_id="sign",

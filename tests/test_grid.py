@@ -5,11 +5,13 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from caloric import (
     CoverageError,
     DataError,
     DomainTooSmallError,
+    HeatOperatorConfig,
     InsufficientResolutionError,
     SpaceTimeField,
     SpatialGrid,
@@ -18,10 +20,12 @@ from caloric import (
     field_from_csv,
     field_to_csv,
     gradient,
+    heat_evolve,
     integrate_ball,
     integrate_strip_L2,
 )
-from caloric.grid import point_distance, time_trapezoid
+from caloric.grid import nonzero_box, point_distance, time_trapezoid
+from caloric.semigroup import _kernel_1d
 from caloric.util import fmt_float
 from caloric.zoo import GaussianKernelSolution, sample_solution
 
@@ -67,6 +71,61 @@ class TestSpatialGrid:
             ring = np.maximum(np.abs(xg), np.abs(yg)) >= 0.9 * g2.half_extent
             assert (point_distance((xg[ring], yg[ring]), center).tobytes()
                     == want[ring].tobytes())
+
+
+def _mask(shape, *points):
+    mask = np.zeros(shape, dtype=bool)
+    for p in points:
+        mask[p] = True
+    return mask
+
+
+class TestNonzeroBox:
+    """The first to the last occupied index per axis; empty when none is."""
+
+    @pytest.mark.parametrize("mask,box", [
+        (_mask((16,)), (slice(0, 0),)),
+        (_mask((8, 12)), (slice(0, 0), slice(0, 0))),
+        (_mask((16,), 7), (slice(7, 8),)),
+        (_mask((16,), 0, 4), (slice(0, 5),)),
+        (_mask((16,), 9, 15), (slice(9, 16),)),
+        (_mask((16,), 0, 15), (slice(0, 16),)),
+        (_mask((8, 12), (2, 9)), (slice(2, 3), slice(9, 10))),
+        (_mask((8, 12), (2, 9), (5, 3), (4, 4)), (slice(2, 6), slice(3, 10))),
+        (_mask((8, 12), (0, 11), (7, 0)), (slice(0, 8), slice(0, 12))),
+    ], ids=["empty-1d", "empty-2d", "one-point", "at-0", "at-n-1", "both-ends",
+            "2d-one-point", "2d", "2d-corners"])
+    def test_box(self, mask, box):
+        assert nonzero_box(mask) == box
+        # every True lies in the box and the box's faces each hold one
+        outside = mask.copy()
+        outside[box] = False
+        assert not outside.any()
+        for axis, b in enumerate(box):
+            if b.stop > b.start:
+                assert np.take(mask, b.start, axis).any() and np.take(mask, b.stop - 1, axis).any()
+
+    def test_support_straddling_the_seam_takes_the_wrap_path(self, monkeypatch):
+        # points 3 and n - 4 are 7 apart round the periodic seam, but their
+        # box is linear and spans nearly the whole axis, so the kernel's
+        # window [lo - m, hi + m) is wider than the axis and the convolution
+        # wraps the whole axis
+        grid = SpatialGrid.make(1, 15.0, 256)
+        values = np.zeros(grid.shape)
+        values[[3, 252]] = (1.0, -0.0)
+        assert nonzero_box((values != 0.0) | np.signbit(values)) == (slice(3, 253),)
+        modes = []
+        convolve1d = ndimage.convolve1d
+
+        def spy(*args, **kwargs):
+            modes.append(kwargs.get("mode"))
+            return convolve1d(*args, **kwargs)
+
+        monkeypatch.setattr(ndimage, "convolve1d", spy)
+        got = heat_evolve(grid, values, 0.3, HeatOperatorConfig())
+        assert modes == ["wrap"]
+        kernel = _kernel_1d(0.3, grid, HeatOperatorConfig())
+        assert got.tobytes() == convolve1d(values, kernel, mode="wrap").tobytes()
 
 
 class TestSpaceTimeField:

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from caloric import (
@@ -233,10 +234,10 @@ class TestHomotopyResidual:
         mesh = grid.meshgrid()
         h_vals = h.value(*mesh)
         box, _ = representation._support_box(h, grid)
-        open_mesh = representation._open_mesh(*(grid.axis,) * dim)
-        ring, bound = representation._ring_bound(grid, open_mesh, h, h_vals[box], tau)
-        # the ring the mesh gives, built here from the axis
-        assert np.array_equal(ring, np.maximum.reduce(np.abs(mesh)) >= 0.9 * grid.half_extent)
+        points, bound = representation._ring_bound(grid, h, h_vals[box], tau)
+        # the ring points the mesh gives, gathered here from the axis
+        ring = np.maximum.reduce(np.abs(mesh)) >= 0.9 * grid.half_extent
+        assert [p.tobytes() for p in points] == [m[ring].tobytes() for m in mesh]
         dense = dense_evolve_at(grid, h_vals, tau)[ring]
         assert ring.any() and dense.max() > 0.0
         assert np.all(bound >= np.abs(dense))
@@ -453,11 +454,19 @@ class TestHomotopyWhereRead:
         assert (rep.lhs.hex(), rep.rhs.hex(), rep.residual.hex()) == \
             (lhs.hex(), rhs.hex(), residual.hex()) == ((0.0).hex(),) * 3
 
-    @pytest.mark.parametrize("h_center", [0.5, 1.0])
-    def test_u_evaluated_on_ring_and_image_support_only(self, monkeypatch, h_center):
-        # the finest heat-ladder level of the 1-D kernel method
-        grid = SpatialGrid.make(1, 16.0, 16384)
-        h = TestFunction((h_center,), 1.0)
+    @pytest.mark.parametrize("h_center,cfg,grid", [
+        ((0.5,), KERNEL10, SpatialGrid.make(1, 16.0, 16384)),
+        ((1.0,), KERNEL10, SpatialGrid.make(1, 16.0, 16384)),
+        ((1.0, 1.0), SPECTRAL, SpatialGrid.make(2, 12.0, 256)),
+    ], ids=["0.5", "1.0", "2d-spectral-256"])
+    def test_u_evaluated_on_ring_and_image_support_only(self, monkeypatch, h_center, cfg,
+                                                         grid):
+        # the finest heat-ladder levels of the 1-D kernel method and of the
+        # 2-D spectral one: u(s) is evaluated twice, at the ring points and
+        # on the image's box, which for a kernel image holds its nonzeros
+        # alone and for a spectral image is the whole grid
+        h = TestFunction(h_center, 1.0)
+        u = GaussianKernelSolution(1.0, (0.0,) * grid.dim)
         sizes = []
         value = GaussianKernelSolution.value
 
@@ -467,13 +476,15 @@ class TestHomotopyWhereRead:
             return value(self, t, *axes)
 
         monkeypatch.setattr(GaussianKernelSolution, "value", counted)
-        homotopy_residual((GaussianKernelSolution(1.0),), 0.5, 1.0, h, KERNEL10, grid=grid,
-                          grid_level=2)
-        phi_s = heat_evolve(grid, h.value(grid.axis), 0.5, KERNEL10)
-        ring = np.abs(grid.axis) >= 0.9 * grid.half_extent
-        assert len(sizes) == 1
-        read = np.count_nonzero(ring) + np.count_nonzero(phi_s)
-        assert sizes[0] <= read < grid.n_points
+        homotopy_residual((u,), 0.5, 1.0, h, cfg, grid=grid, grid_level=2)
+        mesh = grid.meshgrid()
+        phi_s = heat_evolve(grid, h.value(*mesh), 0.5, cfg)
+        ring = np.count_nonzero(np.maximum.reduce(np.abs(mesh)) >= 0.9 * grid.half_extent)
+        assert len(sizes) == 2
+        if cfg is SPECTRAL:
+            assert sum(sizes) <= ring + grid.n_points
+        else:
+            assert sum(sizes) <= ring + np.count_nonzero(phi_s) < grid.n_points
 
     @pytest.mark.parametrize("u", [ExponentialSolution((12.0,)), _InfNearBump()],
                              ids=["overflow-on-ring", "inf-near-bump"])
@@ -486,6 +497,48 @@ class TestHomotopyWhereRead:
                 DomainTooSmallError, match=re.escape(f"of {u.label} is not finite")):
             homotopy_residual((u,), 0.5, 1.0, TestFunction((1.0,), 1.0), cfg,
                               grid=SpatialGrid.make(1, 64.0, 4096), grid_level=0)
+
+
+# Where each coordinate of a bump's centre lies against the box [-L, L],
+# L = 8, by its distance |c| from the middle: (low, high) per placement.
+_PLACEMENTS = {"inside": lambda r: (0.0, 8.0 - r), "cut": lambda r: (8.0 - r, 8.0 + r),
+               "off": lambda r: (8.0 + r, 10.0 + r)}
+
+
+@st.composite
+def _homotopy_cases(draw):
+    """(solution, s, t, bump, operator, grid) on L = 8, 1-D or 2-D, either
+    method: each centre coordinate inside the box, cut by its edge or off
+    it, on either side, so the bump may miss the box entirely."""
+    dim = draw(st.sampled_from([1, 2]))
+    grid = SpatialGrid.make(dim, 8.0, draw(st.sampled_from([128, 256] if dim == 1 else [32, 64])))
+    radius = draw(st.floats(0.3, 1.5))
+    center = tuple(draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(*_PLACEMENTS[p](radius)))
+                   for p in draw(st.lists(st.sampled_from(list(_PLACEMENTS)),
+                                          min_size=dim, max_size=dim)))
+    u = draw(st.sampled_from([GaussianKernelSolution(0.1, (0.0,) * dim),
+                              GaussianKernelSolution(1.0, (0.5,) * dim),
+                              Eigenmode((1.0,) * dim), ExponentialSolution((0.5,) * dim)]))
+    s, tau = draw(st.floats(0.05, 0.5)), draw(st.floats(0.02, 0.25))
+    return (u, s, s + tau, TestFunction(center, radius),
+            draw(st.sampled_from([KERNEL8, SPECTRAL])), grid)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(case=_homotopy_cases())
+def test_homotopy_where_read_property(case):
+    # both sides equal the full-grid evaluation bit for bit, and the extent
+    # audit fails exactly when the full-grid one does
+    u, s, t, h, cfg, grid = case
+    lhs, rhs, residual, tail = _full_grid_homotopy(u, s, t, h, cfg, grid)
+    try:
+        rep, = homotopy_residual((u,), s, t, h, cfg, grid=grid, grid_level=0)
+    except DomainTooSmallError:
+        assert not tail <= 1e-10
+        return
+    assert tail <= 1e-10
+    assert (rep.lhs.hex(), rep.rhs.hex(), rep.residual.hex()) == \
+        (lhs.hex(), rhs.hex(), residual.hex())
 
 
 class TestFluxFunctional:

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from caloric import (
@@ -337,6 +338,47 @@ class TestSupportWindowConvolution:
             want = _full_axis_convolution(grid, values, 0.1, True, cfg)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# Values of a sparse field: signed zeros, subnormals and finite doubles of
+# every size (no sum of kernel-weighted values can overflow).
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1.0, -1.0]),
+                    st.floats(-1e300, 1e300))
+
+
+@st.composite
+def _sparse_fields(draw):
+    """(grid, values, t): a 1-D or 2-D field on L = 8 under a kernel
+    half-width m from 1 to the widest the reach check admits (m - 1/2 taps
+    of spacing dx reach at most L/2).  The support is a few points (none,
+    one, or several anywhere, the axis ends included) or a run of drawn
+    values, a box in 2-D, that may wrap round the periodic seam."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from([32, 64, 128] if dim == 1 else [16, 32]))
+    grid = SpatialGrid.make(dim, 8.0, n)
+    values = np.zeros(grid.shape)
+    if draw(st.booleans()):
+        for point in draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * dim), max_size=4)):
+            values[point] = draw(_VALUES)
+    else:
+        run = np.ix_(*[(draw(st.integers(0, n - 1)) + np.arange(draw(st.integers(1, n)))) % n
+                       for _ in range(dim)])
+        cycle = draw(st.lists(_VALUES, min_size=1, max_size=6))
+        values[run] = np.resize(cycle, values[run].shape)
+    m = draw(st.integers(1, int(grid.half_extent / 2 / grid.spacing + 0.5)))
+    return grid, values, ((m - 0.5) * grid.spacing / 8.0) ** 2
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=_sparse_fields(), gradient=st.booleans())
+def test_support_window_convolution_property(case, gradient):
+    # the windowed, split and line-boxed convolution equals ndimage over the
+    # whole periodic axes bit for bit, signed zeros included
+    grid, values, t = case
+    op = heat_evolve_gradient if gradient else heat_evolve
+    got = op(grid, values, t, KERNEL)
+    want = _full_axis_convolution(grid, values, t, gradient)
+    assert got.tobytes() == want.tobytes()
 
 
 def _palindromic_signed_span(grid):
