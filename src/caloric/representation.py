@@ -285,6 +285,7 @@ def homotopy_residual(solutions: Sequence[AnalyticSolution], s: float, t: float,
     h_vals = np.zeros(grid.shape)
     h_vals[box] = h_box
     phi_s = heat_evolve(grid, h_vals, t - s, cfg)
+    del h_vals
     ring, phi_ring = _ring_bound(grid, h, h_box, t - s)
     nodes = _support_nodes(h, grid)
     image = nonzero_box(phi_s != 0.0)
@@ -305,7 +306,10 @@ def homotopy_residual(solutions: Sequence[AnalyticSolution], s: float, t: float,
                 f"homotopy rhs integrand of {u.label} is at most {tail:.3g} at |x| = 0.9L "
                 f"(needs < {_RHS_TAIL_TOL:g}); the box does not contain the pairing")
         lhs = _support_quadrature(u, t, nodes)
-        rhs = det_sum(u_image * phi_image * grid.cell_volume)
+        prod = u_image * phi_image
+        del u_image
+        prod *= grid.cell_volume
+        rhs = det_sum(prod)
         reports.append(HomotopyReport(u.label, s, t, h.label, grid_level, lhs, rhs))
     return tuple(reports)
 

@@ -34,7 +34,13 @@ masquerade as a verified identity:
   FFT: its round-off spreads over the whole grid and is amplified wherever
   the evolved function is paired with fast-growing data.
 * ``spectral_multiplier`` - multiplication of discrete Fourier modes by
-  exp(-|xi|^2 t).
+  exp(-|xi|^2 t).  The values are copied once into a complex buffer, which
+  ``np.fft.fftn``, the multiplier and ``np.fft.ifftn`` then update in place
+  (a gradient component first forms its own product with i xi_axis); the
+  result is a contiguous copy of the real part.  These are the operations
+  of the out-of-place expression fftn(values) * exp(-xi^2 t), in the same
+  order, so the bits are the same, with one full-grid complex array live
+  instead of about three.
 
 :func:`heat_evolve` and :func:`heat_evolve_gradient` share one evaluation
 path, ``_evolve``: it checks the time and the kernel reach, branches on the
@@ -259,11 +265,23 @@ def _evolve(grid: SpatialGrid, values: Array, t: float, cfg: HeatOperatorConfig,
         raise ValueError(f"evolution time must be positive, got {t}")
     if cfg.method == "spectral_multiplier":
         xi = 2.0 * pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
-        xi2 = xi**2 if grid.dim == 1 else xi[:, None] ** 2 + xi[None, :] ** 2
-        spec = np.fft.fftn(values) * np.exp(-xi2 * t)
-        # d/dx_ax multiplies each mode by i xi_ax
-        return [np.real(np.fft.ifftn(spec if ax is None else spec * (
-            1j * xi.reshape([-1 if a == ax else 1 for a in range(grid.dim)])))) for ax in axes]
+        mult = xi**2 if grid.dim == 1 else xi[:, None] ** 2 + xi[None, :] ** 2
+        mult *= -t  # xi^2 * (-t) has the bits of (-xi^2) * t
+        np.exp(mult, out=mult)
+        spec = values.astype(complex)
+        np.fft.fftn(spec, out=spec)
+        spec *= mult
+        del mult
+        outs = []
+        for i, ax in enumerate(axes):
+            if ax is not None:
+                # d/dx_ax multiplies each mode by i xi_ax
+                mode = spec * (1j * xi.reshape([-1 if a == ax else 1 for a in range(grid.dim)]))
+            else:
+                # spec itself is transformed in place only at its last read
+                mode = spec if i == len(axes) - 1 else spec.copy()
+            outs.append(np.fft.ifftn(mode, out=mode).real.copy())
+        return outs
     reach = cfg.truncation_radius_factor * sqrt(t)
     if reach > grid.half_extent / 2 + 1e-12:
         raise DomainTooSmallError(

@@ -54,8 +54,14 @@ Array = NDArray[np.float64]
 
 
 def heat_kernel(t: float, r2: Array, dim: int) -> Array:
-    """Fundamental solution (4 pi t)^{-n/2} exp(-r^2/4t)."""
-    return (4.0 * pi * t) ** (-dim / 2.0) * np.exp(-r2 / (4.0 * t))
+    """Fundamental solution (4 pi t)^{-n/2} exp(-r^2/4t), evaluated in one
+    array; a scalar r2 gives a numpy scalar."""
+    k = np.array(r2, dtype=float)
+    np.negative(k, out=k)
+    k /= 4.0 * t
+    np.exp(k, out=k)
+    k *= (4.0 * pi * t) ** (-dim / 2.0)
+    return k[()]
 
 
 def _phase(axes, coeffs) -> Array:

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -539,6 +540,25 @@ def test_homotopy_where_read_property(case):
     assert tail <= 1e-10
     assert (rep.lhs.hex(), rep.rhs.hex(), rep.residual.hex()) == \
         (lhs.hex(), rhs.hex(), residual.hex())
+
+
+
+def test_spectral_level_traced_peak_memory():
+    # one 256^2 spectral homotopy level, as the 2-D heat ladder's finest:
+    # h is dropped once its image exists and the right side is formed in one
+    # product array; the level peaked at 4.02 MiB before, with h, u(s) and
+    # two product temporaries live next to det_sum's buffers
+    grid = SpatialGrid.make(2, 12.0, 256)
+    args = ((GaussianKernelSolution(1.0, (0.0, 0.0)),), 0.5, 1.0,
+            TestFunction((1.0, 1.0), 1.0), SPECTRAL)
+    homotopy_residual(*args, grid=grid, grid_level=2)  # first-call allocations
+    tracemalloc.start()
+    try:
+        homotopy_residual(*args, grid=grid, grid_level=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * 2**20
 
 
 class TestFluxFunctional:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from caloric import (
@@ -181,6 +181,79 @@ class TestHeatEvolveGradient:
         out = heat_evolve_gradient(grid_2d, f, 0.25, SPECTRAL)
         np.testing.assert_allclose(out[0], math.exp(-0.5) * np.cos(xg) * np.sin(yg), atol=1e-12)
         np.testing.assert_allclose(out[1], math.exp(-0.5) * np.sin(xg) * np.cos(yg), atol=1e-12)
+
+
+def _frequencies(grid):
+    xi = 2.0 * math.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
+    return xi, xi**2 if grid.dim == 1 else xi[:, None] ** 2 + xi[None, :] ** 2
+
+
+def _out_of_place_spectral(grid, values, t, gradient):
+    """Oracle: the spectral multiplier as one out-of-place expression."""
+    xi, xi2 = _frequencies(grid)
+    spec = np.fft.fftn(values) * np.exp(-xi2 * t)
+    comps = [np.real(np.fft.ifftn(spec if ax is None else spec * (
+        1j * xi.reshape([-1 if a == ax else 1 for a in range(grid.dim)]))))
+        for ax in (range(grid.dim) if gradient else [None])]
+    return np.stack(comps) if gradient else comps[0]
+
+
+_SPECTRAL_GRIDS = {"1d-1024": (1, 1024), "2d-64": (2, 64), "2d-256": (2, 256)}
+
+
+class TestSpectralInPlace:
+    """The spectral branch works in one complex buffer; every output must
+    equal the out-of-place expression bit for bit."""
+
+    @pytest.mark.parametrize("grid_id", list(_SPECTRAL_GRIDS))
+    @pytest.mark.parametrize("top", [50.0, 1500.0], ids=["no-underflow", "underflow"])
+    @pytest.mark.parametrize("seam", [False, True], ids=["centre", "seam"])
+    @pytest.mark.parametrize("gradient", [False, True], ids=["heat", "gradient"])
+    def test_bitwise_equal_to_out_of_place(self, grid_id, top, seam, gradient):
+        dim, n = _SPECTRAL_GRIDS[grid_id]
+        grid = SpatialGrid.make(dim, 8.0, n)
+        xi2 = _frequencies(grid)[1]
+        t = top / xi2.max()
+        # the high modes' multipliers underflow to 0.0, or none does
+        mult = np.exp(-xi2 * t)
+        assert (mult == 0.0).any() == (top > 745.0) and mult.max() == 1.0
+        values = _bump_field(grid, (0.0,) * dim, 1.0)
+        if seam:
+            values = np.roll(values, n // 2, axis=tuple(range(dim)))
+            assert values[(0,) * dim] != 0.0 and values[(-1,) * dim] != 0.0
+        evolve = heat_evolve_gradient if gradient else heat_evolve
+        got = evolve(grid, values, t, SPECTRAL)
+        want = _out_of_place_spectral(grid, values, t, gradient)
+        # a view of the complex buffer's real part would keep all of it alive
+        assert got.shape == want.shape and got.flags.c_contiguous and got.base is None
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("axes", [(None, 0), (None, None, 1), (1, None, 0), (0, 1, None)])
+    def test_heat_mixed_with_gradient_axes(self, axes):
+        # e^{tL} must not transform the shared spectrum in place while a
+        # later entry still reads it
+        grid = SpatialGrid.make(2, 8.0, 64)
+        values = _bump_field(grid, (1.0, -0.5), 1.5)
+        heat = heat_evolve(grid, values, 0.3, SPECTRAL)
+        grad = heat_evolve_gradient(grid, values, 0.3, SPECTRAL)
+        outs = semigroup._evolve(grid, values, 0.3, SPECTRAL, axes)
+        for ax, got in zip(axes, outs):
+            want = heat if ax is None else grad[ax]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_traced_peak_memory_at_256_squared(self):
+        # one complex buffer (1 MiB) and the real result (0.5 MiB) are live;
+        # the out-of-place expression peaked at 3.50 MiB
+        grid = SpatialGrid.make(2, 12.0, 256)
+        values = _bump_field(grid, (1.0, 1.0), 1.0)
+        heat_evolve(grid, values, 0.5, SPECTRAL)  # first-call allocations
+        tracemalloc.start()
+        try:
+            heat_evolve(grid, values, 0.5, SPECTRAL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * 2**20
 
 
 def _full_axis_convolution(grid, values, t, gradient, cfg=KERNEL):
@@ -455,23 +528,44 @@ class TestSingleExteriorFold:
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _assert_kernels_exactly_symmetric_and_antisymmetric(t, half_extent, points, factor):
+    # the split convolution relies on both: the left exterior is the right
+    # one's fold on the mirrored kernel (the same fold, mirrored, when the
+    # span is a palindrome under the heat kernel), and ndimage must take the
+    # same (anti)symmetric loop for the full and the cut kernel.  Bitwise,
+    # signs of zeros included: the heat kernel reads the same reversed, and
+    # the gradient kernel has w[k] == -w[2m - k] at every tap but the
+    # centre, which is +0.0 (its negation, -0.0, is the one exception)
+    grid = SpatialGrid.make(1, half_extent, points)
+    cfg = HeatOperatorConfig("kernel_quadrature", truncation_radius_factor=factor)
+    w = _kernel_1d(t, grid, cfg)
+    assert np.array_equal(w.view(np.int64), w[::-1].view(np.int64))
+    wg = _kernel_gradient_1d(t, grid, cfg)
+    m = wg.size // 2
+    off_centre = np.arange(wg.size) != m
+    assert np.array_equal(wg.view(np.int64)[off_centre],
+                          (-wg[::-1]).view(np.int64)[off_centre])
+    # the centre taps start every exterior output at +0.0
+    assert w[m] > 0.0
+    assert wg.view(np.int64)[m] == 0  # +0.0
+
+
 @pytest.mark.parametrize("t", [1e-3, 0.3, 2.5])
 @pytest.mark.parametrize("points", [256, 4096, 16384])
 @pytest.mark.parametrize("factor", [6.0, 10.0, 13.5])
 def test_kernels_exactly_symmetric_and_antisymmetric(t, points, factor):
-    # the split convolution relies on both: the left exterior is the right
-    # one's fold on the mirrored kernel (the same fold, mirrored, when the
-    # span is a palindrome under the heat kernel), and ndimage must take the
-    # same (anti)symmetric loop for the full and the cut kernel
-    grid = SpatialGrid.make(1, 16.0, points)
-    cfg = HeatOperatorConfig("kernel_quadrature", truncation_radius_factor=factor)
-    w = _kernel_1d(t, grid, cfg)
-    wg = _kernel_gradient_1d(t, grid, cfg)
-    assert np.array_equal(w, w[::-1])
-    assert np.array_equal(wg, -wg[::-1])
-    # the centre taps start every exterior output at +0.0
-    assert w[w.size // 2] > 0.0
-    assert wg[wg.size // 2] == 0.0 and not np.signbit(wg[wg.size // 2])
+    _assert_kernels_exactly_symmetric_and_antisymmetric(t, 16.0, points, factor)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(t=st.floats(1e-3, 4.0), half_extent=st.floats(1.0, 40.0),
+       points=st.integers(16, 16384), factor=st.floats(6.0, 16.0))
+# the kernels of criterion 2's homotopy ladder (t - s = 0.5)
+@example(t=0.5, half_extent=16.0, points=4096, factor=10.0)
+@example(t=0.5, half_extent=16.0, points=8192, factor=10.0)
+@example(t=0.5, half_extent=16.0, points=16384, factor=10.0)
+def test_kernel_symmetry_property(t, half_extent, points, factor):
+    _assert_kernels_exactly_symmetric_and_antisymmetric(t, half_extent, points, factor)
 
 
 def _pairwise_quadrature(grid, values, t):

@@ -254,6 +254,97 @@ class TestFsumCrossover:
         assert_same(det_sum(padded), fsum_oracle(terms))
 
 
+# Row kinds of det_sum_stacks.  The extraction certificate settles none but
+# "wide" and "near_tie" rows, so above the crossover the others reach the
+# limbs; most near ties do too (their nudge lies past the passes' reach).
+_ROW_KINDS = ("wide", "pairs", "zeros", "tie", "near_tie", "huge", "tiny")
+_LIMB_KINDS = _ROW_KINDS[1:]
+
+
+def _kind_row(rng, kind, n, lo, hi) -> np.ndarray:
+    """n terms of one kind:
+
+    * ``wide``: exponents spread over [lo, hi] decades;
+    * ``pairs``: x and -x for wide terms x, an exact-zero total;
+    * ``zeros``: +-0.0 and subnormals of either sign;
+    * ``tie``: pairs plus 1 and 2^-53 or -2^-54, scaled by a power of two,
+      a total halfway between two doubles;
+    * ``near_tie``: a tie plus or minus a term 2^-54 to 2^-109 times as
+      large, which decides the rounding;
+    * ``huge``: wide terms plus two pairs of magnitude just below 2^1016,
+      whose first sigma exceeds 2^1023 from 127 terms on;
+    * ``tiny``: terms of 1e-320 to 1e-290, whose sigma falls below 2^-969.
+    """
+    if kind == "wide":
+        return wide(rng, n, lo, hi)
+    if kind == "pairs":
+        half = wide(rng, n // 2, lo, hi)
+        return rng.permutation(np.concatenate([half, -half, [-0.0] * (n % 2)]))
+    if kind == "zeros":
+        sub = rng.integers(-(2**52), 2**52, n) * 5e-324
+        return np.where(rng.random(n) < 0.5, rng.choice([0.0, -0.0], n), sub)
+    if kind in ("tie", "near_tie"):
+        # halfway above 1 or just below it (where the gap halves), nudged
+        # off the tie by a term far below for near_tie
+        half = rng.choice([2.0**-53, -(2.0**-54)])
+        nudge = rng.choice([-1.0, 1.0]) * 2.0 ** -int(rng.integers(54, 110))
+        tie = np.array([1.0, half, nudge][:n if kind == "near_tie" else min(n, 2)])
+        tie *= 2.0 ** int(rng.integers(-900, 900))
+        return rng.permutation(np.concatenate([_kind_row(rng, "pairs", n - tie.size, lo, hi),
+                                               tie]))
+    if kind == "huge":
+        big = rng.uniform(1.0, 2.0, min(n // 2, 2)) * 2.0**1015
+        row = np.concatenate([wide(rng, n - 2 * big.size, lo, hi), big, -big])
+        return rng.permutation(row)
+    return wide(rng, n, -320, -290)
+
+
+@st.composite
+def det_sum_stacks(draw):
+    """A stack of rows of mixed kinds (_kind_row) whose size lies below or
+    above _FSUM_MAX_TERMS in all, and its terms shuffled and cut into
+    batches of random sizes."""
+    c = _FSUM_MAX_TERMS
+    n_rows = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        n_terms = draw(st.integers(1, c // n_rows))
+    else:
+        n_terms = draw(st.integers(c // n_rows + 1, 2 * c // n_rows + 1))
+    kinds = draw(st.lists(st.sampled_from(_ROW_KINDS), min_size=n_rows, max_size=n_rows))
+    lo = draw(st.integers(-300, 300))
+    hi = draw(st.integers(lo + 1, 301))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.stack([_kind_row(rng, kind, n_terms, lo, hi) for kind in kinds])
+    cuts = np.sort(rng.integers(0, stack.size + 1, draw(st.integers(0, 6))))
+    return stack, np.split(rng.permutation(stack.ravel()), cuts)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(det_sum_stacks())
+def test_det_sum_property(case):
+    # every row, the stack's rows at once, the whole stack and any batching
+    # of its shuffled terms: each sum is the math.fsum double, sign included
+    stack, batches = case
+    assert_same(det_sum(stack, axis=-1), rowwise_oracle(stack))
+    assert_same(det_sum(stack), fsum_oracle(stack))
+    for row in stack:
+        assert_same(det_sum(row), fsum_oracle(row))
+    for batch in batches:
+        assert_same(det_sum(batch), fsum_oracle(batch))
+
+
+@pytest.mark.parametrize("kind", _LIMB_KINDS)
+def test_det_sum_stack_kinds_reach_the_limbs(monkeypatch, kind):
+    # the property above exercises the limb fallback: one row of each of
+    # these kinds just above the crossover is summed by limbs
+    rows = []
+    limb_sums = util._limb_sums
+    monkeypatch.setattr(util, "_limb_sums", lambda r: rows.append(r) or limb_sums(r))
+    row = _kind_row(np.random.default_rng(0), kind, _FSUM_MAX_TERMS + 1, -300, 300)
+    assert_same(det_sum(row), fsum_oracle(row))
+    assert len(rows) == 1
+
+
 def _limb_totals_one_bincount(block: np.ndarray) -> np.ndarray:
     """Reference: all three digits of every term in one np.bincount call, the
     middle and top digits indexed one and two limbs up."""

@@ -34,7 +34,39 @@ from caloric import (
 from caloric.acceptance import _RECOVERY_DATA
 from caloric.probes import default_schwartz_panel, hermite_probe
 from caloric import zoo
-from caloric.zoo import exact_pairing
+from caloric.zoo import exact_pairing, heat_kernel
+
+
+def _out_of_place_heat_kernel(t, r2, dim):
+    """Oracle: the fundamental solution as one out-of-place expression."""
+    return (4.0 * math.pi * t) ** (-dim / 2.0) * np.exp(-r2 / (4.0 * t))
+
+
+class TestHeatKernelInPlace:
+    """heat_kernel works in one array; it must equal the out-of-place
+    expression bit for bit and leave r2 alone."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 7.0])
+    def test_arrays_bitwise(self, dim, t):
+        rng = np.random.default_rng(dim)
+        # zeros, subnormals, ordinary squares and r^2/4t far past exp's underflow
+        r2 = np.concatenate([[0.0, 5e-324, 1e-310], rng.random(200) * 40.0,
+                             [3000.0 * t, 1e6]]).reshape(5, 41)
+        before = r2.copy()
+        got = heat_kernel(t, r2, dim)
+        want = _out_of_place_heat_kernel(t, r2, dim)
+        assert got.dtype == np.float64 and got.shape == r2.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert (want == 0.0).any() and np.array_equal(r2, before)
+
+    @pytest.mark.parametrize("r2", [0.0, 0.7, np.array(0.7), np.float64(2.5)],
+                             ids=["float-zero", "float", "0-d array", "numpy scalar"])
+    def test_scalar_gives_numpy_scalar(self, r2):
+        got = heat_kernel(0.5, r2, 1)
+        want = _out_of_place_heat_kernel(0.5, r2, 1)
+        assert type(got) is type(want) is np.float64
+        assert got.hex() == want.hex()
 
 
 class TestEvalSolution:
