@@ -16,11 +16,13 @@ from caloric import (
     SpaceTimeField,
     SpatialGrid,
     StripSpec,
+    TestFunction,
     cli,
     field_from_csv,
     field_to_csv,
     gradient,
     heat_evolve,
+    heat_evolve_gradient,
     integrate_ball,
     integrate_strip_L2,
 )
@@ -126,6 +128,21 @@ class TestNonzeroBox:
         assert modes == ["wrap"]
         kernel = _kernel_1d(0.3, grid, HeatOperatorConfig())
         assert got.tobytes() == convolve1d(values, kernel, mode="wrap").tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("op", [heat_evolve, heat_evolve_gradient],
+                             ids=["evolve", "gradient"])
+    def test_narrow_bump_calls_no_ndimage(self, monkeypatch, dim, op):
+        # a bump whose kernel window fits in the axis is convolved by
+        # np.convolve on its own lines: no scipy.ndimage function runs
+        calls = []
+        for name in ndimage.__all__:
+            if callable(getattr(ndimage, name)):
+                monkeypatch.setattr(ndimage, name, lambda *a, _name=name, **k: calls.append(_name))
+        grid = SpatialGrid.make(dim, 15.0, 256 if dim == 1 else 64)
+        values = TestFunction((0.5,) * dim, 1.0).value(*grid.meshgrid())
+        got = op(grid, values, 0.3, HeatOperatorConfig())
+        assert calls == [] and np.isfinite(got).all() and got.any()
 
 
 class TestSpaceTimeField:

@@ -1,5 +1,6 @@
-"""tools/output_diff.py: equal trees give equal records, and a one-ulp change
-is listed number by number."""
+"""tools/output_diff.py: equal trees give equal records, a one-ulp change
+is listed number by number, and each record carries the benchmark's verdict
+against the tree's recorded reference."""
 
 import importlib.util
 import shutil
@@ -19,12 +20,14 @@ def test_identical_trees_give_equal_records(capsys):
     assert output_diff.main([str(_REPO), str(_REPO), "--only", _FEW]) == 0
     out = capsys.readouterr().out
     assert "DIFF" not in out
-    assert out.endswith("12 of 12 records equal, 0 differ\n")
+    # the default growth fit has no recorded reference
+    assert out.endswith("bench reference: 11 of 11 recorded records ok (1 not recorded)\n"
+                        "12 of 12 records equal, 0 differ\n")
 
 
-def test_one_ulp_kernel_change_is_listed(tmp_path, capsys):
-    # the heat kernel's normalization one ulp off: the homotopy residuals
-    # move, the growth fit (spectral) does not
+def _tree_with_kernel_mass(tmp_path, mass):
+    """A copy of the tree whose heat kernel is normalized to *mass*, an
+    expression in the computed mass s."""
     for part in ("src", "bench"):
         shutil.copytree(_REPO / part, tmp_path / part,
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -32,9 +35,19 @@ def test_one_ulp_kernel_change_is_listed(tmp_path, capsys):
     text = semigroup.read_text()
     assert text.count("return w / det_sum(w)") == 1
     semigroup.write_text(text.replace("return w / det_sum(w)",
-                                      "return w / np.nextafter(det_sum(w), np.inf)"))
-    only = r"^(menu/000 |default/growth-fit$)"
-    assert output_diff.main([str(_REPO), str(tmp_path), "--only", only]) == 1
+                                      f"s = det_sum(w)\n    return w / ({mass})"))
+    return tmp_path
+
+
+_KERNEL_OP = r"^(menu/000 |default/growth-fit$)"
+
+
+def test_one_ulp_kernel_change_is_listed(tmp_path, capsys):
+    # the heat kernel's normalization one ulp off: the homotopy residuals
+    # move, within the benchmark's tolerance; the growth fit (spectral) does
+    # not move
+    tree = _tree_with_kernel_mass(tmp_path, "np.nextafter(s, np.inf)")
+    assert output_diff.main([str(_REPO), str(tree), "--only", _KERNEL_OP]) == 1
     out = capsys.readouterr().out
     assert out.startswith("DIFF menu/000 kernel_1d/gaussian_kernel\n")
     assert "  homotopy.csv: SHA-256 differs\n" in out
@@ -42,7 +55,23 @@ def test_one_ulp_kernel_change_is_listed(tmp_path, capsys):
              and "(rel " in ln]
     assert moved and all(" -> " in ln for ln in moved)
     assert "DIFF default/growth-fit" not in out
-    assert out.endswith("1 of 2 records equal, 1 differ\n")
+    assert "  bench reference: ok\n" in out
+    assert out.endswith("bench reference: 1 of 1 recorded records ok (1 not recorded)\n"
+                        "1 of 2 records equal, 1 differ\n")
+
+
+def test_change_beyond_the_bench_tolerance_names_its_record(tmp_path, capsys):
+    # a heat kernel with 1e-9 too much mass moves the homotopy residuals
+    # far beyond the benchmark's RTOL of 1e-6
+    tree = _tree_with_kernel_mass(tmp_path, "s * (1.0 - 1e-9)")
+    assert output_diff.main([str(_REPO), str(tree), "--only", _KERNEL_OP]) == 1
+    out = capsys.readouterr().out
+    record = out.split("DIFF menu/000 kernel_1d/gaussian_kernel\n", 1)[1]
+    verdict = next(ln for ln in record.splitlines() if ln.startswith("  bench reference: "))
+    assert "homotopy.csv:residual differs from the recorded values" in verdict
+    assert out.endswith("bench reference: 0 of 1 recorded records ok (1 not recorded); "
+                        "not ok: menu/000 kernel_1d/gaussian_kernel\n"
+                        "1 of 2 records equal, 1 differ\n")
 
 
 def test_line_changes():

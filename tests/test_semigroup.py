@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,12 +24,12 @@ from caloric import (
 )
 from caloric import semigroup
 from caloric.semigroup import (
+    _convolve,
     _kernel_1d,
     _kernel_gradient_1d,
-    _split_convolve_1d,
     dense_evolve_at,
 )
-from caloric.grid import gradient as fd_gradient
+from caloric.grid import gradient as fd_gradient, nonzero_box
 from caloric.util import det_sum
 from caloric.zoo import GaussianKernelSolution
 
@@ -228,19 +229,6 @@ class TestSpectralInPlace:
         assert got.shape == want.shape and got.flags.c_contiguous and got.base is None
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize("axes", [(None, 0), (None, None, 1), (1, None, 0), (0, 1, None)])
-    def test_heat_mixed_with_gradient_axes(self, axes):
-        # e^{tL} must not transform the shared spectrum in place while a
-        # later entry still reads it
-        grid = SpatialGrid.make(2, 8.0, 64)
-        values = _bump_field(grid, (1.0, -0.5), 1.5)
-        heat = heat_evolve(grid, values, 0.3, SPECTRAL)
-        grad = heat_evolve_gradient(grid, values, 0.3, SPECTRAL)
-        outs = semigroup._evolve(grid, values, 0.3, SPECTRAL, axes)
-        for ax, got in zip(axes, outs):
-            want = heat if ax is None else grad[ax]
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
     def test_traced_peak_memory_at_256_squared(self):
         # one complex buffer (1 MiB) and the real result (0.5 MiB) are live;
         # the out-of-place expression peaked at 3.50 MiB
@@ -342,10 +330,10 @@ _WINDOW_CASES = {
     "2d-straddles-seam-other-axis": (2, lambda g: _bump_field(g, (1.0, 14.5), 1.5)
                                      + _bump_field(g, (-1.0, -14.8), 1.0), 0.3),
 }
-# A 1-D slice is split at its support span.  Spans of S random values with
-# -0.0 and subnormals inside, at t = 0.3 (m = 38): shorter than, equal to
-# and longer than m, odd and even, starting at the first or ending at the
-# last point of the axis, and close enough to its ends that the window wraps.
+# Spans of S random values with -0.0 and subnormals inside, at t = 0.3
+# (m = 38): shorter than, equal to and longer than m, odd and even, starting
+# at the first or ending at the last point of the axis, and close enough to
+# its ends that the window wraps.
 _M = _kernel_1d(0.3, SpatialGrid.make(1, 15.0, 256), KERNEL).size // 2
 _WINDOW_CASES.update({f"1d-span-{name}": (1, _signed_span(lo, size), 0.3)
                       for name, (size, lo) in {
@@ -365,52 +353,192 @@ _WINDOW_CASES.update({f"1d-span-{name}": (1, _signed_span(lo, size), 0.3)
 }.items()})
 
 
-class TestSupportWindowConvolution:
-    """The kernel path convolves only the support window, a 1-D slice split
-    into the span's interior and two exteriors; it must equal the full-axis
-    convolution bit for bit, signed zeros included."""
+def _window_grid(dim):
+    return SpatialGrid.make(dim, 15.0, 256 if dim == 1 else 64)
+
+
+def _kernels(grid, t, cfg=KERNEL):
+    return {"heat": _kernel_1d(t, grid, cfg), "gradient": _kernel_gradient_1d(t, grid, cfg)}
+
+
+def _support_box(values):
+    return nonzero_box((values != 0.0) | np.signbit(values))
+
+
+def _window(values, m, axis):
+    """Mask of the outputs of the support window along *axis*: the window
+    [lo - m, hi + m) (mod n) of the support box's span, on the box's lines
+    across it; None when the window is wider than the axis (the wrap
+    branch)."""
+    n = values.shape[axis]
+    box = _support_box(values)
+    lo, hi = box[axis].start, box[axis].stop
+    if hi - lo + 2 * m > n:
+        return None
+    along = np.zeros(n, dtype=bool)
+    along[np.arange(lo - m, hi + m) % n] = lo < hi
+    lines = np.zeros(values.shape, dtype=bool)
+    lines[box] = True
+    others = tuple(a for a in range(values.ndim) if a != axis)
+    return lines.any(axis=axis, keepdims=True) & np.expand_dims(along, others)
+
+
+def _check_window_structure(values, kernel, axis):
+    """_convolve(values, kernel, axis) and whether it took the window:
+    outputs off the window are +0.0 and none on it is -0.0; the wrap
+    branch is ndimage over the whole periodic axis, bit for bit."""
+    got = _convolve(values, kernel, axis)
+    inside = _window(values, kernel.size // 2, axis)
+    if inside is None:
+        want = ndimage.convolve1d(values, kernel, axis=axis, mode="wrap")
+        assert got.tobytes() == want.tobytes()
+        return got, False
+    assert not got.view(np.int64)[~inside].any()
+    assert not (np.signbit(got) & (got == 0.0)).any()
+    return got, True
+
+
+def _check_shift(values, kernel, axis, shift, got):
+    """Rolling the field by *shift* (one entry per axis, across the seam
+    too) rolls a windowed result bit for bit, whenever every line's span
+    along *axis* keeps its values: the bits depend on neither the span's
+    place on the axis (its offset in the buffer) nor its line.  Whether the
+    spans kept their values is returned."""
+    axes = tuple(range(values.ndim))
+    rolled = np.roll(values, shift, axis=axes)
+    across = np.roll(values, [0 if a == axis else s for a, s in enumerate(shift)], axis=axes)
+    span, moved = _support_box(values)[axis], _support_box(rolled)[axis]
+    if (np.take(rolled, np.arange(moved.start, moved.stop), axis).tobytes()
+            != np.take(across, np.arange(span.start, span.stop), axis).tobytes()):
+        return False
+    want = np.roll(got, shift, axis=axes)
+    assert _convolve(rolled, kernel, axis).tobytes() == want.tobytes()
+    return True
+
+
+def _check_lines_match_1d(values, kernel, axis, got):
+    """Each line of a windowed 2-D result is the 1-D result for that line
+    over the box's span [lo, hi), bit for bit.  A line whose own support is
+    narrower gets -0.0 at the span's ends: -0.0 is support, and since every
+    window sum starts from +0.0, a -0.0 term changes none of its bits."""
+    box = _support_box(values)
+    lo, hi = box[axis].start, box[axis].stop
+    across = 1 - axis
+    for j in range(box[across].start, box[across].stop):
+        line = np.take(values, j, axis=across).copy()
+        for end in (lo, hi - 1):
+            if line[end] == 0.0:
+                line[end] = -0.0
+        assert _support_box(line) == (slice(lo, hi),)
+        want = _convolve(line, kernel, 0)
+        assert np.take(got, j, axis=across).tobytes() == want.tobytes()
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53: a dot of k terms
+    rounded in any order is within gamma_k * sum |terms| of the exact one
+    (Accuracy and Stability of Numerical Algorithms, section 3.1)."""
+    u = 2.0**-53
+    return k * u / (1.0 - k * u)
+
+
+class TestWindowConvolution:
+    """The kernel operator convolves each occupied line's support span
+    alone with np.convolve and writes its hi - lo + 2m outputs into the
+    window [lo - m, hi + m) of the periodic axis; a window wider than the
+    axis takes ndimage's wrap-around convolution of the whole axis."""
 
     @pytest.mark.parametrize("case", list(_WINDOW_CASES))
-    @pytest.mark.parametrize("gradient", [False, True], ids=["evolve", "gradient"])
-    def test_bitwise_equal_to_full_axis(self, case, gradient):
+    @pytest.mark.parametrize("kernel", ["heat", "gradient"])
+    def test_zero_off_the_window_and_never_negative_zero(self, case, kernel):
         dim, field, t = _WINDOW_CASES[case]
-        grid = SpatialGrid.make(dim, 15.0, 256 if dim == 1 else 64)
-        values = field(grid)
-        op = heat_evolve_gradient if gradient else heat_evolve
-        got = op(grid, values, t, KERNEL)
-        want = _full_axis_convolution(grid, values, t, gradient)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        grid = _window_grid(dim)
+        values, w = field(grid), _kernels(grid, t)[kernel]
+        for axis in range(dim):
+            _check_window_structure(values, w, axis)
 
-    @pytest.mark.parametrize("gradient", [False, True], ids=["evolve", "gradient"])
-    def test_narrow_bump_under_wide_kernel(self, gradient):
+    @pytest.mark.parametrize("case", [c for c in _WINDOW_CASES if not any(
+        wrap in c for wrap in ("too-wide", "straddles", "one-past", "negative-zero"))])
+    @pytest.mark.parametrize("kernel", ["heat", "gradient"])
+    def test_shifted_support_shifts_the_bits(self, case, kernel):
+        # shifts of 1 to 3 points move the span to every 8-byte offset
+        # modulo a 32-byte vector; the larger ones carry the support or its
+        # window across the seam
+        dim, field, t = _WINDOW_CASES[case]
+        grid = _window_grid(dim)
+        values, w = field(grid), _kernels(grid, t)[kernel]
+        n = grid.points_per_axis
+        for axis in range(dim):
+            got, windowed = _check_window_structure(values, w, axis)
+            assert windowed
+            for s in (1, 2, 3, 17, n // 2, n - 5):
+                shift = (s, 3 * s % n)[:dim]
+                _check_shift(values, w, axis, shift, got)
+            # the window, not the support, crosses the seam on the left and
+            # on the right
+            box = _support_box(values)[axis]
+            if box.start < box.stop and box.stop - box.start <= n - w.size // 2:
+                m = w.size // 2
+                for s in (m // 2 - box.start, n - m // 2 - box.stop):
+                    shift = [0] * dim
+                    shift[axis] = s
+                    assert _check_shift(values, w, axis, tuple(shift), got)
+
+    @pytest.mark.parametrize("case", [c for c in _WINDOW_CASES if c.startswith("2d-")])
+    @pytest.mark.parametrize("kernel", ["heat", "gradient"])
+    def test_each_2d_line_is_its_1d_result(self, case, kernel):
+        _, field, t = _WINDOW_CASES[case]
+        grid = _window_grid(2)
+        values, w = field(grid), _kernels(grid, t)[kernel]
+        for axis in (0, 1):
+            got, windowed = _check_window_structure(values, w, axis)
+            if windowed:
+                _check_lines_match_1d(values, w, axis, got)
+
+    @pytest.mark.parametrize("dim,size,lo,t", [
+        (1, 1, 30, 0.05), (1, 5, 60, 0.2), (1, 40, 10, 0.05), (1, 20, 0, 0.2),
+        (2, 3, 7, 0.05), (2, 6, 12, 0.05)])
+    @pytest.mark.parametrize("kernel", ["heat", "gradient"])
+    def test_within_dot_error_of_exact_sum(self, dim, size, lo, t, kernel):
+        # normal values (no underflow), so Higham's bound holds for every
+        # output: |got - exact| <= gamma_{2m+2} * sum |w x|
+        grid = SpatialGrid.make(dim, 8.0, 64 if dim == 1 else 16)
+        w = _kernels(grid, t)[kernel]
+        m, n = w.size // 2, grid.points_per_axis
+        rng = np.random.default_rng(size * 64 + lo)
+        values = np.zeros(grid.shape)
+        run = np.ix_(*[(lo + np.arange(size)) % n] * dim)
+        values[run] = rng.standard_normal(values[run].shape) * 10.0 ** rng.integers(-3, 3, size)
+        taps = [Fraction(float(c)) for c in w]
+        for axis in range(dim):
+            got = np.moveaxis(_convolve(values, w, axis), axis, -1)
+            x = np.moveaxis(values, axis, -1)
+            for line in np.ndindex(x.shape[:-1]):
+                data = [Fraction(float(v)) for v in x[line]]
+                for i in range(n):
+                    terms = [taps[d + m] * data[(i - d) % n] for d in range(-m, m + 1)]
+                    bound = Fraction(_gamma(2 * m + 2)) * sum(map(abs, terms))
+                    assert abs(Fraction(float(got[line][i])) - sum(terms)) <= bound
+
+    @pytest.mark.parametrize("gradient", [False, True], ids=["heat", "gradient"])
+    def test_heat_ladder_shape_within_twice_the_dot_error_of_ndimage(self, gradient):
         # 1023 support points under a 7243-tap kernel (m = 3621): the shape
-        # of the heat-ladder's finest kernel-method level
+        # of the heat-ladder's finest kernel-method level.  The window and
+        # ndimage's full-axis sum each lie within gamma_{2m+2} * sum |w x|
+        # of the exact sum.
         grid = SpatialGrid.make(1, 16.0, 16384)
         cfg = HeatOperatorConfig("kernel_quadrature", truncation_radius_factor=10.0)
-        assert _kernel_1d(0.5, grid, cfg).size == 2 * 3621 + 1
+        w = _kernels(grid, 0.5, cfg)["gradient" if gradient else "heat"]
+        assert w.size == 2 * 3621 + 1
         values = _bump_field(grid, (0.5,), 1.0)
         assert np.count_nonzero(values) == 1023
+        got, windowed = _check_window_structure(values, w, 0)
+        assert windowed
         op = heat_evolve_gradient if gradient else heat_evolve
-        got = op(grid, values, 0.5, cfg)
+        assert op(grid, values, 0.5, cfg).tobytes() == got.tobytes()
         want = _full_axis_convolution(grid, values, 0.5, gradient, cfg)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-
-    @pytest.mark.parametrize("factor", [8.0, 60.0])
-    def test_negative_zero_alone_in_the_span(self, factor):
-        # At factor 60 the outer gradient taps underflow to +0.0 while the
-        # inner ones keep their sign; those dropped taps decide the sign of
-        # an output that sums to zero.
-        grid = SpatialGrid.make(1, 64.0, 4096)
-        cfg = HeatOperatorConfig("kernel_quadrature", truncation_radius_factor=factor)
-        for value in (-0.0, -5.0):
-            values = np.zeros(grid.shape)
-            values[2000] = value
-            got = heat_evolve_gradient(grid, values, 0.1, cfg)
-            want = _full_axis_convolution(grid, values, 0.1, True, cfg)
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+        scale = ndimage.convolve1d(np.abs(values), np.abs(w), mode="wrap")
+        assert (np.abs(got - want.reshape(got.shape)) <= 2.0 * _gamma(w.size + 1) * scale).all()
 
 
 # Values of a sparse field: signed zeros, subnormals and finite doubles of
@@ -443,99 +571,30 @@ def _sparse_fields(draw):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(case=_sparse_fields(), gradient=st.booleans())
-def test_support_window_convolution_property(case, gradient):
-    # the windowed, split and line-boxed convolution equals ndimage over the
-    # whole periodic axes bit for bit, signed zeros included
+@given(case=_sparse_fields(), gradient=st.booleans(), axis=st.integers(0, 1),
+       shift=st.tuples(st.integers(0, 127), st.integers(0, 127)))
+def test_window_convolution_structure_property(case, gradient, axis, shift):
+    # zeros off the window, no -0.0 on it, bits that follow a shifted
+    # support and 2-D lines that are their 1-D results; the wrap branch is
+    # ndimage's full-axis convolution
     grid, values, t = case
-    op = heat_evolve_gradient if gradient else heat_evolve
-    got = op(grid, values, t, KERNEL)
-    want = _full_axis_convolution(grid, values, t, gradient)
-    assert got.tobytes() == want.tobytes()
-
-
-def _palindromic_signed_span(grid):
-    """A _signed_span run followed by its reverse on [90, 150): -0.0 at both
-    ends, signed zeros and subnormals inside."""
-    half = _signed_span(90, 30)(grid)[90:120]
-    values = np.zeros(grid.shape)
-    values[90:150] = np.concatenate([half, half[::-1]])
-    return values
-
-
-@pytest.fixture
-def exterior_folds(monkeypatch):
-    """Sizes of the spans passed to semigroup._exterior_1d, one per call."""
-    sizes = []
-    fold = semigroup._exterior_1d
-
-    def counted(span, kernel):
-        sizes.append(span.size)
-        return fold(span, kernel)
-
-    monkeypatch.setattr(semigroup, "_exterior_1d", counted)
-    return sizes
-
-
-# (half extent, points, truncation factor, field, t, gradient, folds).  The
-# bump at 0.5 sits on a grid point of the 16384-point axis (the shape of
-# test_narrow_bump_under_wide_kernel), so its span is a palindrome bit for
-# bit; on the 256-point axis of 1d-interior it does not.  The gradient
-# kernel is antisymmetric, never a palindrome.
-_FOLD_CASES = {
-    "bump-on-grid-point": (16.0, 16384, 10.0, lambda g: _bump_field(g, (0.5,), 1.0),
-                           0.5, False, 1),
-    "signed-palindrome": (15.0, 256, 8.0, _palindromic_signed_span, 0.3, False, 1),
-    "bump-off-grid-point": (15.0, 256, 8.0, _WINDOW_CASES["1d-interior"][1], 0.3, False, 2),
-    "gradient-of-bump-on-grid-point": (16.0, 16384, 10.0,
-                                       lambda g: _bump_field(g, (0.5,), 1.0), 0.5, True, 2),
-}
-
-
-class TestSingleExteriorFold:
-    """A palindromic span under a palindromic kernel folds its exterior once
-    and mirrors it; the result must not change by a bit."""
-
-    @pytest.mark.parametrize("case", list(_FOLD_CASES))
-    def test_fold_count_and_bits(self, exterior_folds, case):
-        half_extent, points, factor, field, t, gradient, folds = _FOLD_CASES[case]
-        grid = SpatialGrid.make(1, half_extent, points)
-        cfg = HeatOperatorConfig("kernel_quadrature", truncation_radius_factor=factor)
-        values = field(grid)
-        op = heat_evolve_gradient if gradient else heat_evolve
-        got = op(grid, values, t, cfg)
-        assert len(exterior_folds) == folds
-        want = _full_axis_convolution(grid, values, t, gradient, cfg)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-
-    @pytest.mark.parametrize("end", [0, -1], ids=["left", "right"])
-    def test_signed_zero_ends_fold_twice(self, exterior_folds, end):
-        # -0.0 == +0.0, so the span reads the same reversed by value, but
-        # not bit for bit: both folds run
-        grid = SpatialGrid.make(1, 15.0, 256)
-        kernel = _kernel_1d(0.3, grid, KERNEL)
-        m = kernel.size // 2
-        values = _palindromic_signed_span(grid)
-        span = values[90:150]
-        assert np.signbit(span[0]) and np.signbit(span[-1]) and span[0] == 0.0
-        span[end] = 0.0
-        assert np.array_equal(span, span[::-1])
-        got = _split_convolve_1d(span, kernel)
-        assert len(exterior_folds) == 2
-        want = _full_axis_convolution(grid, values, 0.3, False)[90 - m:150 + m]
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+    axis %= grid.dim
+    w = _kernels(grid, t)["gradient" if gradient else "heat"]
+    got, windowed = _check_window_structure(values, w, axis)
+    if windowed:
+        _check_shift(values, w, axis, shift[:grid.dim], got)
+        if grid.dim == 2:
+            _check_lines_match_1d(values, w, axis, got)
 
 
 def _assert_kernels_exactly_symmetric_and_antisymmetric(t, half_extent, points, factor):
-    # the split convolution relies on both: the left exterior is the right
-    # one's fold on the mirrored kernel (the same fold, mirrored, when the
-    # span is a palindrome under the heat kernel), and ndimage must take the
-    # same (anti)symmetric loop for the full and the cut kernel.  Bitwise,
-    # signs of zeros included: the heat kernel reads the same reversed, and
-    # the gradient kernel has w[k] == -w[2m - k] at every tap but the
-    # centre, which is +0.0 (its negation, -0.0, is the one exception)
+    # properties of the kernels themselves: the heat kernel is exactly
+    # symmetric, and the gradient kernel exactly antisymmetric and zero-sum,
+    # so constants map to exactly zero; the wrap-around branch's ndimage
+    # loop also takes its (anti)symmetric path on them.  Bitwise, signs of
+    # zeros included: the heat kernel reads the same reversed, and the
+    # gradient kernel has w[k] == -w[2m - k] at every tap but the centre,
+    # which is +0.0 (its negation, -0.0, is the one exception)
     grid = SpatialGrid.make(1, half_extent, points)
     cfg = HeatOperatorConfig("kernel_quadrature", truncation_radius_factor=factor)
     w = _kernel_1d(t, grid, cfg)
@@ -545,7 +604,6 @@ def _assert_kernels_exactly_symmetric_and_antisymmetric(t, half_extent, points, 
     off_centre = np.arange(wg.size) != m
     assert np.array_equal(wg.view(np.int64)[off_centre],
                           (-wg[::-1]).view(np.int64)[off_centre])
-    # the centre taps start every exterior output at +0.0
     assert w[m] > 0.0
     assert wg.view(np.int64)[m] == 0  # +0.0
 

@@ -15,15 +15,20 @@ path, over three sets of records:
 * ``default/<pipeline>``: each pipeline other than ``acceptance`` at its
   default configuration.
 
-A record holds the exit code, the summary lines and the SHA-256 of every
-file written.  ``--only`` keeps the records whose name the regular
-expression matches.  For each record that differs the tool lists each
-flipped verdict and each moved number with its relative change (at most
-``SHOWN`` per file or summary, then a count of the rest), reading the
-files of both runs from a temporary directory.  It exits 1 when any record
-differs or exists in one tree only, 0 when every record is equal, and 2
-when a tree cannot be run at all.  An operation that raises records the
-exception as its exit code.
+A record holds the exit code, the summary lines, the SHA-256 of every
+file written and the benchmark's verdict: the problems
+``workloads.check_criterion`` or ``workloads.check_op`` find against the
+tree's own ``bench/reference.json`` (read only), none when it is correct;
+the default pipelines have no recorded reference.  ``--only`` keeps the
+records whose name the regular expression matches.  For each record that
+differs the tool lists each flipped verdict and each moved number with its
+relative change (at most ``SHOWN`` per file or summary, then a count of the
+rest), reading the files of both runs from a temporary directory, and then
+the tree's benchmark verdict.  It ends with a count of the tree's records
+the benchmark finds correct, naming the others, and of the records that are
+equal.  It exits 1 when any record differs or exists in one tree only, 0
+when every record is equal, and 2 when a tree cannot be run at all.  An
+operation that raises records the exception as its exit code.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ def collect(tree: Path, out: Path, only: str) -> dict[str, dict]:
     if not Path(cli.__file__).resolve().is_relative_to(tree.resolve()):
         raise SystemExit(f"caloric was imported from {cli.__file__}, not from {tree}")
     wanted = re.compile(only).search
+    reference = json.loads((tree / "bench" / "reference.json").read_text())
     records: dict[str, dict] = {}
     gate = [f"gate/{i}" for i in range(1, len(acceptance.ALL_CRITERIA) + 2)]
     if any(map(wanted, gate)):
@@ -72,24 +78,28 @@ def collect(tree: Path, out: Path, only: str) -> dict[str, dict]:
             lines = [_ELAPSED.sub("#s", r.status_line)] + [
                 _ELAPSED.sub("#s", ln) if "runtime budget" in ln else ln for ln in r.details]
             records[f"gate/{r.index}"] = {"exit": None, "lines": lines, "files": {},
-                                          "dir": None}
+                                          "dir": None,
+                                          "bench": workloads.check_criterion(r, reference)}
         records[f"gate/{results[-1].index}"].update(files=_digests(gate_dir),
                                                     dir=str(gate_dir))
-    runs = [(f"menu/{i:03d} {op.slot}", op.key, lambda d, op=op: workloads.run_op(op, d))
+    runs = [(f"menu/{i:03d} {op.slot}", op.key, lambda d, op=op: workloads.run_op(op, d),
+             lambda result, d, op=op: workloads.check_op(op, result, d, reference))
             for i, op in enumerate(workloads.menu_entries())]
     runs += [(f"default/{p}", p, lambda d, p=p: cli.run_experiment(
-        cli.ExperimentConfig(pipeline=p, out_dir=str(d)))) for p in cli.PIPELINES
+        cli.ExperimentConfig(pipeline=p, out_dir=str(d))), None) for p in cli.PIPELINES
         if p != "acceptance"]
-    for name, config, run in runs:
+    for name, config, run, check in runs:
         if not wanted(name):
             continue
         out_dir = out / _dir_name(name)
         out_dir.mkdir(parents=True)
         try:
             result = run(out_dir)
-            outcome = {"exit": result.exit_code, "lines": result.summary_lines}
+            outcome = {"exit": result.exit_code, "lines": result.summary_lines,
+                       "bench": check and check(result, out_dir)}
         except Exception as exc:  # a crash is this record's outcome, not the tool's
             outcome = {"exit": f"raised {type(exc).__name__}: {exc}", "lines": []}
+            outcome["bench"] = check and [outcome["exit"]]
         records[name] = {"config": config, **outcome, "files": _digests(out_dir),
                          "dir": str(out_dir)}
     return {k: v for k, v in records.items() if wanted(k)}
@@ -148,6 +158,23 @@ def record_changes(old: dict, new: dict) -> list[str]:
     return changes
 
 
+def bench_line(record: dict) -> str:
+    """The benchmark's verdict on one record of the tree."""
+    bench = record["bench"]
+    if bench is None:
+        return "bench reference: not recorded"
+    return "bench reference: " + ("; ".join(bench) if bench else "ok")
+
+
+def bench_count(records: dict[str, dict]) -> str:
+    """How many of the tree's recorded records the benchmark finds correct."""
+    recorded = [name for name, r in records.items() if r["bench"] is not None]
+    failing = [name for name in recorded if records[name]["bench"]]
+    line = (f"bench reference: {len(recorded) - len(failing)} of {len(recorded)} recorded "
+            f"records ok ({len(records) - len(recorded)} not recorded)")
+    return line + (f"; not ok: {', '.join(failing)}" if failing else "")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -180,8 +207,11 @@ def main(argv: list[str] | None = None) -> int:
                 changes = record_changes(old[name], new[name])
             if changes:
                 differing += 1
+                if name in new:
+                    changes.append(bench_line(new[name]))
                 print(f"DIFF {name}")
                 print("\n".join(f"  {c}" for c in changes))
+        print(bench_count(new))
         print(f"{len(set(old) | set(new)) - differing} of {len(set(old) | set(new))} records "
               f"equal, {differing} differ")
     return 1 if differing else 0
